@@ -12,7 +12,7 @@
 //! satn-load --addr ADDR [--shards N] [--levels N] [--algorithm A]
 //!           [--workload W] [--requests N] [--seed S] [--burst N]
 //!           [--window N] [--reads FRACTION] [--reshard-every N]
-//!           [--handover cold|warm] [--stats] [--out FILE]
+//!           [--stats] [--out FILE]
 //! ```
 //!
 //! With `--reads FRACTION` (0 ≤ f < 1) the generator interleaves `Lookup`
@@ -25,10 +25,9 @@
 //! With `--reshard-every N` the generator injects a `Reshard` control frame
 //! after every `N` requests sent, moving two elements of the latest burst to
 //! their next shard (the client tracks its own epoch log, so every plan names
-//! real cross-shard moves). `--handover cold|warm` picks the handover mode
-//! carried by those frames; each reshard frame's write-to-ack RTT is reported
+//! real cross-shard moves). Each reshard frame's write-to-ack RTT is reported
 //! separately, so the client sees exactly what a handover costs the write
-//! path under either mode.
+//! path.
 //!
 //! With `--stats` the generator additionally polls the server's metrics
 //! registry over the wire (a `Stats` frame, answered off the write path)
@@ -43,12 +42,10 @@
 //! prints the same summary to stdout. Retries the initial connection for a
 //! few seconds so it can be launched alongside `satnd`.
 
-use satn_bench::LatencyHistogram;
 use satn_core::AlgorithmKind;
-use satn_obs::{names, MetricsSnapshot};
+use satn_obs::{names, LatencyHistogram, MetricsSnapshot};
 use satn_serve::{
-    EpochedPartition, HandoverMode, Ingest, ReshardPlan, ServeError, ShardedScenario, TcpIngest,
-    DEFAULT_WINDOW,
+    EpochedPartition, Ingest, ReshardPlan, ServeError, ShardedScenario, TcpIngest, DEFAULT_WINDOW,
 };
 use satn_sim::WorkloadSpec;
 use satn_tree::ElementId;
@@ -58,8 +55,7 @@ use std::time::{Duration, Instant};
 
 const USAGE: &str = "usage: satn-load --addr ADDR [--shards N] [--levels N] [--algorithm A] \
                      [--workload W] [--requests N] [--seed S] [--burst N] [--window N] \
-                     [--reads FRACTION] [--reshard-every N] [--handover cold|warm] \
-                     [--stats] [--out FILE]";
+                     [--reads FRACTION] [--reshard-every N] [--stats] [--out FILE]";
 
 /// How often `--stats` polls the server registry mid-run.
 const STATS_INTERVAL: Duration = Duration::from_millis(250);
@@ -124,7 +120,6 @@ fn print_stats_line(snapshot: &MetricsSnapshot) {
 /// `reshard_every > 0`, a `Reshard` frame follows every `reshard_every`-th
 /// request: the client applies each plan to its own epoch log, so every
 /// plan moves two of the latest burst's elements to their next shard.
-#[allow(clippy::too_many_arguments)]
 fn run(
     addr: &str,
     scenario: &ShardedScenario,
@@ -132,7 +127,6 @@ fn run(
     window: usize,
     reads: f64,
     reshard_every: usize,
-    handover: HandoverMode,
     stats: bool,
 ) -> Result<LoadReport, ServeError> {
     let mut client = connect_with_retry(addr)?.with_window(window);
@@ -172,7 +166,7 @@ fn run(
             }
             let plan = ReshardPlan::new(moves);
             log.apply(plan.clone()).expect("plans move owned elements");
-            client.reshard(&plan, handover)?;
+            client.reshard(&plan)?;
             in_flight.push_back((Instant::now(), true));
             reshards += 1;
         }
@@ -265,7 +259,6 @@ fn json(
     burst: usize,
     window: usize,
     reads: f64,
-    handover: HandoverMode,
 ) -> String {
     let micros = |d: Duration| d.as_secs_f64() * 1e6;
     let quantiles = |histogram: &LatencyHistogram| {
@@ -318,7 +311,7 @@ fn json(
         .unwrap_or_else(|| String::from("null"));
     format!(
         "{{\n  \"scenario\": \"{}\",\n  \"requests\": {},\n  \"frames\": {},\n  \
-         \"lookups\": {},\n  \"reshards\": {},\n  \"handover\": \"{}\",\n  \
+         \"lookups\": {},\n  \"reshards\": {},\n  \
          \"reads\": {:.4},\n  \"burst\": {},\n  \"window\": {},\n  \
          \"elapsed_s\": {:.6},\n  \"throughput_req_per_s\": {:.0},\n  \
          \"throughput_ops_per_s\": {:.0},\n  \"frame_rtt_us\": {},\n  \
@@ -328,7 +321,6 @@ fn json(
         report.frames,
         report.lookups,
         report.reshards,
-        handover,
         reads,
         burst,
         window,
@@ -354,7 +346,6 @@ fn main() -> ExitCode {
     let mut window = DEFAULT_WINDOW;
     let mut reads = 0.0f64;
     let mut reshard_every = 0usize;
-    let mut handover = HandoverMode::Cold;
     let mut stats = false;
     let mut out = None;
 
@@ -405,10 +396,6 @@ fn main() -> ExitCode {
                 Some(value) if value > 0 => reshard_every = value,
                 _ => return usage(),
             },
-            "--handover" => match args.next().and_then(|v| v.parse().ok()) {
-                Some(value) => handover = value,
-                None => return usage(),
-            },
             "--stats" => stats = true,
             "--out" => match args.next() {
                 Some(value) => out = Some(value),
@@ -426,16 +413,7 @@ fn main() -> ExitCode {
     };
 
     let scenario = ShardedScenario::new(algorithm, workload, shards, levels, requests, seed);
-    let report = match run(
-        &addr,
-        &scenario,
-        burst,
-        window,
-        reads,
-        reshard_every,
-        handover,
-        stats,
-    ) {
+    let report = match run(&addr, &scenario, burst, window, reads, reshard_every, stats) {
         Ok(report) => report,
         Err(error) => {
             eprintln!("satn-load: {error}");
@@ -443,7 +421,7 @@ fn main() -> ExitCode {
         }
     };
 
-    let rendered = json(&report, &scenario, burst, window, reads, handover);
+    let rendered = json(&report, &scenario, burst, window, reads);
     print!("{rendered}");
     if let Some(path) = out {
         if let Err(error) = std::fs::write(&path, &rendered) {

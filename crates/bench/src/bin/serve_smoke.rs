@@ -6,24 +6,18 @@
 //! chained through the deterministic handover). With `--reshard-every N` the
 //! engines also reshard mid-stream under the load-adaptive `MoveHottest`
 //! policy, so the full drain-fence → migrate → epoch-bump handover path is
-//! exercised on every push; `--handover warm` runs those handovers in
-//! warm-carry mode (untouched shards keep their live trees, touched shards
-//! carry rotor/recency state), verified against the warm replay. Also runs
-//! the ego-tree-per-source mode against a serial `SelfAdjustingNetwork`
-//! replay. Exits non-zero on any divergence.
+//! exercised on every push: untouched shards keep their live trees, touched
+//! shards carry their rotor/recency state, and the replay carries the same.
+//! Exits non-zero on any divergence.
 //!
 //! ```text
 //! serve-smoke [--shards N] [--threads N|auto|serial] [--requests N] [--seed S]
-//!             [--reshard-every N] [--handover cold|warm] [--layout heap|blocked]
+//!             [--reshard-every N] [--layout heap|blocked]
 //! ```
 
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
 use satn_core::AlgorithmKind;
-use satn_network::{Host, HostPair, SelfAdjustingNetwork};
 use satn_serve::{
-    ingest_channel, replay, HandoverMode, Parallelism, ReshardPolicy, ReshardSchedule,
-    ShardedEngineConfig, SourceShardedEngine,
+    ingest_channel, replay, Parallelism, ReshardPolicy, ReshardSchedule, ShardedEngineConfig,
 };
 use satn_sim::{ShardRouter, ShardedScenario, SimRunner, WorkloadSpec};
 use satn_tree::{ElementId, LayoutKind};
@@ -31,8 +25,7 @@ use std::process::ExitCode;
 use std::time::Instant;
 
 const USAGE: &str = "usage: serve-smoke [--shards N] [--threads N|auto|serial] [--requests N] \
-                     [--seed S] [--reshard-every N] [--handover cold|warm] \
-                     [--layout heap|blocked]";
+                     [--seed S] [--reshard-every N] [--layout heap|blocked]";
 
 fn usage() -> ExitCode {
     eprintln!("{USAGE}");
@@ -94,70 +87,12 @@ fn run_and_verify(scenario: &ShardedScenario, parallelism: Parallelism) -> Optio
     Some(elapsed)
 }
 
-/// Verifies the ego-tree-per-source mode against a serial
-/// `SelfAdjustingNetwork` replay of the same trace.
-fn run_and_verify_ego(
-    num_hosts: u32,
-    shards: u32,
-    parallelism: Parallelism,
-    requests: usize,
-    seed: u64,
-) -> bool {
-    let mut rng = StdRng::seed_from_u64(seed);
-    let trace: Vec<HostPair> = (0..requests)
-        .map(|_| loop {
-            let source = rng.gen_range(0..num_hosts);
-            let destination = rng.gen_range(0..num_hosts);
-            if source != destination {
-                return HostPair::from((source, destination));
-            }
-        })
-        .collect();
-    let kind = AlgorithmKind::RotorPush;
-    let mut engine = match SourceShardedEngine::new(num_hosts, shards, kind, seed, parallelism) {
-        Ok(engine) => engine,
-        Err(error) => {
-            eprintln!("ego engine construction FAILED: {error}");
-            return false;
-        }
-    };
-    if let Err(error) = engine.submit_trace(&trace) {
-        eprintln!("ego engine serving FAILED: {error}");
-        return false;
-    }
-    let report = match engine.finish() {
-        Ok(report) => report,
-        Err(error) => {
-            eprintln!("ego engine finish FAILED: {error}");
-            return false;
-        }
-    };
-    let mut reference = SelfAdjustingNetwork::new(num_hosts, kind, seed).unwrap();
-    reference.serve_trace(&trace).unwrap();
-    if report.merged != *reference.total_cost() {
-        eprintln!("ego mode MERGED SUMMARY DIVERGED from the serial network replay");
-        return false;
-    }
-    for shard in 0..shards {
-        let mut expected = satn_tree::CostSummary::new();
-        for source in (shard..num_hosts).step_by(shards as usize) {
-            expected.merge(reference.cost_of_source(Host::new(source)));
-        }
-        if report.per_shard[shard as usize].summary != expected {
-            eprintln!("ego mode shard {shard} COST SUMMARY DIVERGED");
-            return false;
-        }
-    }
-    true
-}
-
 fn main() -> ExitCode {
     let mut shards = 4u32;
     let mut requests = 20_000usize;
     let mut seed = 2022u64;
     let mut parallelism = Parallelism::Auto;
     let mut reshard_every = 0usize;
-    let mut handover = HandoverMode::Cold;
     let mut layout = LayoutKind::default();
     let mut args = std::env::args().skip(1);
     while let Some(argument) = args.next() {
@@ -181,10 +116,6 @@ fn main() -> ExitCode {
             "--reshard-every" => match args.next().and_then(|v| v.parse::<usize>().ok()) {
                 Some(value) if value > 0 => reshard_every = value,
                 _ => return usage(),
-            },
-            "--handover" => match args.next().and_then(|v| v.parse().ok()) {
-                Some(value) => handover = value,
-                None => return usage(),
             },
             "--layout" => match args.next().and_then(|v| v.parse().ok()) {
                 Some(value) => layout = value,
@@ -213,7 +144,7 @@ fn main() -> ExitCode {
         requests,
         parallelism.threads(),
         if reshard_every > 0 {
-            format!(", resharding every {reshard_every} ({handover} handover)")
+            format!(", resharding every {reshard_every}")
         } else {
             String::new()
         }
@@ -239,7 +170,6 @@ fn main() -> ExitCode {
                     every: reshard_every,
                     max_moves: 16,
                 });
-                scenario.handover = handover;
             }
             let Some(elapsed) = run_and_verify(&scenario, parallelism) else {
                 return ExitCode::FAILURE;
@@ -253,14 +183,6 @@ fn main() -> ExitCode {
         }
     }
 
-    if !run_and_verify_ego(32, shards, parallelism, requests.min(10_000), seed) {
-        return ExitCode::FAILURE;
-    }
-    println!("ego-tree-per-source mode                                      (oracle ok)");
-
-    println!(
-        "# all {} sharded runs + ego mode matched their serial reference replays byte for byte",
-        verified
-    );
+    println!("# all {verified} sharded runs matched their serial reference replays byte for byte");
     ExitCode::SUCCESS
 }

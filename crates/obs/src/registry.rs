@@ -47,13 +47,14 @@ pub mod names {
     /// The touched term of the migration ledger: delete/re-insert cost
     /// units spent on shards a reshard plan actually touched (counter;
     /// oracle-checked). Scales with moved elements, never with universe
-    /// size.
+    /// size; every moved element's source and destination are touched, so
+    /// it always equals [`MIGRATION_UNITS`] (the benchmark in `perfbench/`
+    /// reads it under this name).
     pub const MIGRATION_TOUCHED_UNITS: &str = "satn_migration_touched_units_total";
     /// The rebuilt term of the migration ledger: tree nodes reconstructed
-    /// across all handovers (counter; oracle-checked). Under a cold
-    /// handover every shard's nodes count; under a warm handover only the
-    /// touched shards' do — the difference is exactly the work warm
-    /// handovers skip.
+    /// across all handovers (counter; oracle-checked). Only the touched
+    /// shards' nodes count: untouched shards keep their live trees, so this
+    /// stays proportional to the moved work.
     pub const MIGRATION_REBUILT_NODES: &str = "satn_migration_rebuilt_nodes_total";
     /// Snapshots published to the read side (counter).
     pub const SNAPSHOT_PUBLISHES: &str = "satn_snapshot_publishes_total";
@@ -117,8 +118,8 @@ pub struct EngineMetrics {
     /// delete/re-insert work; equals the migration total, split out so the
     /// ledger separates moving work from rebuilding work).
     pub migration_touched_units: Counter,
-    /// Tree nodes reconstructed across all handovers (every shard under a
-    /// cold handover, only touched shards under a warm one).
+    /// Tree nodes reconstructed across all handovers (touched shards only;
+    /// untouched shards keep their live trees).
     pub migration_rebuilt_nodes: Counter,
     /// Snapshots published through the hub.
     pub snapshot_publishes: Counter,

@@ -15,9 +15,12 @@
 //! satnd [--listen ADDR] [--shards N] [--levels N] [--algorithm A]
 //!       [--workload W] [--requests N] [--seed S] [--router R]
 //!       [--threads N|auto|serial] [--layout heap|blocked]
-//!       [--reshard-every N] [--handover cold|warm] [--connections N]
+//!       [--reshard-every N] [--handover warm] [--connections N]
 //!       [--capacity N] [--verify] [--metrics-dump]
 //! ```
+//!
+//! Every reshard handover is warm; `--handover warm` is accepted (and any
+//! other value rejected) only because `perfbench/` still passes it.
 //!
 //! The scenario flags describe the engine the server fronts; with
 //! `--verify`, after the last connection closes the engine report is checked
@@ -40,7 +43,6 @@ use satn_serve::{
 };
 use satn_sim::{ShardRouter, SimRunner, WorkloadSpec};
 use satn_tree::LayoutKind;
-use satn_workloads::shard::HandoverMode;
 use std::io::Write;
 use std::net::TcpListener;
 use std::process::ExitCode;
@@ -50,7 +52,7 @@ use std::time::Instant;
 const USAGE: &str = "usage: satnd [--listen ADDR] [--shards N] [--levels N] [--algorithm A] \
                      [--workload W] [--requests N] [--seed S] [--router hash|range|source] \
                      [--threads N|auto|serial] [--layout heap|blocked] [--reshard-every N] \
-                     [--handover cold|warm] [--connections N] [--capacity N] [--verify] \
+                     [--handover warm] [--connections N] [--capacity N] [--verify] \
                      [--metrics-dump]";
 
 fn usage() -> ExitCode {
@@ -115,7 +117,6 @@ fn main() -> ExitCode {
     let mut parallelism = Parallelism::Auto;
     let mut layout = LayoutKind::default();
     let mut reshard_every = 0usize;
-    let mut handover = HandoverMode::Cold;
     let mut connections = 1usize;
     let mut capacity = 16usize;
     let mut verify = false;
@@ -168,9 +169,10 @@ fn main() -> ExitCode {
                 Some(value) if value > 0 => reshard_every = value,
                 _ => return usage(),
             },
-            "--handover" => match args.next().and_then(|v| v.parse().ok()) {
-                Some(value) => handover = value,
-                None => return usage(),
+            // Selects nothing: kept only for `perfbench/`'s command line.
+            "--handover" => match args.next().as_deref() {
+                Some("warm") => {}
+                _ => return usage(),
             },
             "--connections" => match args.next().and_then(|v| v.parse::<usize>().ok()) {
                 Some(value) if value > 0 => connections = value,
@@ -196,9 +198,6 @@ fn main() -> ExitCode {
 
     let mut scenario = ShardedScenario::new(algorithm, workload, shards, levels, requests, seed);
     scenario.layout = layout;
-    // The scenario carries the handover mode so the `--verify` reference
-    // replay reproduces warm handovers exactly as the engine runs them.
-    scenario.handover = handover;
     if let Some(router) = router {
         scenario.router = router;
     }

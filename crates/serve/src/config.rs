@@ -8,7 +8,7 @@ use satn_core::{AlgorithmKind, SelfAdjustingTree};
 use satn_exec::Parallelism;
 use satn_sim::ShardedScenario;
 use satn_tree::LayoutKind;
-use satn_workloads::shard::{HandoverMode, Partition};
+use satn_workloads::shard::Partition;
 use std::fmt;
 
 /// What the engine's shard trees are built from.
@@ -54,7 +54,6 @@ pub struct ShardedEngineConfig {
     drain_threshold: Option<usize>,
     resharding: Option<(AlgorithmKind, u64)>,
     layout: Option<LayoutKind>,
-    handover: Option<HandoverMode>,
 }
 
 impl ShardedEngineConfig {
@@ -83,7 +82,6 @@ impl ShardedEngineConfig {
             drain_threshold: None,
             resharding: None,
             layout: None,
-            handover: None,
         }
     }
 
@@ -129,18 +127,6 @@ impl ShardedEngineConfig {
         self
     }
 
-    /// Sets the default [`HandoverMode`] for scheduled and explicit
-    /// reshards (default [`HandoverMode::Cold`]; for scenario-built engines
-    /// this overrides the scenario's own `handover` field). `Warm` carries
-    /// each touched shard's rotor/recency/RNG state across the epoch
-    /// boundary and skips untouched-shard rebuilds entirely; `Reshard`
-    /// ingest frames carry their own mode and bypass this default.
-    #[must_use]
-    pub fn handover(mut self, mode: HandoverMode) -> Self {
-        self.handover = Some(mode);
-        self
-    }
-
     /// Validates the collected configuration and builds the engine.
     ///
     /// # Errors
@@ -172,9 +158,6 @@ impl ShardedEngineConfig {
         if let Some((algorithm, seed)) = self.resharding {
             engine.set_resharding(algorithm, seed)?;
         }
-        if let Some(mode) = self.handover {
-            engine.set_handover(mode);
-        }
         Ok(engine)
     }
 }
@@ -192,7 +175,6 @@ impl fmt::Debug for ShardedEngineConfig {
             .field("parallelism", &self.parallelism)
             .field("drain_threshold", &self.drain_threshold)
             .field("resharding", &self.resharding)
-            .field("handover", &self.handover)
             .finish()
     }
 }
@@ -296,15 +278,6 @@ mod tests {
             )]))
             .unwrap();
         assert_eq!(engine.epoch(), 1);
-    }
-
-    #[test]
-    fn the_builder_overrides_the_scenario_handover_mode() {
-        let engine = ShardedEngineConfig::from_scenario(&scenario())
-            .handover(HandoverMode::Warm)
-            .build()
-            .unwrap();
-        assert_eq!(engine.handover(), HandoverMode::Warm);
     }
 
     #[test]

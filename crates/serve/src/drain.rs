@@ -1,26 +1,10 @@
-//! The shared drain harness of the serving engines.
-//!
-//! Both [`ShardedEngine`](crate::ShardedEngine) and
-//! [`SourceShardedEngine`](crate::SourceShardedEngine) drain the same way:
-//! one `satn-exec` worker per shard serves the shard's pending batch into a
-//! fresh batch summary, results stream back **in shard order** via
-//! [`satn_exec::for_each_ordered`], batch summaries merge into the
-//! [`ShardedCostSummary`], and the reported failure — if any — is the one of
-//! the lowest-indexed failing shard, independent of completion order. That
-//! merge discipline is the determinism-sensitive part, so it lives here
-//! exactly once — as does the batch-buffer bookkeeping ([`DrainControl`])
-//! that decides *when* an automatic drain fires, which the resharding
-//! drain fence relies on and which therefore must not drift between the two
-//! engines.
+//! The batch-buffer bookkeeping of [`ShardedEngine`](crate::ShardedEngine):
+//! [`DrainControl`] decides *when* an automatic drain fires, which the
+//! resharding drain fence relies on.
 
-use satn_exec::{for_each_ordered, Parallelism};
-use satn_tree::{CostObserver, CostSummary, ShardedCostSummary};
-
-/// The shared batch-buffer bookkeeping of the serving engines: how many
-/// requests are buffered across all shards, when the automatic drain fires,
-/// and the run's submitted/drain counters. Both engines route every submit
-/// and every drain through this one implementation, so the drain-fence
-/// semantics of a reshard handover are identical on both.
+/// The batch-buffer bookkeeping of the serving engine: how many requests
+/// are buffered across all shards, when the automatic drain fires, and the
+/// run's submitted/drain counters.
 #[derive(Debug, Clone)]
 pub(crate) struct DrainControl {
     threshold: usize,
@@ -77,47 +61,5 @@ impl DrainControl {
     /// Drains performed so far.
     pub(crate) fn drains(&self) -> u64 {
         self.drains
-    }
-}
-
-/// Drains every shard concurrently: `serve` consumes a shard's pending batch
-/// and returns the batch's cost summary plus its outcome. Summaries merge
-/// into `accounting` in shard order (every shard's served prefix is always
-/// accounted, failed or not); the error of the first failing shard **in
-/// shard order** is returned. `observer` sees each batch summary just before
-/// it merges — on the merge thread, in shard order — so metric registries
-/// mirror the ledger exactly at every drain boundary.
-///
-/// # Errors
-///
-/// `Err((shard, error))` for the lowest-indexed failing shard.
-pub(crate) fn drain_shards<S, E, F>(
-    shards: &mut [S],
-    parallelism: Parallelism,
-    accounting: &mut ShardedCostSummary,
-    observer: &dyn CostObserver,
-    serve: F,
-) -> Result<(), (u32, E)>
-where
-    S: Send,
-    E: Send,
-    F: Fn(&mut S) -> (CostSummary, Result<(), E>) + Sync,
-{
-    let mut failure: Option<(u32, E)> = None;
-    for_each_ordered(
-        shards,
-        parallelism,
-        |_, shard| serve(shard),
-        |index, (delta, outcome)| {
-            observer.on_batch(index as u32, &delta);
-            accounting.merge_into_shard(index as u32, &delta);
-            if let (Err(error), None) = (outcome, failure.as_ref()) {
-                failure = Some((index as u32, error));
-            }
-        },
-    );
-    match failure {
-        Some(failure) => Err(failure),
-        None => Ok(()),
     }
 }

@@ -5,7 +5,7 @@ use crate::error::ServeError;
 use crate::ingest::{IngestMessage, IngestQueue};
 use crate::snapshot::{EngineSnapshot, SnapshotHub, SnapshotReader};
 use satn_core::{AlgorithmKind, SelfAdjustingTree};
-use satn_exec::Parallelism;
+use satn_exec::{for_each_ordered, Parallelism};
 use satn_obs::{EngineMetrics, TraceKind, TraceRing, TraceStamp};
 use satn_sim::{ReshardSchedule, ShardedScenario};
 use satn_tree::{
@@ -13,8 +13,8 @@ use satn_tree::{
     Occupancy, ShardedCostSummary, TreeSnapshot,
 };
 use satn_workloads::shard::{
-    algorithm_seed, carry_remap, handover, handover_touched, shard_epoch_seed, touched_shards,
-    EpochedPartition, HandoverMode, Partition, PolicyDriver, ReshardEvent, ReshardPlan,
+    algorithm_seed, carry_remap, handover, shard_epoch_seed, EpochedPartition, Partition,
+    PolicyDriver, ReshardEvent, ReshardPlan,
 };
 use std::collections::VecDeque;
 use std::fmt;
@@ -88,16 +88,15 @@ enum OnlineSchedule {
 /// 2. **migrate** — the moved elements are deleted from their source trees
 ///    and re-inserted into their destinations in canonical element order
 ///    ([`satn_workloads::shard::handover`]), each paying its access cost,
-///    and the touched shards' trees (every shard's, under a cold handover)
-///    are rebuilt from the post-handover placement;
+///    and the touched shards' trees are rebuilt warm from the post-handover
+///    placement while untouched shards keep their live trees;
 /// 3. **epoch bump** — the [`EpochedPartition`] log grows by the
 ///    plan-patched partition, and the accounting opens a new epoch
 ///    sub-summary carrying the migration cost.
 ///
-/// Everything but the cold rebuild is read off the plan: the moved
-/// elements, the touched shards, and the partition update cost work in
-/// proportion to the moves, plus one digest and one partition copy per
-/// shard.
+/// Everything is read off the plan: the moved elements, the touched
+/// shards, the rebuilds, and the partition update cost work in proportion
+/// to the moves, plus one digest and one partition copy per shard.
 ///
 /// The protocol is a pure function of (scenario, stream position), so the
 /// epoch-segmented serial reference replay
@@ -129,12 +128,6 @@ pub struct ShardedEngine {
     /// [`satn_tree::LayoutKind`]). Pure performance knob: every fingerprint
     /// and cost is layout-invariant.
     layout: LayoutKind,
-    /// How scheduled and explicit reshards hand state across the epoch
-    /// boundary: `Cold` rebuilds every shard tree from scratch, `Warm`
-    /// carries rotor/recency/RNG state and skips untouched shards entirely
-    /// (their live trees survive verbatim). `Reshard` ingest frames carry
-    /// their own mode and override this default.
-    handover: HandoverMode,
     schedule: OnlineSchedule,
     /// Per completed epoch, the per-shard fingerprints at its closing drain
     /// fence (the final epoch's fingerprints are appended by `finish`).
@@ -189,7 +182,6 @@ impl ShardedEngine {
             control: DrainControl::new(DEFAULT_DRAIN_THRESHOLD),
             rebuild: None,
             layout: LayoutKind::default(),
-            handover: HandoverMode::Cold,
             schedule: OnlineSchedule::External,
             epoch_fingerprints: Vec::new(),
             boundaries: Vec::new(),
@@ -244,7 +236,6 @@ impl ShardedEngine {
         let mut engine = ShardedEngine::assemble(partition, trees, parallelism)?;
         engine.rebuild = (!offline).then_some((scenario.algorithm, scenario.seed));
         engine.layout = scenario.layout;
-        engine.handover = scenario.handover;
         engine.schedule = schedule;
         Ok(engine)
     }
@@ -274,19 +265,6 @@ impl ShardedEngine {
     /// is rebuilt under (the pre-built trees keep their own).
     pub(crate) fn set_rebuild_layout(&mut self, layout: LayoutKind) {
         self.layout = layout;
-    }
-
-    /// The setter behind
-    /// [`ShardedEngineConfig::handover`](crate::ShardedEngineConfig::handover):
-    /// the default [`HandoverMode`] for scheduled and explicit reshards
-    /// (`Reshard` ingest frames carry their own mode).
-    pub(crate) fn set_handover(&mut self, mode: HandoverMode) {
-        self.handover = mode;
-    }
-
-    /// The engine's default [`HandoverMode`].
-    pub fn handover(&self) -> HandoverMode {
-        self.handover
     }
 
     /// The validated setter behind
@@ -479,12 +457,15 @@ impl ShardedEngine {
         let before = self.accounting.requests();
         let started = Instant::now();
         let observer = MetricsCostObserver(&self.metrics);
-        let outcome = crate::drain::drain_shards(
+        // One worker per shard batch; summaries merge in shard order (every
+        // shard's served prefix is accounted, failed or not), and the error
+        // reported is the lowest-indexed failing shard's, independent of
+        // completion order.
+        let mut failure = None;
+        for_each_ordered(
             &mut self.shards,
             self.parallelism,
-            &mut self.accounting,
-            &observer,
-            |shard| {
+            |_, shard| {
                 let mut delta = CostSummary::new();
                 let outcome = if shard.pending.is_empty() {
                     Ok(())
@@ -493,6 +474,13 @@ impl ShardedEngine {
                 };
                 shard.pending.clear();
                 (delta, outcome)
+            },
+            |index, (delta, outcome)| {
+                observer.on_batch(index as u32, &delta);
+                self.accounting.merge_into_shard(index as u32, &delta);
+                if let (Err(error), None) = (outcome, failure.as_ref()) {
+                    failure = Some((index as u32, error));
+                }
             },
         );
         // Every pending buffer was consumed (cleared even on failure), and a
@@ -510,44 +498,30 @@ impl ShardedEngine {
             served,
             detail: served - before,
         });
-        outcome.map_err(|(shard, error)| ServeError::Tree { shard, error })?;
+        if let Some((shard, error)) = failure {
+            return Err(ServeError::Tree { shard, error });
+        }
         // The drain boundary is the read side's publication point.
         self.publish_snapshot();
         Ok(())
     }
 
-    /// Reshards the engine with the deterministic handover protocol under
-    /// the engine's default [`HandoverMode`]: drain fence (every buffered
-    /// request is served under the closing epoch, and the closing epoch's
-    /// fingerprints are recorded), element migration via the canonical
-    /// delete/re-insert order of [`satn_workloads::shard::handover`], and
-    /// the epoch bump (partition log + accounting).
+    /// Reshards the engine with the deterministic handover protocol: drain
+    /// fence (every buffered request is served under the closing epoch, and
+    /// the closing epoch's fingerprints are recorded), element migration via
+    /// the canonical delete/re-insert order of
+    /// [`satn_workloads::shard::handover`], and the epoch bump (partition
+    /// log + accounting).
     ///
-    /// # Errors
-    ///
-    /// See [`ShardedEngine::reshard_with`].
-    pub fn reshard(&mut self, plan: ReshardPlan) -> Result<(), ServeError> {
-        let mode = self.handover;
-        self.reshard_with(plan, mode)
-    }
-
-    /// [`ShardedEngine::reshard`] with an explicit [`HandoverMode`] (the
-    /// mode a `Reshard` ingest frame carried, overriding the engine's
-    /// default).
-    ///
-    /// Under [`HandoverMode::Cold`] every shard tree is rebuilt fresh from
-    /// the post-handover placement with its `(shard, epoch)` derived seed.
-    /// Under [`HandoverMode::Warm`] only the shards the plan touches (move
-    /// sources and destinations, [`satn_workloads::shard::touched_shards`])
-    /// are rebuilt — each re-instantiated warm, carrying its predecessor's
+    /// Only the shards the plan touches (move sources and destinations) are
+    /// rebuilt — each re-instantiated warm, carrying its predecessor's
     /// rotor/recency/RNG state across the boundary
     /// ([`satn_core::WarmState`]) — while every untouched shard keeps its
-    /// live tree verbatim, paying zero handover work. Both modes produce
-    /// the same placements and the same migration cost; the rotor-walk
-    /// determinism results of Angel & Holroyd make the warm trees exactly
-    /// as deterministic as cold ones, so the warm serial reference replay
-    /// ([`ShardedScenario::epoch_replay`] with a warm scenario) stays a
-    /// byte-exact oracle.
+    /// live tree verbatim, paying zero handover work. The rotor-walk
+    /// determinism results of Angel & Holroyd make a carried rotor
+    /// configuration as sound a starting point as a fresh one, so the serial
+    /// reference replay ([`ShardedScenario::epoch_replay`]), which carries
+    /// the same states, stays a byte-exact oracle.
     ///
     /// # Errors
     ///
@@ -556,11 +530,7 @@ impl ShardedEngine {
     /// partition (the engine is unchanged beyond the drain fence),
     /// [`ServeError::Handover`] if the handover produced a placement no
     /// shard tree can be rebuilt from, or a drain/rebuild error.
-    pub fn reshard_with(
-        &mut self,
-        plan: ReshardPlan,
-        mode: HandoverMode,
-    ) -> Result<(), ServeError> {
+    pub fn reshard(&mut self, plan: ReshardPlan) -> Result<(), ServeError> {
         let Some((kind, base_seed)) = self.rebuild else {
             return Err(ServeError::ReshardUnsupported {
                 reason: "the engine was built from raw trees without a rebuild recipe",
@@ -590,28 +560,22 @@ impl ShardedEngine {
         // The fence state is the closing epoch's boundary fingerprint.
         self.capture_boundary_fingerprints();
         self.boundaries.push(self.control.submitted() as usize);
-        // 2. Migrate: canonical delete/re-insert. Cold mode materializes
-        // (and rebuilds from) every shard's placement; warm mode only the
-        // touched shards' — an untouched shard's placement already equals
-        // its live occupancy bit for bit, so the empty entry means "keep
-        // the live tree".
-        let touched = touched_shards(&old, &plan);
+        // 2. Migrate: canonical delete/re-insert. Only the touched shards
+        // get a placement; `None` means "keep the live tree".
         let outcome = {
             let occupancies: Vec<&Occupancy> = self
                 .shards
                 .iter()
                 .map(|shard| shard.tree.occupancy())
                 .collect();
-            match mode {
-                HandoverMode::Cold => handover(&old, &new, &plan, &occupancies),
-                HandoverMode::Warm => handover_touched(&old, &new, &plan, &occupancies, &touched),
-            }
+            handover(&old, &new, &plan, &occupancies)
         };
+        let mut touched = 0u64;
         let mut rebuilt_nodes = 0u64;
         for (shard, placement) in outcome.placements.into_iter().enumerate() {
-            if mode == HandoverMode::Warm && !touched[shard] {
+            let Some(placement) = placement else {
                 continue;
-            }
+            };
             let levels = (placement.len() + 1).trailing_zeros();
             let geometry =
                 CompleteTree::with_levels(levels).map_err(|error| ServeError::Handover {
@@ -624,30 +588,26 @@ impl ShardedEngine {
                     reason: error.to_string(),
                 })?;
             let seed = algorithm_seed(shard_epoch_seed(base_seed, shard as u32, epoch));
-            let tree = match mode {
-                HandoverMode::Cold => kind.instantiate(occupancy, seed, &[]),
-                HandoverMode::Warm => {
-                    let remap = carry_remap(&old, &new, shard as u32);
-                    let state = self.shards[shard]
-                        .tree
-                        .export_state()
-                        .carried_into(geometry, &remap);
-                    kind.instantiate_warm(occupancy, seed, &[], &state)
-                }
-            }
-            .map_err(|error| ServeError::Tree {
-                shard: shard as u32,
-                error,
-            })?;
+            let remap = carry_remap(&old, &new, shard as u32);
+            let state = self.shards[shard]
+                .tree
+                .export_state()
+                .carried_into(geometry, &remap);
+            let tree = kind
+                .instantiate_warm(occupancy, seed, &[], &state)
+                .map_err(|error| ServeError::Tree {
+                    shard: shard as u32,
+                    error,
+                })?;
+            touched += 1;
             rebuilt_nodes += (1u64 << levels) - 1;
             self.shards[shard].tree = tree;
         }
-        let touched_count = touched.iter().filter(|&&t| t).count() as u64;
         self.tracer.record(TraceStamp {
             kind: TraceKind::ReshardMigrate,
             epoch,
             served,
-            detail: touched_count,
+            detail: touched,
         });
         // 3. Epoch bump in the ledger, carrying the migration cost — and a
         // publication, so readers see the new epoch's placement immediately
@@ -701,7 +661,7 @@ impl ShardedEngine {
                 Some(IngestMessage::Request(element)) => self.submit(element)?,
                 Some(IngestMessage::Burst(burst)) => self.submit_burst(&burst)?,
                 Some(IngestMessage::Flush) => self.drain()?,
-                Some(IngestMessage::Reshard(plan, mode)) => self.reshard_with(plan, mode)?,
+                Some(IngestMessage::Reshard(plan)) => self.reshard(plan)?,
                 None => return self.drain(),
             }
         }
@@ -1062,10 +1022,7 @@ mod tests {
         let before = addresses(&engine);
         // The plan touches shards 0 (source) and 1 (destination) only.
         engine
-            .reshard_with(
-                ReshardPlan::new([(ElementId::new(0), 1)]),
-                HandoverMode::Warm,
-            )
+            .reshard(ReshardPlan::new([(ElementId::new(0), 1)]))
             .unwrap();
         let after = addresses(&engine);
         // Untouched shards keep the exact same live tree object — zero
@@ -1096,7 +1053,6 @@ mod tests {
             AlgorithmKind::RandomPush,
         ] {
             let mut sharded = scenario(algorithm, ShardRouter::Hash);
-            sharded.handover = HandoverMode::Warm;
             sharded.reshard = satn_sim::ReshardSchedule::Manual(vec![
                 ReshardEvent {
                     at: 1_000,
@@ -1128,22 +1084,20 @@ mod tests {
     #[test]
     fn migrate_trace_detail_counts_touched_shards() {
         let sharded = scenario(AlgorithmKind::RotorPush, ShardRouter::Range);
-        for mode in [HandoverMode::Cold, HandoverMode::Warm] {
-            let mut engine = engine(&sharded, Parallelism::Serial);
-            engine
-                .reshard_with(ReshardPlan::new([(ElementId::new(0), 1)]), mode)
-                .unwrap();
-            let migrate = engine
-                .tracer()
-                .stamps()
-                .into_iter()
-                .find(|stamp| stamp.kind == TraceKind::ReshardMigrate)
-                .expect("a reshard records a migrate span");
-            assert_eq!(
-                migrate.detail, 2,
-                "{mode} migrate detail must be the touched-shard count, not migration cost"
-            );
-        }
+        let mut engine = engine(&sharded, Parallelism::Serial);
+        engine
+            .reshard(ReshardPlan::new([(ElementId::new(0), 1)]))
+            .unwrap();
+        let migrate = engine
+            .tracer()
+            .stamps()
+            .into_iter()
+            .find(|stamp| stamp.kind == TraceKind::ReshardMigrate)
+            .expect("a reshard records a migrate span");
+        assert_eq!(
+            migrate.detail, 2,
+            "the migrate detail must be the touched-shard count, not migration cost"
+        );
     }
 
     #[test]

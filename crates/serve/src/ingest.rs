@@ -23,7 +23,7 @@ use crate::error::ServeError;
 use crate::snapshot::{LookupAnswer, SnapshotReader};
 use satn_obs::{EngineMetrics, MetricsSnapshot};
 use satn_tree::ElementId;
-use satn_workloads::shard::{HandoverMode, ReshardPlan};
+use satn_workloads::shard::ReshardPlan;
 use std::sync::mpsc;
 use std::sync::Arc;
 
@@ -39,10 +39,8 @@ pub enum IngestMessage {
     /// A reshard control frame: the engine performs the full deterministic
     /// handover — drain fence, element migration, epoch bump — before
     /// reading further input, so resharding composes with in-flight bursts
-    /// exactly like a flush does. The [`HandoverMode`] selects cold
-    /// (rebuild every shard tree fresh) or warm (carry exported
-    /// rotor/recency state, leave untouched shards' trees alone).
-    Reshard(ReshardPlan, HandoverMode),
+    /// exactly like a flush does.
+    Reshard(ReshardPlan),
 }
 
 /// The transport-agnostic producer half of the ingestion protocol.
@@ -82,14 +80,14 @@ pub trait Ingest {
     /// Same contract as [`Ingest::send`].
     fn flush(&mut self) -> Result<(), ServeError>;
 
-    /// Requests a reshard in the given [`HandoverMode`]: every request
-    /// submitted before this call is served under the old epoch, every
-    /// request after it under the new one.
+    /// Requests a reshard: every request submitted before this call is
+    /// served under the old epoch, every request after it under the new
+    /// one.
     ///
     /// # Errors
     ///
     /// Same contract as [`Ingest::send`].
-    fn reshard(&mut self, plan: &ReshardPlan, mode: HandoverMode) -> Result<(), ServeError>;
+    fn reshard(&mut self, plan: &ReshardPlan) -> Result<(), ServeError>;
 
     /// Looks up an element's current placement — the **read phase** of the
     /// protocol. Lookups never enter the write path: they are answered from
@@ -228,16 +226,15 @@ impl IngestSender {
         self.send_message(IngestMessage::Flush)
     }
 
-    /// Asks the engine to reshard in the given [`HandoverMode`]: every
-    /// request enqueued before this frame is served under the old epoch
-    /// (the handover starts with a drain fence), every request after it
-    /// under the new one.
+    /// Asks the engine to reshard: every request enqueued before this frame
+    /// is served under the old epoch (the handover starts with a drain
+    /// fence), every request after it under the new one.
     ///
     /// # Errors
     ///
     /// [`ServeError::Closed`] if the consumer has been dropped.
-    pub fn reshard(&self, plan: ReshardPlan, mode: HandoverMode) -> Result<(), ServeError> {
-        self.send_message(IngestMessage::Reshard(plan, mode))
+    pub fn reshard(&self, plan: ReshardPlan) -> Result<(), ServeError> {
+        self.send_message(IngestMessage::Reshard(plan))
     }
 
     /// Answers a lookup from the attached [`SnapshotReader`] — never touches
@@ -285,8 +282,8 @@ impl Ingest for IngestSender {
         IngestSender::flush(self)
     }
 
-    fn reshard(&mut self, plan: &ReshardPlan, mode: HandoverMode) -> Result<(), ServeError> {
-        IngestSender::reshard(self, plan.clone(), mode)
+    fn reshard(&mut self, plan: &ReshardPlan) -> Result<(), ServeError> {
+        IngestSender::reshard(self, plan.clone())
     }
 
     fn lookup(&mut self, element: ElementId) -> Result<LookupAnswer, ServeError> {
@@ -436,9 +433,7 @@ mod tests {
             .send_burst(&[ElementId::new(8), ElementId::new(9)])
             .unwrap();
         ingest.flush().unwrap();
-        ingest
-            .reshard(&ReshardPlan::empty(), HandoverMode::Warm)
-            .unwrap();
+        ingest.reshard(&ReshardPlan::empty()).unwrap();
         drop(sender);
         assert_eq!(
             queue.recv(),
@@ -454,10 +449,7 @@ mod tests {
         assert_eq!(queue.recv(), Some(IngestMessage::Flush));
         assert_eq!(
             queue.recv(),
-            Some(IngestMessage::Reshard(
-                ReshardPlan::empty(),
-                HandoverMode::Warm
-            ))
+            Some(IngestMessage::Reshard(ReshardPlan::empty()))
         );
         assert_eq!(queue.recv(), None);
     }

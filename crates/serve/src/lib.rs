@@ -29,12 +29,10 @@
 //!   fence** (buffered batches served under the closing epoch, boundary
 //!   fingerprints recorded) → **migrate** (moved elements deleted from
 //!   their source trees and re-inserted at their destinations in canonical
-//!   element order, each paying its access cost) → **epoch bump** (log +
-//!   ledger). Also reachable as a [`ReshardPlan`] control frame through the
+//!   element order, each paying its access cost; the touched shards'
+//!   trees are rebuilt carrying their rotor/recency/RNG state, the others
+//!   keep their live trees) → **epoch bump** (log + ledger). Also reachable as a [`ReshardPlan`] control frame through the
 //!   ingest queue, or automatically via a load-adaptive [`ReshardPolicy`],
-//! * [`SourceShardedEngine`] — the ego-tree-per-source mode backed by
-//!   `satn-network`: source-affinity routing groups each source's ego-tree
-//!   onto one shard,
 //! * [`Ingest`] — the transport-agnostic ingestion trait (`send`,
 //!   `send_burst`, `flush`, `reshard`, `lookup`), implemented by both the
 //!   in-process [`IngestSender`] and the TCP client [`TcpIngest`]; code
@@ -107,7 +105,6 @@
 
 mod config;
 mod drain;
-mod ego;
 mod engine;
 mod error;
 mod ingest;
@@ -116,7 +113,6 @@ mod snapshot;
 mod wire;
 
 pub use config::ShardedEngineConfig;
-pub use ego::{SourceShardedEngine, SourceShardedReport};
 pub use engine::{EngineReport, ShardReport, ShardedEngine, DEFAULT_DRAIN_THRESHOLD};
 pub use error::ServeError;
 pub use ingest::{
@@ -135,11 +131,11 @@ pub use satn_exec::Parallelism;
 // Re-exported so stats consumers and instrumented callers need no direct
 // dependency on the observability crate.
 pub use satn_obs::{EngineMetrics, MetricsSnapshot, TraceEvent, TraceKind, TraceRing, TraceStamp};
-pub use satn_sim::{ReshardSchedule, ShardedReplay, ShardedScenario};
+pub use satn_sim::{HandoverMode, ReshardSchedule, ShardedReplay, ShardedScenario};
 pub use satn_tree::{EpochCostSummary, Fingerprint, MigrationCost, ShardedCostSummary};
 pub use satn_workloads::shard::{
-    EpochedPartition, HandoverMode, ParseHandoverError, Partition, ReshardError, ReshardEvent,
-    ReshardPlan, ReshardPolicy, ShardRouter,
+    EpochedPartition, Partition, ReshardError, ReshardEvent, ReshardPlan, ReshardPolicy,
+    ShardRouter,
 };
 
 // Engines cross thread boundaries wholesale in server settings (built on one
@@ -149,7 +145,6 @@ pub use satn_workloads::shard::{
 fn _assert_parallel_safe() {
     fn assert_send<T: Send + 'static>() {}
     assert_send::<ShardedEngine>();
-    assert_send::<SourceShardedEngine>();
     assert_send::<IngestSender>();
     assert_send::<IngestQueue>();
     assert_send::<EngineReport>();

@@ -46,7 +46,7 @@ use crate::wire::{read_frame, write_frame, Frame, WireError, MAX_BURST_ELEMENTS}
 use satn_exec::{task_scope_instrumented, Parallelism};
 use satn_obs::MetricsSnapshot;
 use satn_tree::ElementId;
-use satn_workloads::shard::{HandoverMode, ReshardPlan};
+use satn_workloads::shard::ReshardPlan;
 use std::fmt;
 use std::io::BufReader;
 use std::net::{Shutdown, TcpListener, TcpStream, ToSocketAddrs};
@@ -212,8 +212,8 @@ impl Ingest for TcpIngest {
         self.send_frame(IngestMessage::Flush)
     }
 
-    fn reshard(&mut self, plan: &ReshardPlan, mode: HandoverMode) -> Result<(), ServeError> {
-        self.send_frame(IngestMessage::Reshard(plan.clone(), mode))
+    fn reshard(&mut self, plan: &ReshardPlan) -> Result<(), ServeError> {
+        self.send_frame(IngestMessage::Reshard(plan.clone()))
     }
 
     /// Sends a `Lookup` frame and blocks for its `Found` reply. Lookups
@@ -479,10 +479,7 @@ mod tests {
             .unwrap();
         client.flush().unwrap();
         client
-            .reshard(
-                &ReshardPlan::new([(ElementId::new(1), 2)]),
-                HandoverMode::Warm,
-            )
+            .reshard(&ReshardPlan::new([(ElementId::new(1), 2)]))
             .unwrap();
         assert_eq!(client.finish().unwrap(), 4);
         let reports = server.join().unwrap();
@@ -504,10 +501,10 @@ mod tests {
         assert_eq!(queue.recv(), Some(IngestMessage::Flush));
         assert_eq!(
             queue.recv(),
-            Some(IngestMessage::Reshard(
-                ReshardPlan::new([(ElementId::new(1), 2)]),
-                HandoverMode::Warm
-            ))
+            Some(IngestMessage::Reshard(ReshardPlan::new([(
+                ElementId::new(1),
+                2
+            )])))
         );
         assert_eq!(queue.recv(), None);
     }

@@ -9,7 +9,7 @@
 //! | `0` | `Request`    | element id (`u32`)                             |
 //! | `1` | `Burst`      | count (`u32`), then count element ids (`u32`)  |
 //! | `2` | `Flush`      | empty                                          |
-//! | `3` | `Reshard`    | count (`u32`), handover mode (`u8`: 0 cold, 1 warm), then count moves (`u32` element, `u32` destination shard) |
+//! | `3` | `Reshard`    | count (`u32`), then count moves (`u32` element, `u32` destination shard) |
 //! | `4` | `Ack`        | acknowledged frame count (`u64`), server → client |
 //! | `5` | `Lookup`     | element id (`u32`) — snapshot read, client → server |
 //! | `6` | `Found`      | element (`u32`), shard (`u32`), node (`u32`), epoch (`u32`), served (`u64`), server → client |
@@ -45,7 +45,7 @@ use crate::ingest::IngestMessage;
 use crate::snapshot::LookupAnswer;
 use satn_obs::MetricsSnapshot;
 use satn_tree::{ElementId, NodeId};
-use satn_workloads::shard::{HandoverMode, ReshardPlan};
+use satn_workloads::shard::ReshardPlan;
 use std::fmt;
 use std::io::{Read, Write};
 
@@ -60,10 +60,9 @@ pub const MAX_FRAME_BODY: u32 = 8 << 20;
 pub const MAX_BURST_ELEMENTS: usize = (MAX_FRAME_BODY as usize - 5) / 4;
 
 /// Most moves a single `Reshard` frame can carry without its body exceeding
-/// [`MAX_FRAME_BODY`] (tag byte + count + handover-mode byte + 8 bytes per
-/// move). A plan is an atomic unit — it cannot be split — so a longer plan
-/// is an encode error.
-pub const MAX_PLAN_MOVES: usize = (MAX_FRAME_BODY as usize - 6) / 8;
+/// [`MAX_FRAME_BODY`] (tag byte + count + 8 bytes per move). A plan is an
+/// atomic unit — it cannot be split — so a longer plan is an encode error.
+pub const MAX_PLAN_MOVES: usize = (MAX_FRAME_BODY as usize - 5) / 8;
 
 const TAG_REQUEST: u8 = 0;
 const TAG_BURST: u8 = 1;
@@ -238,14 +237,10 @@ pub fn encode_frame(frame: &Frame, buf: &mut Vec<u8>) -> Result<(), WireError> {
                 }
             }
             Frame::Ingest(IngestMessage::Flush) => buf.push(TAG_FLUSH),
-            Frame::Ingest(IngestMessage::Reshard(plan, mode)) => {
-                let count = check_body_fits(plan.len(), 8, 6)?;
+            Frame::Ingest(IngestMessage::Reshard(plan)) => {
+                let count = check_body_fits(plan.len(), 8, 5)?;
                 buf.push(TAG_RESHARD);
                 push_u32(buf, count);
-                buf.push(match mode {
-                    HandoverMode::Cold => 0,
-                    HandoverMode::Warm => 1,
-                });
                 for &(element, shard) in plan.moves() {
                     push_u32(buf, element.index());
                     push_u32(buf, shard);
@@ -327,21 +322,6 @@ pub fn decode_body(body: &[u8]) -> Result<Frame, WireError> {
         TAG_FLUSH => Frame::Ingest(IngestMessage::Flush),
         TAG_RESHARD => {
             let count = take_u32(&mut payload)? as usize;
-            let Some((&mode_byte, rest)) = payload.split_first() else {
-                return Err(WireError::Malformed {
-                    reason: "reshard frame is missing its handover mode",
-                });
-            };
-            payload = rest;
-            let mode = match mode_byte {
-                0 => HandoverMode::Cold,
-                1 => HandoverMode::Warm,
-                _ => {
-                    return Err(WireError::Malformed {
-                        reason: "unknown handover mode byte",
-                    })
-                }
-            };
             if payload.len() != count * 8 {
                 return Err(WireError::Malformed {
                     reason: "reshard payload length disagrees with its move count",
@@ -354,7 +334,7 @@ pub fn decode_body(body: &[u8]) -> Result<Frame, WireError> {
                 moves.push((element, shard));
             }
             let plan = ReshardPlan::try_new(moves).map_err(WireError::DuplicateMove)?;
-            Frame::Ingest(IngestMessage::Reshard(plan, mode))
+            Frame::Ingest(IngestMessage::Reshard(plan))
         }
         TAG_ACK => {
             let seq = take_u64(&mut payload)?;
@@ -485,14 +465,11 @@ mod tests {
             (0..100).map(ElementId::new).collect(),
         )));
         roundtrip(Frame::Ingest(IngestMessage::Flush));
-        roundtrip(Frame::Ingest(IngestMessage::Reshard(
-            ReshardPlan::empty(),
-            HandoverMode::Cold,
-        )));
-        roundtrip(Frame::Ingest(IngestMessage::Reshard(
-            ReshardPlan::new([(ElementId::new(3), 1), (ElementId::new(0), 2)]),
-            HandoverMode::Warm,
-        )));
+        roundtrip(Frame::Ingest(IngestMessage::Reshard(ReshardPlan::empty())));
+        roundtrip(Frame::Ingest(IngestMessage::Reshard(ReshardPlan::new([
+            (ElementId::new(3), 1),
+            (ElementId::new(0), 2),
+        ]))));
         roundtrip(Frame::Ack { seq: u64::MAX });
         roundtrip(Frame::Lookup {
             element: ElementId::new(7),
@@ -570,7 +547,7 @@ mod tests {
             .collect();
         let plan = ReshardPlan::new(moves);
         let err = encode_frame(
-            &Frame::Ingest(IngestMessage::Reshard(plan, HandoverMode::Cold)),
+            &Frame::Ingest(IngestMessage::Reshard(plan)),
             &mut Vec::new(),
         )
         .unwrap_err();
@@ -640,7 +617,6 @@ mod tests {
     fn duplicate_reshard_moves_error_instead_of_panicking() {
         let mut body = vec![TAG_RESHARD];
         body.extend_from_slice(&2u32.to_le_bytes());
-        body.push(0); // handover mode: cold
         for _ in 0..2 {
             body.extend_from_slice(&5u32.to_le_bytes()); // element 5, twice
             body.extend_from_slice(&1u32.to_le_bytes());
@@ -651,28 +627,31 @@ mod tests {
         ));
     }
 
+    /// Reshard frames no longer carry a handover mode. A body in the older
+    /// format — a mode byte between the count and the moves — is
+    /// `1 + 4 + 1 + 8n` bytes long, which no count's `1 + 4 + 8m` layout
+    /// matches, so it is rejected whatever the mode byte says.
     #[test]
     fn unknown_handover_modes_are_malformed_not_a_panic() {
-        let mut body = vec![TAG_RESHARD];
-        body.extend_from_slice(&0u32.to_le_bytes());
-        body.push(7); // neither cold (0) nor warm (1)
-        assert!(matches!(
-            decode_body(&body),
-            Err(WireError::Malformed {
-                reason: "unknown handover mode byte"
-            })
-        ));
-        // A mode-less (pre-handover-protocol) reshard frame is malformed too.
-        let body = {
-            let mut body = vec![TAG_RESHARD];
-            body.extend_from_slice(&0u32.to_le_bytes());
-            body
-        };
-        assert!(matches!(
-            decode_body(&body),
-            Err(WireError::Malformed {
-                reason: "reshard frame is missing its handover mode"
-            })
-        ));
+        for moves in 0u32..3 {
+            for mode in [0u8, 1, 7, u8::MAX] {
+                let mut body = vec![TAG_RESHARD];
+                body.extend_from_slice(&moves.to_le_bytes());
+                body.push(mode);
+                for element in 0..moves {
+                    body.extend_from_slice(&element.to_le_bytes());
+                    body.extend_from_slice(&1u32.to_le_bytes());
+                }
+                assert!(
+                    matches!(
+                        decode_body(&body),
+                        Err(WireError::Malformed {
+                            reason: "reshard payload length disagrees with its move count"
+                        })
+                    ),
+                    "{moves} moves, mode byte {mode}"
+                );
+            }
+        }
     }
 }

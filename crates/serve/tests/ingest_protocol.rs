@@ -7,7 +7,7 @@
 
 use satn_core::AlgorithmKind;
 use satn_serve::{
-    ingest_channel, HandoverMode, Ingest, Parallelism, ReshardPlan, ServeError, ShardedEngine,
+    ingest_channel, Ingest, Parallelism, ReshardPlan, ServeError, ShardedEngine,
     ShardedEngineConfig, ShardedScenario,
 };
 use satn_sim::WorkloadSpec;
@@ -139,7 +139,7 @@ fn surviving_senders_keep_the_queue_open() {
         Err(ServeError::Closed)
     ));
     assert!(matches!(
-        Ingest::reshard(&mut sender, &ReshardPlan::empty(), HandoverMode::Cold),
+        Ingest::reshard(&mut sender, &ReshardPlan::empty()),
         Err(ServeError::Closed)
     ));
     assert!(ServeError::Closed.is_disconnect());
@@ -169,7 +169,7 @@ fn reshard_frames_interleave_cleanly_with_bursts() {
         let plan = plan.clone();
         move || {
             Ingest::send_burst(&mut sender, &requests[..900]).unwrap();
-            Ingest::reshard(&mut sender, &plan, HandoverMode::Warm).unwrap();
+            Ingest::reshard(&mut sender, &plan).unwrap();
             // Continue in single sends and bursts after the handover.
             for &request in &requests[900..950] {
                 Ingest::send(&mut sender, request).unwrap();
@@ -184,7 +184,7 @@ fn reshard_frames_interleave_cleanly_with_bursts() {
     // Equivalent direct run: submit 900, reshard, submit the rest.
     let mut direct = engine(&scenario, Parallelism::Threads(2));
     direct.submit_burst(&requests[..900]).unwrap();
-    direct.reshard_with(plan, HandoverMode::Warm).unwrap();
+    direct.reshard(plan).unwrap();
     direct.submit_burst(&requests[900..]).unwrap();
     let direct = direct.finish().unwrap();
 

@@ -7,9 +7,9 @@
 
 use satn_core::AlgorithmKind;
 use satn_serve::{
-    ingest_channel, serve_connections, HandoverMode, Ingest, IngestMessage, IngestQueue,
-    IngestSender, Parallelism, ReshardPlan, ServeError, ShardedEngine, ShardedEngineConfig,
-    ShardedScenario, TcpIngest, MAX_FRAME_BODY,
+    ingest_channel, serve_connections, Ingest, IngestMessage, IngestQueue, IngestSender,
+    Parallelism, ReshardPlan, ServeError, ShardedEngine, ShardedEngineConfig, ShardedScenario,
+    TcpIngest, MAX_FRAME_BODY,
 };
 use satn_sim::WorkloadSpec;
 use satn_tree::ElementId;
@@ -212,7 +212,7 @@ fn reshard_frames_interleave_with_flushes_over_the_wire() {
     let mut client = TcpIngest::connect(addr).unwrap();
     client.send_burst(&requests[..900]).unwrap();
     client.flush().unwrap();
-    client.reshard(&plan, HandoverMode::Warm).unwrap();
+    client.reshard(&plan).unwrap();
     client.flush().unwrap();
     client.send_burst(&requests[900..]).unwrap();
     client.finish().unwrap();
@@ -221,7 +221,7 @@ fn reshard_frames_interleave_with_flushes_over_the_wire() {
 
     let mut direct = self::engine(&scenario, Parallelism::Threads(2));
     direct.submit_burst(&requests[..900]).unwrap();
-    direct.reshard_with(plan, HandoverMode::Warm).unwrap();
+    direct.reshard(plan).unwrap();
     direct.submit_burst(&requests[900..]).unwrap();
     let direct = direct.finish().unwrap();
 

@@ -6,8 +6,8 @@
 
 use proptest::prelude::*;
 use satn_serve::{
-    decode_body, encode_frame, EngineMetrics, Frame, HandoverMode, IngestMessage, LookupAnswer,
-    MetricsSnapshot, ReshardPlan,
+    decode_body, encode_frame, EngineMetrics, Frame, IngestMessage, LookupAnswer, MetricsSnapshot,
+    ReshardPlan,
 };
 use satn_tree::{ElementId, NodeId};
 use std::time::Duration;
@@ -33,12 +33,12 @@ fn roundtrip(frame: &Frame) -> Frame {
 
 /// Builds a `Reshard` frame from raw `(element, shard)` pairs, deduplicating
 /// elements the same way a well-formed producer would.
-fn reshard_frame(moves: &[(u32, u32)], mode: HandoverMode) -> Frame {
+fn reshard_frame(moves: &[(u32, u32)]) -> Frame {
     let mut seen = std::collections::BTreeMap::new();
     for &(element, shard) in moves {
         seen.insert(ElementId::new(element), shard % 64);
     }
-    Frame::Ingest(IngestMessage::Reshard(ReshardPlan::new(seen), mode))
+    Frame::Ingest(IngestMessage::Reshard(ReshardPlan::new(seen)))
 }
 
 proptest! {
@@ -60,10 +60,8 @@ proptest! {
     #[test]
     fn reshard_frames_roundtrip(
         moves in proptest::collection::vec((0u32..10_000, 0u32..1_000), 0..64),
-        warm in any::<bool>(),
     ) {
-        let mode = if warm { HandoverMode::Warm } else { HandoverMode::Cold };
-        let frame = reshard_frame(&moves, mode);
+        let frame = reshard_frame(&moves);
         prop_assert_eq!(roundtrip(&frame), frame);
     }
 
@@ -134,8 +132,6 @@ fn flush_frames_roundtrip() {
 
 #[test]
 fn the_empty_reshard_plan_roundtrips() {
-    for mode in [HandoverMode::Cold, HandoverMode::Warm] {
-        let frame = Frame::Ingest(IngestMessage::Reshard(ReshardPlan::empty(), mode));
-        assert_eq!(roundtrip(&frame), frame);
-    }
+    let frame = Frame::Ingest(IngestMessage::Reshard(ReshardPlan::empty()));
+    assert_eq!(roundtrip(&frame), frame);
 }

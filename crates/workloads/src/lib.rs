@@ -47,9 +47,9 @@ mod workload;
 
 pub use lru_stack::StackDistanceProfile;
 pub use shard::{
-    carry_remap, derive_schedule, handover, handover_touched, shard_epoch_seed, touched_shards,
-    EpochedPartition, Handover, HandoverMode, ParseHandoverError, Partition, PartitionEpoch,
-    PolicyDriver, ReshardError, ReshardEvent, ReshardPlan, ReshardPolicy, ShardRouter,
+    carry_remap, derive_schedule, handover, shard_epoch_seed, EpochedPartition, Handover,
+    Partition, PartitionEpoch, PolicyDriver, ReshardError, ReshardEvent, ReshardPlan,
+    ReshardPolicy, ShardRouter,
 };
 pub use stream::{
     CombinedStream, HotBlockStream, MarkovBurstyStream, RoundRobinPathStream,

@@ -724,97 +724,6 @@ impl EpochedPartition {
     }
 }
 
-/// How a reshard handover reconstitutes the per-shard trees.
-///
-/// The placements are identical either way — the handover protocol is a
-/// pure function of `(old, new, occupancies)` — the modes differ only in
-/// how much work reaches them and which internal state the new trees start
-/// from.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
-pub enum HandoverMode {
-    /// Every shard tree is rebuilt from scratch from the post-handover
-    /// placement, its internal state reseeded per `(shard, epoch)`:
-    /// O(total elements) per handover regardless of how little the plan
-    /// moves.
-    #[default]
-    Cold,
-    /// Untouched shards keep their live trees verbatim (zero work); touched
-    /// shards carry their exported warm state (rotor pointers, recency,
-    /// generator position) across the canonical delete/re-insert: the
-    /// handover cost scales with the moved elements, not the universe.
-    Warm,
-}
-
-impl HandoverMode {
-    /// Both modes, in a stable order (cold first — the historical default).
-    pub const ALL: [HandoverMode; 2] = [HandoverMode::Cold, HandoverMode::Warm];
-
-    /// A short stable label used in reports, flags, and scenario names.
-    pub fn label(self) -> &'static str {
-        match self {
-            HandoverMode::Cold => "cold",
-            HandoverMode::Warm => "warm",
-        }
-    }
-}
-
-impl fmt::Display for HandoverMode {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(self.label())
-    }
-}
-
-/// Error returned when parsing an unknown handover mode name.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ParseHandoverError {
-    input: String,
-}
-
-impl fmt::Display for ParseHandoverError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(
-            f,
-            "unknown handover mode {:?} (expected \"cold\" or \"warm\")",
-            self.input
-        )
-    }
-}
-
-impl std::error::Error for ParseHandoverError {}
-
-impl FromStr for HandoverMode {
-    type Err = ParseHandoverError;
-
-    fn from_str(s: &str) -> Result<Self, Self::Err> {
-        match s.trim().to_ascii_lowercase().as_str() {
-            "cold" => Ok(HandoverMode::Cold),
-            "warm" => Ok(HandoverMode::Warm),
-            _ => Err(ParseHandoverError {
-                input: s.to_owned(),
-            }),
-        }
-    }
-}
-
-/// The shards a reshard actually touches: `touched[s]` is `true` iff the
-/// plan's effective moves ([`Partition::effective_moves`]) take some element
-/// out of or into shard `s`. An untouched shard's owned set, tree size, and
-/// every real element's node are all unchanged across the handover, which
-/// is what lets a warm handover skip it entirely and keep the live tree.
-///
-/// # Panics
-///
-/// Panics if the plan does not fit the partition (see
-/// [`Partition::apply`]).
-pub fn touched_shards(old: &Partition, plan: &ReshardPlan) -> Vec<bool> {
-    let mut touched = vec![false; old.shards() as usize];
-    for (_, from, to) in old.effective_moves(plan) {
-        touched[from as usize] = true;
-        touched[to as usize] = true;
-    }
-    touched
-}
-
 /// The warm-state element remap of one shard across a handover:
 /// `remap[new_local]` is the element's local id *before* the handover, or
 /// `None` for elements that just arrived and for padding ids. The vector
@@ -850,30 +759,36 @@ pub fn carry_remap(old: &Partition, new: &Partition, shard: u32) -> Vec<Option<u
 }
 
 /// The outcome of a deterministic handover: the next epoch's initial
-/// placements plus the migration cost of the moved elements.
+/// placements of the shards the plan touches, plus the migration cost of the
+/// moved elements.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Handover {
-    /// Per shard, the new epoch's initial placement: the local element id
+    /// Per shard, the new epoch's initial placement — the local element id
     /// stored at every node of the shard's (possibly resized) tree, in heap
-    /// order — ready for `Occupancy::from_placement`.
-    pub placements: Vec<Vec<ElementId>>,
+    /// order, ready for `Occupancy::from_placement` — or `None` for a shard
+    /// the plan does not touch, which keeps its live tree.
+    pub placements: Vec<Option<Vec<ElementId>>>,
     /// The delete/re-insert cost of every cross-shard move.
     pub migration: MigrationCost,
 }
 
 /// Computes the deterministic handover from partition `old` to partition
 /// `new = old.apply(plan)`, given each shard's pre-handover occupancy. The
-/// moved elements are read off the plan ([`Partition::effective_moves`]).
+/// moved elements are read off the plan ([`Partition::effective_moves`]),
+/// and so is the touched set: the shards some effective move leaves or
+/// enters. The work is the moved elements plus the touched shards.
 ///
-/// The protocol, per shard:
+/// An untouched shard's owned set, tree size, and every node are unchanged
+/// across the handover, so its entry in [`Handover::placements`] is `None`:
+/// it keeps its live tree, padding ids included wherever push-downs drifted
+/// them. A touched shard's placement follows the protocol:
 ///
 /// 1. **Delete**: elements leaving the shard vacate their nodes, each paying
 ///    its access cost there (`level + 1`).
-/// 2. **Carry**: elements staying keep their exact nodes (so an untouched
-///    shard's real-element placement is preserved bit for bit). If the
-///    shard's tree shrinks, staying elements stranded beyond the new size
-///    relocate first, in old node order — a free compaction, like the
-///    initial placement.
+/// 2. **Carry**: elements staying keep their exact nodes. If the shard's
+///    tree shrinks, staying elements stranded beyond the new size relocate
+///    first, in old node order — a free compaction, like the initial
+///    placement.
 /// 3. **Insert**: arriving elements, in canonical (increasing global id)
 ///    order, fill the free nodes in increasing node order — shallowest slot
 ///    first — each paying the access cost of the slot it lands in.
@@ -895,50 +810,6 @@ pub fn handover(
     plan: &ReshardPlan,
     occupancies: &[&Occupancy],
 ) -> Handover {
-    handover_filtered(old, new, plan, occupancies, None)
-}
-
-/// The incremental variant of [`handover`]: computes placements only for the
-/// shards marked in `touched` ([`touched_shards`] of the same plan); its
-/// work is the moved elements plus the touched shards. An untouched shard's
-/// entry in `placements` is left empty, signalling "keep the live tree".
-/// Note that keeping the live tree is *not* byte-identical to the full
-/// handover's placement: the full handover re-packs padding ids into free
-/// nodes in canonical order, while the live tree keeps padding wherever
-/// push-downs drifted it. A warm replay must therefore seed untouched
-/// shards from the live occupancy (real elements agree either way; only
-/// padding differs).
-///
-/// The migration cost is identical to the full handover's: every moved
-/// element's source and destination shard is touched by definition, so no
-/// priced work is skipped.
-///
-/// # Panics
-///
-/// Panics under the conditions of [`handover`], or if `touched` does not
-/// have one entry per shard.
-pub fn handover_touched(
-    old: &Partition,
-    new: &Partition,
-    plan: &ReshardPlan,
-    occupancies: &[&Occupancy],
-    touched: &[bool],
-) -> Handover {
-    assert_eq!(
-        touched.len(),
-        old.shards() as usize,
-        "one touched flag per shard is required"
-    );
-    handover_filtered(old, new, plan, occupancies, Some(touched))
-}
-
-fn handover_filtered(
-    old: &Partition,
-    new: &Partition,
-    plan: &ReshardPlan,
-    occupancies: &[&Occupancy],
-    touched: Option<&[bool]>,
-) -> Handover {
     assert_eq!(
         old.universe(),
         new.universe(),
@@ -955,20 +826,23 @@ fn handover_filtered(
         "one occupancy per shard is required"
     );
 
+    let shards = old.shards();
     let mut migration = MigrationCost::ZERO;
+    let mut touched = vec![false; shards as usize];
     // Delete: each moved element pays its access cost on the source shard.
-    for (element, from, _) in old.effective_moves(plan) {
+    for (element, from, to) in old.effective_moves(plan) {
         let (_, local) = old.localize(element).expect("moved elements are owned");
         let occupancy = occupancies[from as usize];
         migration.moved += 1;
         migration.delete += u64::from(occupancy.node_of(local).level()) + 1;
+        touched[from as usize] = true;
+        touched[to as usize] = true;
     }
 
-    let shards = old.shards();
     let mut placements = Vec::with_capacity(shards as usize);
     for shard in 0..shards {
-        if touched.is_some_and(|touched| !touched[shard as usize]) {
-            placements.push(Vec::new());
+        if !touched[shard as usize] {
+            placements.push(None);
             continue;
         }
         let occupancy = occupancies[shard as usize];
@@ -1035,12 +909,12 @@ fn handover_filtered(
             }
         }
         assert!(next.is_none(), "more elements than nodes on shard {shard}");
-        placements.push(
+        placements.push(Some(
             placement
                 .into_iter()
                 .map(|slot| slot.expect("every node is filled"))
                 .collect(),
-        );
+        ));
     }
     Handover {
         placements,
@@ -1471,31 +1345,31 @@ mod tests {
         let refs: Vec<&Occupancy> = occupancies.iter().collect();
         let result = handover(&old, &new, &plan, &refs);
 
-        // Shard 2 is untouched: placement is its identity occupancy.
-        let identity: Vec<ElementId> = (0..7).map(ElementId::new).collect();
-        assert_eq!(result.placements[2], identity);
+        // Shard 2 is untouched: it keeps its live tree.
+        assert!(result.placements[2].is_none());
+        let placements: Vec<Vec<ElementId>> = result.placements.into_iter().flatten().collect();
 
         // Shard 0 lost global 0 (local 0, at the root). Its remaining six
         // elements keep their nodes; the freed root takes the first padding
         // id (6 elements owned, 7 nodes).
-        assert_eq!(result.placements[0][0], ElementId::new(6));
+        assert_eq!(placements[0][0], ElementId::new(6));
         for node in 1..7 {
             // Globals 1..=6 had old locals 1..=6 and keep nodes 1..=6; their
             // new locals are 0..=5.
-            assert_eq!(result.placements[0][node], ElementId::new(node as u32 - 1));
+            assert_eq!(placements[0][node], ElementId::new(node as u32 - 1));
         }
 
         // Shard 1 gained global 0: arrivals fill the shallowest free node.
         // Shard 1 still fits in 3 levels (8 elements > 7? no: 7 + 1 = 8 =>
         // needs 4 levels), so the tree grew to 15 nodes.
-        assert_eq!(result.placements[1].len(), 15);
+        assert_eq!(placements[1].len(), 15);
         // Old nodes keep their elements: old local i (global 7 + i) becomes
         // new local i + 1 (global 0 is the new local 0).
         for node in 0..7 {
-            assert_eq!(result.placements[1][node], ElementId::new(node as u32 + 1));
+            assert_eq!(placements[1][node], ElementId::new(node as u32 + 1));
         }
         // The arrival (new local 0) lands at the shallowest free node: 7.
-        assert_eq!(result.placements[1][7], ElementId::new(0));
+        assert_eq!(placements[1][7], ElementId::new(0));
 
         // Migration cost: delete at the old root (level 0 -> cost 1),
         // insert at node 7 (level 3 -> cost 4).
@@ -1509,42 +1383,41 @@ mod tests {
         );
 
         // Every placement is a valid bijection for its tree size.
-        for placement in result.placements {
+        for placement in placements {
             let levels = (placement.len() + 1).trailing_zeros();
             let tree = CompleteTree::with_levels(levels).unwrap();
             Occupancy::from_placement(tree, placement).unwrap();
         }
     }
 
-    #[test]
-    fn touched_shards_follow_the_diff_and_gate_the_incremental_handover() {
+    /// Which shards [`handover`] rebuilds for `plan`, on identity
+    /// occupancies.
+    fn touched(old: &Partition, plan: &ReshardPlan) -> Vec<bool> {
         use satn_tree::CompleteTree;
 
+        let new = old.apply(plan).unwrap();
+        let occupancies: Vec<Occupancy> = (0..old.shards())
+            .map(|shard| {
+                Occupancy::identity(CompleteTree::with_levels(old.shard_levels(shard)).unwrap())
+            })
+            .collect();
+        let refs: Vec<&Occupancy> = occupancies.iter().collect();
+        handover(old, &new, plan, &refs)
+            .placements
+            .iter()
+            .map(Option::is_some)
+            .collect()
+    }
+
+    #[test]
+    fn touched_shards_follow_the_diff_and_gate_the_incremental_handover() {
         let old = Partition::new(ShardRouter::Range, 21, 3); // 7 each, 3 levels
         let plan = ReshardPlan::new([(ElementId::new(0), 1)]);
-        let new = old.apply(&plan).unwrap();
-
-        let touched = touched_shards(&old, &plan);
-        assert_eq!(touched, vec![true, true, false]);
-        assert!(touched_shards(&old, &ReshardPlan::empty())
-            .iter()
-            .all(|&t| !t));
+        assert_eq!(touched(&old, &plan), vec![true, true, false]);
+        assert_eq!(touched(&old, &ReshardPlan::empty()), vec![false; 3]);
         // A no-op move (element 8 already lives on shard 1) touches nothing.
         let noop = ReshardPlan::new([(ElementId::new(8), 1)]);
-        assert!(touched_shards(&old, &noop).iter().all(|&t| !t));
-
-        let tree = CompleteTree::with_levels(3).unwrap();
-        let occupancies: Vec<Occupancy> = (0..3).map(|_| Occupancy::identity(tree)).collect();
-        let refs: Vec<&Occupancy> = occupancies.iter().collect();
-        let full = handover(&old, &new, &plan, &refs);
-        let incremental = handover_touched(&old, &new, &plan, &refs, &touched);
-
-        // Identical migration cost, identical placements on touched shards,
-        // and an explicit keep-the-live-tree marker on the untouched one.
-        assert_eq!(incremental.migration, full.migration);
-        assert_eq!(incremental.placements[0], full.placements[0]);
-        assert_eq!(incremental.placements[1], full.placements[1]);
-        assert!(incremental.placements[2].is_empty());
+        assert_eq!(touched(&old, &noop), vec![false; 3]);
     }
 
     #[test]
@@ -1579,17 +1452,6 @@ mod tests {
             assert_eq!(remap[local], Some(local as u32 - 1));
         }
         assert!(remap[8..].iter().all(Option::is_none));
-    }
-
-    #[test]
-    fn handover_mode_labels_roundtrip() {
-        for mode in HandoverMode::ALL {
-            let parsed: HandoverMode = mode.label().parse().unwrap();
-            assert_eq!(parsed, mode);
-            assert_eq!(mode.to_string(), mode.label());
-        }
-        assert_eq!(HandoverMode::default(), HandoverMode::Cold);
-        assert!("lukewarm".parse::<HandoverMode>().is_err());
     }
 
     #[test]
@@ -1700,7 +1562,7 @@ mod tests {
                     scanned[from as usize] = true;
                     scanned[to as usize] = true;
                 }
-                prop_assert_eq!(touched_shards(&old, &plan), scanned);
+                prop_assert_eq!(touched(&old, &plan), scanned);
 
                 // A plan naming only current owners is all no-ops.
                 let staying = ReshardPlan::new(
@@ -1709,7 +1571,7 @@ mod tests {
                         .map(|&(element, _)| (element, old.shard_of(element).unwrap())),
                 );
                 prop_assert_eq!(&old.apply(&staying).unwrap(), &old);
-                prop_assert!(touched_shards(&old, &staying).iter().all(|&t| !t));
+                prop_assert!(touched(&old, &staying).iter().all(|&t| !t));
             }
         }
     }

@@ -75,7 +75,7 @@ pub use satn_rotor::{RotorState, RotorWalk};
 pub use satn_serve::{
     ingest_channel, replay, serve_connections, EngineReport, EngineSnapshot, Frame, Ingest,
     IngestMessage, IngestQueue, IngestSender, LookupAnswer, ServeError, ShardedEngine,
-    ShardedEngineConfig, SnapshotReader, SourceShardedEngine, TcpIngest, WireError,
+    ShardedEngineConfig, SnapshotReader, TcpIngest, WireError,
 };
 pub use satn_sim::{
     Checkpoints, InvariantObserver, Observer, ReshardPlan, ReshardPolicy, ReshardSchedule,
