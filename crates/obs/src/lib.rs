@@ -6,8 +6,8 @@
 //!
 //! - **Primitives** ([`Counter`], [`Gauge`], [`TaskGauges`],
 //!   [`AtomicHistogram`]): single `AtomicU64` cells (or a preallocated
-//!   array of them) updated with relaxed read-modify-writes — no lock, no
-//!   allocation, wait-free on every architecture Rust targets.
+//!   array of them), each updated by atomic read-modify-writes — no
+//!   lock, no allocation, wait-free on every architecture Rust targets.
 //! - **Registry** ([`EngineMetrics`] → [`MetricsSnapshot`]): the static,
 //!   named set of metrics one engine exposes, frozen on demand into a
 //!   snapshot with a canonical binary encoding (carried by the `Stats`

@@ -1,11 +1,15 @@
 //! The atomic metric primitives: [`Counter`], [`Gauge`], and the pool
 //! [`TaskGauges`] bundle.
 //!
-//! Every primitive is one `AtomicU64` updated with relaxed read-modify-write
-//! operations — no lock, no allocation, safe to hammer from any number of
-//! threads. Relaxed ordering is deliberate: metrics are *reported*, never
-//! used for synchronization, and the determinism oracle only ever reads them
-//! at drain boundaries where the engine thread's own program order already
+//! Every primitive is one `AtomicU64` updated with single atomic
+//! read-modify-writes or stores — no lock, no allocation, safe to hammer from
+//! any number of threads. [`Counter`] and [`Gauge`] write with `Release` and
+//! read with `Acquire`: a reader that sees a value also sees everything its
+//! writer did before writing it. The engine relies on that to keep
+//! `requests_served` from running ahead of the published snapshot (it adds
+//! to the counter only after publishing). On x86 this compiles to the same
+//! instructions as relaxed ordering. The determinism oracle only reads
+//! metrics at drain boundaries, where the engine thread's own program order
 //! fixes their values.
 
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -29,13 +33,13 @@ impl Counter {
     /// Adds `delta`.
     #[inline]
     pub fn add(&self, delta: u64) {
-        self.0.fetch_add(delta, Ordering::Relaxed);
+        self.0.fetch_add(delta, Ordering::Release);
     }
 
     /// The current value.
     #[inline]
     pub fn get(&self) -> u64 {
-        self.0.load(Ordering::Relaxed)
+        self.0.load(Ordering::Acquire)
     }
 }
 
@@ -57,13 +61,13 @@ impl Gauge {
     /// Sets the value outright.
     #[inline]
     pub fn set(&self, value: u64) {
-        self.0.store(value, Ordering::Relaxed);
+        self.0.store(value, Ordering::Release);
     }
 
     /// Adds one.
     #[inline]
     pub fn inc(&self) {
-        self.0.fetch_add(1, Ordering::Relaxed);
+        self.0.fetch_add(1, Ordering::Release);
     }
 
     /// Subtracts one, saturating at zero.
@@ -74,7 +78,7 @@ impl Gauge {
             let next = current.saturating_sub(1);
             match self
                 .0
-                .compare_exchange_weak(current, next, Ordering::Relaxed, Ordering::Relaxed)
+                .compare_exchange_weak(current, next, Ordering::Release, Ordering::Relaxed)
             {
                 Ok(_) => return,
                 Err(actual) => current = actual,
@@ -85,7 +89,7 @@ impl Gauge {
     /// The current value.
     #[inline]
     pub fn get(&self) -> u64 {
-        self.0.load(Ordering::Relaxed)
+        self.0.load(Ordering::Acquire)
     }
 }
 

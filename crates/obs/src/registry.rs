@@ -3,7 +3,7 @@
 //! [`EngineMetrics`] is the fixed set of named metrics one serving engine
 //! exposes: every field is an atomic primitive from [`crate::metrics`] (or
 //! the lock-free [`AtomicHistogram`]), so the hot paths that feed it pay one
-//! relaxed read-modify-write per event — no lock, no allocation.
+//! atomic read-modify-write per event — no lock, no allocation.
 //! [`EngineMetrics::snapshot`] freezes the registry into a
 //! [`MetricsSnapshot`]: an ordered list of `(name, value)` pairs plus the
 //! latency histograms, with a canonical binary encoding (for the `Stats`
@@ -62,6 +62,11 @@ pub mod names {
     pub const LOOKUPS_ANSWERED: &str = "satn_lookups_answered_total";
     /// Connections accepted since startup (counter).
     pub const CONNECTIONS_TOTAL: &str = "satn_connections_total";
+    /// Socket writes of queued reply frames (counter; advisory). Replies
+    /// are coalesced, so the reply-tag frame counters divided by this give
+    /// the frames per write; how many frames share a write depends on
+    /// timing, so it is never oracle-checked.
+    pub const WIRE_REPLY_WRITES: &str = "satn_wire_reply_writes_total";
     /// Pool tasks completed (counter).
     pub const POOL_COMPLETED: &str = "satn_pool_tasks_completed_total";
     /// Protocol messages currently queued in the ingest channel (gauge).
@@ -127,6 +132,8 @@ pub struct EngineMetrics {
     pub lookups_answered: Counter,
     /// Connections accepted since startup.
     pub connections_total: Counter,
+    /// Socket writes of queued reply frames (advisory: timing-dependent).
+    pub wire_reply_writes: Counter,
     /// Protocol messages currently queued in the ingest channel.
     pub ingest_queue_depth: Gauge,
     /// The engine's current reshard epoch.
@@ -164,6 +171,7 @@ impl EngineMetrics {
             snapshot_publishes: Counter::new(),
             lookups_answered: Counter::new(),
             connections_total: Counter::new(),
+            wire_reply_writes: Counter::new(),
             ingest_queue_depth: Gauge::new(),
             reshard_epoch: Gauge::new(),
             snapshot_version: Gauge::new(),
@@ -235,6 +243,10 @@ impl EngineMetrics {
             (
                 names::CONNECTIONS_TOTAL.to_owned(),
                 self.connections_total.get(),
+            ),
+            (
+                names::WIRE_REPLY_WRITES.to_owned(),
+                self.wire_reply_writes.get(),
             ),
             (names::POOL_COMPLETED.to_owned(), self.pool.completed.get()),
         ];
@@ -567,6 +579,7 @@ mod tests {
         metrics.note_wire_frame(1, 4096);
         metrics.note_wire_frame(1, 128);
         metrics.note_wire_frame(4, 13);
+        metrics.wire_reply_writes.inc();
         metrics.drain_latency.record(Duration::from_micros(250));
         metrics.drain_latency.record(Duration::from_micros(90));
         metrics
@@ -581,6 +594,7 @@ mod tests {
         assert_eq!(snapshot.counter(&names::wire_frames(1)), Some(2));
         assert_eq!(snapshot.counter(&names::wire_bytes(1)), Some(4_224));
         assert_eq!(snapshot.counter(&names::wire_frames(4)), Some(1));
+        assert_eq!(snapshot.counter(names::WIRE_REPLY_WRITES), Some(1));
         assert_eq!(snapshot.gauge(names::RESHARD_EPOCH), Some(2));
         assert_eq!(snapshot.gauge(&names::shard_buffered(1)), Some(17));
         assert_eq!(snapshot.gauge(&names::shard_buffered(0)), Some(0));
@@ -706,6 +720,7 @@ mod tests {
         assert!(text.contains("satn_reshard_epoch 2"));
         assert!(text.contains("satn_shard_buffered_requests{shard=\"1\"} 17"));
         assert!(text.contains("satn_wire_frames_total{tag=\"1\"} 2"));
+        assert!(text.contains("satn_wire_reply_writes_total 1"));
         assert!(text.contains("satn_drain_latency_nanos{quantile=\"0.5\"}"));
         assert!(text.contains("satn_drain_latency_nanos_count 2"));
         assert!(text.contains("satn_drain_latency_nanos_max 250000"));

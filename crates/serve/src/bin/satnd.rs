@@ -63,7 +63,8 @@ fn usage() -> ExitCode {
 /// The deterministic-metrics oracle: every counter the engine thread updates
 /// at drain boundaries must equal the corresponding [`EngineReport`] total
 /// exactly — the registry is an `AtomicU64` restatement of the replay
-/// ledger, not an approximation of it.
+/// ledger, not an approximation of it. Transport counters such as
+/// `satn_wire_reply_writes_total` depend on timing and are left out.
 fn verify_metrics(metrics: &EngineMetrics, report: &EngineReport) -> Result<(), String> {
     let serving = report.merged.total();
     let epoch = (report.epoch_fingerprints.len() as u64).saturating_sub(1);

@@ -9,8 +9,8 @@ use satn_exec::{for_each_ordered, Parallelism};
 use satn_obs::{EngineMetrics, TraceKind, TraceRing, TraceStamp};
 use satn_sim::{ReshardSchedule, ShardedScenario};
 use satn_tree::{
-    CompleteTree, CostObserver, CostSummary, ElementId, Fingerprint, LayoutKind, MigrationCost,
-    Occupancy, ShardedCostSummary, TreeSnapshot,
+    CompleteTree, CostSummary, ElementId, Fingerprint, LayoutKind, MigrationCost, Occupancy,
+    ShardedCostSummary, TreeSnapshot,
 };
 use satn_workloads::shard::{
     algorithm_seed, carry_remap, handover, shard_epoch_seed, EpochedPartition, Partition,
@@ -31,25 +31,15 @@ struct Shard {
     pending: Vec<ElementId>,
 }
 
-/// Mirrors the deterministic cost ledger into the engine's atomic metric
-/// registry: batch summaries land in the served/cost counters as they merge
-/// (in shard order, on the merge thread), epoch bumps land in the epoch
-/// gauge and migration counter. Pure mirror — it never feeds back into the
-/// ledger, so the oracle sees metrics equal to replay totals at every drain
-/// boundary.
-struct MetricsCostObserver<'a>(&'a EngineMetrics);
-
-impl CostObserver for MetricsCostObserver<'_> {
-    fn on_batch(&self, _shard: u32, batch: &CostSummary) {
-        self.0.requests_served.add(batch.requests());
-        self.0.access_cost.add(batch.total().access);
-        self.0.adjustment_cost.add(batch.total().adjustment);
-    }
-
-    fn on_epoch(&self, epoch: u32, migration: MigrationCost) {
-        self.0.reshard_epoch.set(epoch as u64);
-        self.0.migration_units.add(migration.total());
-    }
+/// Mirrors one drain's cost ledger delta into the engine's metric registry.
+/// Called only after the drain's snapshot is published, so a reader that
+/// sees `requests_served == n` finds a published snapshot stamped with at
+/// least `n`. Pure mirror: it never feeds back into the ledger, so the
+/// counters equal the replay totals at every drain boundary.
+fn mirror_drain(metrics: &EngineMetrics, drained: &CostSummary) {
+    metrics.requests_served.add(drained.requests());
+    metrics.access_cost.add(drained.total().access);
+    metrics.adjustment_cost.add(drained.total().adjustment);
 }
 
 /// How the engine reshards on its own, mirroring
@@ -456,7 +446,9 @@ impl ShardedEngine {
         }
         let before = self.accounting.requests();
         let started = Instant::now();
-        let observer = MetricsCostObserver(&self.metrics);
+        // The drain's summed delta reaches the registry only after the
+        // publication below.
+        let mut drained = CostSummary::new();
         // One worker per shard batch; summaries merge in shard order (every
         // shard's served prefix is accounted, failed or not), and the error
         // reported is the lowest-indexed failing shard's, independent of
@@ -476,7 +468,7 @@ impl ShardedEngine {
                 (delta, outcome)
             },
             |index, (delta, outcome)| {
-                observer.on_batch(index as u32, &delta);
+                drained.merge(&delta);
                 self.accounting.merge_into_shard(index as u32, &delta);
                 if let (Err(error), None) = (outcome, failure.as_ref()) {
                     failure = Some((index as u32, error));
@@ -499,10 +491,12 @@ impl ShardedEngine {
             detail: served - before,
         });
         if let Some((shard, error)) = failure {
+            mirror_drain(&self.metrics, &drained);
             return Err(ServeError::Tree { shard, error });
         }
         // The drain boundary is the read side's publication point.
         self.publish_snapshot();
+        mirror_drain(&self.metrics, &drained);
         Ok(())
     }
 
@@ -613,11 +607,6 @@ impl ShardedEngine {
         // publication, so readers see the new epoch's placement immediately
         // rather than at the next drain.
         self.accounting.begin_epoch(outcome.migration);
-        MetricsCostObserver(&self.metrics).on_epoch(epoch, outcome.migration);
-        self.metrics
-            .migration_touched_units
-            .add(outcome.migration.total());
-        self.metrics.migration_rebuilt_nodes.add(rebuilt_nodes);
         self.metrics.handover_latency.record(started.elapsed());
         self.tracer.record(TraceStamp {
             kind: TraceKind::ReshardEpochBump,
@@ -626,6 +615,14 @@ impl ShardedEngine {
             detail: outcome.migration.moved,
         });
         self.publish_snapshot();
+        // Mirrored after the publication, like a drain's counters: a reader
+        // that sees the new epoch finds it published.
+        self.metrics.reshard_epoch.set(epoch as u64);
+        self.metrics.migration_units.add(outcome.migration.total());
+        self.metrics
+            .migration_touched_units
+            .add(outcome.migration.total());
+        self.metrics.migration_rebuilt_nodes.add(rebuilt_nodes);
         Ok(())
     }
 

@@ -18,6 +18,19 @@
 //! engine therefore stalls the channel, which stalls acknowledgements,
 //! which stalls every client — no unbounded buffering anywhere.
 //!
+//! **When replies are written:** each connection appends its replies to one
+//! reused buffer and writes the buffer to the socket in one `write_all`
+//! only where the server would otherwise stop and wait: before reading a
+//! frame whose bytes have not all arrived yet, before handing an ingest
+//! frame to the channel (a full channel blocks), and right after each
+//! `Ack`. A burst of pipelined lookups that arrived together is therefore
+//! answered with one write, not one write per `Found`, while a write-only
+//! stream makes exactly one write per ack at the moment its frame was
+//! enqueued — so the backpressure contract above is unchanged. The
+//! advisory `satn_wire_reply_writes_total` counter counts these writes. On
+//! an error, the queued replies are still written (best effort) before the
+//! connection is shut down.
+//!
 //! **Determinism:** the engine behind the queue never knows which transport
 //! a message crossed, so a single connection replaying a stream in order is
 //! bit-identical to the same stream submitted in-process (asserted by
@@ -37,18 +50,21 @@
 //! worker answers lookups directly from the engine's published snapshot —
 //! lock-free, off the write path — and replies with a `Found` frame.
 //! Lookups carry no sequence number and consume no window slot; the
-//! `Found` reply is their acknowledgement.
+//! `Found` reply is their acknowledgement. The engine adds to its served
+//! counter only after publishing the snapshot that covers those requests,
+//! so a `StatsReply` reporting `served = N` guarantees that every later
+//! lookup on the connection is answered from a snapshot of at least `N`.
 
 use crate::error::ServeError;
 use crate::ingest::{Ingest, IngestMessage, IngestSender};
 use crate::snapshot::{LookupAnswer, SnapshotReader};
-use crate::wire::{read_frame, write_frame, Frame, WireError, MAX_BURST_ELEMENTS};
+use crate::wire::{encode_frame, read_frame, write_frame, Frame, WireError, MAX_BURST_ELEMENTS};
 use satn_exec::{task_scope_instrumented, Parallelism};
-use satn_obs::MetricsSnapshot;
+use satn_obs::{EngineMetrics, MetricsSnapshot};
 use satn_tree::ElementId;
 use satn_workloads::shard::ReshardPlan;
 use std::fmt;
-use std::io::BufReader;
+use std::io::{BufReader, Write};
 use std::net::{Shutdown, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::{Mutex, PoisonError};
 
@@ -321,29 +337,39 @@ fn serve_connection(
     let mut frames = 0u64;
     let mut lookups = 0u64;
     let mut error = None;
+    // Encoded replies not yet written to the socket.
+    let mut replies = Vec::new();
     let outcome = (|| -> Result<(), ServeError> {
         stream.set_nodelay(true)?;
         let mut reader = BufReader::new(stream.try_clone()?);
-        let mut writer = stream;
         let mut read_scratch = Vec::new();
-        let mut write_scratch = Vec::new();
-        while let Some(frame) = read_frame(&mut reader, &mut read_scratch)? {
+        loop {
+            // Reading past the buffered bytes may block on the client, which
+            // may itself be waiting for the replies queued so far.
+            if !holds_complete_frame(reader.buffer()) {
+                write_replies(stream, &mut replies, metrics.as_deref())?;
+            }
+            let Some(frame) = read_frame(&mut reader, &mut read_scratch)? else {
+                return Ok(());
+            };
             if let Some(metrics) = &metrics {
                 // The body sits in `read_scratch`; the length prefix adds 4.
                 metrics.note_wire_frame(frame.tag(), read_scratch.len() + 4);
             }
             let reply = match frame {
                 Frame::Ingest(message) => {
+                    // A full channel blocks here, so nothing may wait behind it.
+                    write_replies(stream, &mut replies, metrics.as_deref())?;
                     sender.send_message(message)?;
                     frames += 1;
                     Frame::Ack { seq: frames }
                 }
                 Frame::Lookup { element } => {
                     let reader = reads.as_mut().ok_or(ServeError::LookupUnsupported)?;
-                    let universe = reader.snapshot().partition().universe();
-                    let answer = reader
-                        .lookup(element)
-                        .ok_or(ServeError::OutOfUniverse { element, universe })?;
+                    let answer = reader.lookup(element).ok_or_else(|| {
+                        let universe = reader.snapshot().partition().universe();
+                        ServeError::OutOfUniverse { element, universe }
+                    })?;
                     lookups += 1;
                     Frame::Found(answer)
                 }
@@ -358,20 +384,53 @@ fn serve_connection(
                     .into())
                 }
             };
-            write_frame(&mut writer, &reply, &mut write_scratch)?;
+            let start = replies.len();
+            encode_frame(&reply, &mut replies)?;
             if let Some(metrics) = &metrics {
-                // `write_scratch` holds the full encoding, prefix included.
-                metrics.note_wire_frame(reply.tag(), write_scratch.len());
+                metrics.note_wire_frame(reply.tag(), replies.len() - start);
+            }
+            // An ack leaves at once, exactly when the frame was enqueued.
+            if matches!(reply, Frame::Ack { .. }) {
+                write_replies(stream, &mut replies, metrics.as_deref())?;
             }
         }
-        Ok(())
     })();
     if let Err(cause) = outcome {
+        // Replies to frames served before the failure still go out.
+        let _ = write_replies(stream, &mut replies, metrics.as_deref());
         // Closing the read side unblocks a client still writing frames.
         let _ = stream.shutdown(Shutdown::Both);
         error = Some(cause);
     }
     (frames, lookups, error)
+}
+
+/// Whether `buffered` starts with a whole frame (length prefix and body),
+/// so decoding it cannot block on the socket.
+fn holds_complete_frame(buffered: &[u8]) -> bool {
+    match buffered.first_chunk::<4>() {
+        Some(prefix) => buffered.len() - 4 >= u32::from_le_bytes(*prefix) as usize,
+        None => false,
+    }
+}
+
+/// Writes the queued replies in one `write_all` (counted in the registry's
+/// reply-write counter) and empties the queue. Does nothing when no reply
+/// is queued.
+fn write_replies(
+    mut writer: &TcpStream,
+    replies: &mut Vec<u8>,
+    metrics: Option<&EngineMetrics>,
+) -> Result<(), ServeError> {
+    if replies.is_empty() {
+        return Ok(());
+    }
+    if let Some(metrics) = metrics {
+        metrics.wire_reply_writes.inc();
+    }
+    let written = writer.write_all(replies);
+    replies.clear();
+    Ok(written?)
 }
 
 /// Appends one report, recovering the vector from a poisoned lock: a

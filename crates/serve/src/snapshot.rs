@@ -293,11 +293,12 @@ impl SnapshotReader {
         self.hub.version()
     }
 
-    /// How many requests the engine has served *beyond* this reader's
-    /// current snapshot — the read side's staleness, in requests. Zero when
-    /// the snapshot is current; transiently off by an in-flight drain's
-    /// requests otherwise. Refreshes the snapshot cache first, so the figure
-    /// is the staleness *after* catching up as far as possible.
+    /// How many requests the engine has counted as served *beyond* this
+    /// reader's current snapshot — the read side's staleness, in requests.
+    /// Refreshes the snapshot cache first, and the engine counts a drain's
+    /// requests only after publishing them, so the figure is zero unless a
+    /// drain published and counted between the refresh and the counter
+    /// read.
     pub fn staleness(&mut self) -> u64 {
         let stamped = self.snapshot().served();
         self.hub
@@ -396,7 +397,7 @@ mod tests {
         // Snapshot stamped at 10, live counter at 10: no staleness.
         hub.metrics.requests_served.add(10);
         assert_eq!(reader.staleness(), 0);
-        // The engine races ahead of the published snapshot.
+        // A counter ahead of every publication reads as staleness.
         hub.metrics.requests_served.add(7);
         assert_eq!(reader.staleness(), 7);
         // A newer publication catches the reader up again.

@@ -229,3 +229,47 @@ fn two_thread_snapshots_match_the_prefix_replay() {
 fn auto_snapshots_match_the_prefix_replay() {
     snapshots_match_prefix_replay(Parallelism::Auto, 997);
 }
+
+/// The served counter never runs ahead of the published snapshot: a reader
+/// that reads `requests_served` and then looks an element up always gets an
+/// answer stamped with at least that many requests, while the engine drains
+/// (and so publishes and counts) concurrently, many times over.
+#[test]
+fn lookups_never_trail_the_served_counter() {
+    let scenario = scenario();
+    let mut engine = ShardedEngineConfig::from_scenario(&scenario)
+        .parallelism(Parallelism::Threads(2))
+        .drain_threshold(40)
+        .build()
+        .unwrap();
+    let metrics = Arc::clone(engine.metrics());
+    let mut reader = engine.snapshots();
+    let stop = Arc::new(AtomicBool::new(false));
+    let racer = {
+        let stop = Arc::clone(&stop);
+        let universe = scenario.universe();
+        thread::spawn(move || {
+            let mut checks = 0u32;
+            while !stop.load(Ordering::Relaxed) {
+                let counted = metrics.requests_served.get();
+                let element = ElementId::new(checks % universe);
+                let answer = reader.lookup(element).unwrap();
+                assert!(
+                    answer.served >= counted,
+                    "the registry counted {counted} requests served, \
+                     but the lookup answered from a snapshot of {}",
+                    answer.served
+                );
+                checks += 1;
+            }
+            checks
+        })
+    };
+    for request in scenario.stream() {
+        engine.submit(request).unwrap();
+    }
+    let report = engine.finish().unwrap();
+    stop.store(true, Ordering::Relaxed);
+    assert!(racer.join().unwrap() > 0);
+    assert!(report.drains > 50, "the stream must drain many times");
+}

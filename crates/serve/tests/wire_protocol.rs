@@ -6,15 +6,19 @@
 //! contain every failure to the connection that caused it.
 
 use satn_core::AlgorithmKind;
+use satn_obs::WIRE_TAG_COUNT;
 use satn_serve::{
-    ingest_channel, serve_connections, Ingest, IngestMessage, IngestQueue, IngestSender,
+    encode_frame, ingest_channel, ingest_channel_with_metrics, read_frame, serve_connections,
+    EngineMetrics, EngineReport, Frame, Ingest, IngestMessage, IngestQueue, IngestSender,
     Parallelism, ReshardPlan, ServeError, ShardedEngine, ShardedEngineConfig, ShardedScenario,
-    TcpIngest, MAX_FRAME_BODY,
+    TcpIngest, WireError, MAX_FRAME_BODY,
 };
 use satn_sim::WorkloadSpec;
 use satn_tree::ElementId;
+use std::collections::BTreeMap;
 use std::io::{Read, Write};
 use std::net::{Ipv4Addr, SocketAddr, TcpListener, TcpStream};
+use std::sync::Arc;
 
 fn scenario(requests: usize) -> ShardedScenario {
     ShardedScenario::new(
@@ -399,4 +403,204 @@ fn the_channel_sender_still_works_through_the_trait_object() {
         Some(IngestMessage::Request(ElementId::new(1)))
     );
     let _: Option<IngestSender> = None; // the type stays nameable
+}
+
+/// Encodes `frames` back to back, as one client write would carry them.
+fn encode_all(frames: &[Frame]) -> Vec<u8> {
+    let mut bytes = Vec::new();
+    for frame in frames {
+        encode_frame(frame, &mut bytes).unwrap();
+    }
+    bytes
+}
+
+/// A lookup-serving, metered server over one connection whose engine
+/// drains every `threshold` requests on its own thread. Returns the
+/// client-facing address, the scenario, the shared registry, and the join
+/// handles of the server and the engine.
+#[allow(clippy::type_complexity)]
+fn metered_lookup_server(
+    threshold: usize,
+) -> (
+    SocketAddr,
+    ShardedScenario,
+    Arc<EngineMetrics>,
+    std::thread::JoinHandle<Vec<satn_serve::ConnectionReport>>,
+    std::thread::JoinHandle<EngineReport>,
+) {
+    let scenario = scenario(1_200);
+    let (listener, addr) = loopback();
+    let mut engine = ShardedEngineConfig::from_scenario(&scenario)
+        .parallelism(Parallelism::Threads(2))
+        .drain_threshold(threshold)
+        .build()
+        .unwrap();
+    let metrics = Arc::clone(engine.metrics());
+    let (sender, queue) = ingest_channel_with_metrics(8, Arc::clone(&metrics));
+    let reader = engine.snapshots();
+    let server = std::thread::spawn(move || {
+        serve_connections(&listener, &sender, Some(&reader), Parallelism::Serial, 1).unwrap()
+    });
+    let engine_thread = std::thread::spawn(move || {
+        engine.serve_queue(&queue).unwrap();
+        engine.finish().unwrap()
+    });
+    (addr, scenario, metrics, server, engine_thread)
+}
+
+/// Reply coalescing end to end: a burst, a thousand lookups and a stats
+/// poll arrive in one client write. The replies come back strictly in
+/// request order, every `Found` matches the serial prefix replay at its own
+/// stamp, the per-tag traffic counters equal the bytes actually exchanged,
+/// and the replies shared far fewer socket writes than there were replies.
+#[test]
+fn pipelined_replies_are_coalesced_in_order() {
+    const LOOKUPS: u32 = 1_000;
+    let (addr, scenario, metrics, server, engine_thread) = metered_lookup_server(100);
+    let requests: Vec<ElementId> = scenario.stream().collect();
+    let universe = scenario.universe();
+    let mut sent = vec![Frame::Ingest(IngestMessage::Burst(
+        requests[..300].to_vec(),
+    ))];
+    sent.extend((0..LOOKUPS).map(|i| Frame::Lookup {
+        element: ElementId::new(i % universe),
+    }));
+    sent.push(Frame::Stats);
+
+    let mut raw = TcpStream::connect(addr).unwrap();
+    raw.write_all(&encode_all(&sent)).unwrap();
+    raw.shutdown(std::net::Shutdown::Write).unwrap();
+    let mut reader = std::io::BufReader::new(raw);
+    let mut received = Vec::new();
+    while let Some(frame) = read_frame(&mut reader, &mut Vec::new()).unwrap() {
+        received.push(frame);
+    }
+    assert!(server.join().unwrap()[0].is_clean());
+    let report = engine_thread.join().unwrap();
+    assert_eq!(report.requests, 300);
+
+    // Strict request order: the ack, one `Found` per lookup, the stats reply.
+    assert_eq!(received.len(), LOOKUPS as usize + 2);
+    assert_eq!(received[0], Frame::Ack { seq: 1 });
+    assert!(matches!(received.last(), Some(Frame::StatsReply(_))));
+    let runner = satn_sim::SimRunner::new();
+    let partition = scenario.partition();
+    let mut references = BTreeMap::new();
+    let mut last_served = 0;
+    for (i, frame) in received[1..=LOOKUPS as usize].iter().enumerate() {
+        let Frame::Found(answer) = frame else {
+            panic!("reply {} is not a Found: {frame:?}", i + 1);
+        };
+        assert_eq!(answer.element, ElementId::new(i as u32 % universe));
+        assert!(
+            answer.served >= last_served,
+            "answers never go back in time"
+        );
+        last_served = answer.served;
+        let reference = references.entry(answer.served).or_insert_with(|| {
+            scenario
+                .prefix_occupancies(&runner, answer.served as usize)
+                .unwrap()
+        });
+        let (shard, local) = partition.localize(answer.element).unwrap();
+        assert_eq!(shard, answer.shard);
+        assert_eq!(reference[shard as usize].node_of(local), answer.node);
+    }
+
+    // The registry counted exactly the frames and bytes that crossed.
+    let mut frames = [0u64; WIRE_TAG_COUNT];
+    let mut bytes = [0u64; WIRE_TAG_COUNT];
+    for frame in sent.iter().chain(&received) {
+        frames[frame.tag() as usize] += 1;
+        bytes[frame.tag() as usize] += encode_all(std::slice::from_ref(frame)).len() as u64;
+    }
+    for tag in 0..WIRE_TAG_COUNT {
+        assert_eq!(
+            metrics.wire_frames[tag].get(),
+            frames[tag],
+            "tag {tag} frames"
+        );
+        assert_eq!(metrics.wire_bytes[tag].get(), bytes[tag], "tag {tag} bytes");
+    }
+    let writes = metrics.wire_reply_writes.get();
+    assert!(
+        (1..received.len() as u64).contains(&writes),
+        "{writes} socket writes for {} replies",
+        received.len()
+    );
+}
+
+/// A frame that has only partly arrived must not hold back the replies
+/// already queued: the server writes them before it blocks reading the
+/// rest.
+#[test]
+fn queued_replies_are_written_before_waiting_on_a_partial_frame() {
+    let (addr, _scenario, _metrics, server, engine_thread) = metered_lookup_server(100);
+    let next = encode_all(&[Frame::Lookup {
+        element: ElementId::new(4),
+    }]);
+    let mut raw = TcpStream::connect(addr).unwrap();
+    raw.set_read_timeout(Some(std::time::Duration::from_secs(5)))
+        .unwrap();
+    let mut bytes = encode_all(&[Frame::Lookup {
+        element: ElementId::new(3),
+    }]);
+    bytes.extend_from_slice(&next[..3]);
+    raw.write_all(&bytes).unwrap();
+    let mut reader = std::io::BufReader::new(raw.try_clone().unwrap());
+    let first = read_frame(&mut reader, &mut Vec::new()).expect("the Found must arrive");
+    assert!(
+        matches!(first, Some(Frame::Found(answer)) if answer.element == ElementId::new(3)),
+        "{first:?}"
+    );
+    // The rest of the partial frame completes it normally.
+    raw.write_all(&next[3..]).unwrap();
+    let second = read_frame(&mut reader, &mut Vec::new()).unwrap();
+    assert!(
+        matches!(second, Some(Frame::Found(answer)) if answer.element == ElementId::new(4)),
+        "{second:?}"
+    );
+    raw.shutdown(std::net::Shutdown::Write).unwrap();
+    assert!(read_frame(&mut reader, &mut Vec::new()).unwrap().is_none());
+    assert!(server.join().unwrap()[0].is_clean());
+    assert_eq!(engine_thread.join().unwrap().requests, 0);
+}
+
+/// Replies to frames served before a garbage frame still reach the client
+/// before the server closes the connection.
+#[test]
+fn replies_queued_before_a_garbage_frame_are_delivered() {
+    let (addr, _scenario, _metrics, server, engine_thread) = metered_lookup_server(100);
+    let mut bytes = encode_all(&[
+        Frame::Lookup {
+            element: ElementId::new(1),
+        },
+        Frame::Lookup {
+            element: ElementId::new(2),
+        },
+    ]);
+    bytes.extend_from_slice(&1u32.to_le_bytes());
+    bytes.push(42); // unknown tag
+    let mut raw = TcpStream::connect(addr).unwrap();
+    raw.write_all(&bytes).unwrap();
+    let mut reader = std::io::BufReader::new(raw);
+    for element in [1, 2] {
+        let reply = read_frame(&mut reader, &mut Vec::new()).unwrap();
+        assert!(
+            matches!(reply, Some(Frame::Found(answer)) if answer.element == ElementId::new(element)),
+            "{reply:?}"
+        );
+    }
+    // Then the close: a clean end of stream or a reset, never another frame.
+    assert!(!matches!(
+        read_frame(&mut reader, &mut Vec::new()),
+        Ok(Some(_))
+    ));
+    let reports = server.join().unwrap();
+    assert_eq!(reports[0].lookups, 2);
+    assert!(matches!(
+        reports[0].error,
+        Some(ServeError::Protocol(WireError::UnknownTag(42)))
+    ));
+    assert_eq!(engine_thread.join().unwrap().requests, 0);
 }

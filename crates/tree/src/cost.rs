@@ -446,35 +446,6 @@ impl fmt::Display for ShardedCostSummary {
     }
 }
 
-/// A passive observer of cost-ledger events, for runtime telemetry.
-///
-/// The sharded engine calls [`CostObserver::on_batch`] once per drained
-/// batch (with the batch's summary, before it is merged into the ledger) and
-/// [`CostObserver::on_epoch`] once per reshard handover. Both methods take
-/// `&self` and must be cheap and non-blocking: observers run inside the
-/// drain's ordered-merge step, on the engine thread, and exist to mirror the
-/// deterministic ledger into atomic metric registries — never to influence
-/// it. The default methods do nothing, so observers implement only the
-/// events they care about.
-pub trait CostObserver: Sync {
-    /// A batch of requests finished draining on `shard` with totals `batch`.
-    fn on_batch(&self, shard: u32, batch: &CostSummary) {
-        let _ = (shard, batch);
-    }
-
-    /// A reshard handover completed: the engine entered `epoch`, paying
-    /// `migration`.
-    fn on_epoch(&self, epoch: u32, migration: MigrationCost) {
-        let _ = (epoch, migration);
-    }
-}
-
-/// The do-nothing [`CostObserver`], for call sites without telemetry.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct NullCostObserver;
-
-impl CostObserver for NullCostObserver {}
-
 impl FromIterator<ServeCost> for CostSummary {
     fn from_iter<I: IntoIterator<Item = ServeCost>>(iter: I) -> Self {
         let mut summary = CostSummary::new();

@@ -47,19 +47,6 @@ impl Fingerprint {
         }
         digest.finish()
     }
-
-    /// Folds a sequence of tagged fingerprints into one: the digest of the
-    /// `(tag, fingerprint)` pairs in order. Used for composite states, such
-    /// as one shard holding several trees keyed by their source id.
-    pub fn fold(parts: impl IntoIterator<Item = (u32, Fingerprint)>) -> Self {
-        let mut digest = Digest::new(u64::MAX);
-        for (tag, part) in parts {
-            digest.write(u64::from(tag));
-            digest.write(part.0 as u64);
-            digest.write((part.0 >> 64) as u64);
-        }
-        digest.finish()
-    }
 }
 
 impl fmt::Display for Fingerprint {
@@ -155,16 +142,5 @@ mod tests {
         let mut swapped = occupancy.clone();
         swapped.swap_unchecked(NodeId::new(3), NodeId::new(40));
         assert_ne!(occupancy.fingerprint(), swapped.fingerprint());
-    }
-
-    #[test]
-    fn folds_depend_on_tags_order_and_parts() {
-        let a = Fingerprint::of_node_map(1, &[0]);
-        let b = Fingerprint::of_node_map(3, &[0, 1, 2]);
-        let folded = Fingerprint::fold([(0, a), (1, b)]);
-        assert_ne!(folded, Fingerprint::fold([(1, b), (0, a)]));
-        assert_ne!(folded, Fingerprint::fold([(0, a), (2, b)]));
-        assert_ne!(folded, Fingerprint::fold([(0, b), (1, a)]));
-        assert_eq!(folded, Fingerprint::fold([(0, a), (1, b)]));
     }
 }

@@ -54,10 +54,7 @@ pub mod snapshot;
 mod swap;
 mod topology;
 
-pub use cost::{
-    CostObserver, CostSummary, EpochCostSummary, MigrationCost, NullCostObserver, ServeCost,
-    ShardedCostSummary,
-};
+pub use cost::{CostSummary, EpochCostSummary, MigrationCost, ServeCost, ShardedCostSummary};
 pub use error::TreeError;
 pub use fingerprint::Fingerprint;
 pub use layout::{LayoutKind, TreeLayout, BLOCK_LEVELS};
