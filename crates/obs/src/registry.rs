@@ -58,6 +58,11 @@ pub mod names {
     pub const MIGRATION_REBUILT_NODES: &str = "satn_migration_rebuilt_nodes_total";
     /// Snapshots published to the read side (counter).
     pub const SNAPSHOT_PUBLISHES: &str = "satn_snapshot_publishes_total";
+    /// Shard trees captured across all snapshot publications (counter;
+    /// advisory). A publication captures only the shards served or rebuilt
+    /// since the previous one (the first captures every shard), so this
+    /// grows with the shards each drain touches, not with the shard count.
+    pub const SNAPSHOT_SHARD_CAPTURES: &str = "satn_snapshot_shard_captures_total";
     /// Lookups answered from published snapshots (counter).
     pub const LOOKUPS_ANSWERED: &str = "satn_lookups_answered_total";
     /// Connections accepted since startup (counter).
@@ -128,6 +133,9 @@ pub struct EngineMetrics {
     pub migration_rebuilt_nodes: Counter,
     /// Snapshots published through the hub.
     pub snapshot_publishes: Counter,
+    /// Shard trees captured across all snapshot publications (advisory:
+    /// depends on when the read side was opened).
+    pub snapshot_shard_captures: Counter,
     /// Lookups answered from published snapshots (all readers combined).
     pub lookups_answered: Counter,
     /// Connections accepted since startup.
@@ -169,6 +177,7 @@ impl EngineMetrics {
             migration_touched_units: Counter::new(),
             migration_rebuilt_nodes: Counter::new(),
             snapshot_publishes: Counter::new(),
+            snapshot_shard_captures: Counter::new(),
             lookups_answered: Counter::new(),
             connections_total: Counter::new(),
             wire_reply_writes: Counter::new(),
@@ -235,6 +244,10 @@ impl EngineMetrics {
             (
                 names::SNAPSHOT_PUBLISHES.to_owned(),
                 self.snapshot_publishes.get(),
+            ),
+            (
+                names::SNAPSHOT_SHARD_CAPTURES.to_owned(),
+                self.snapshot_shard_captures.get(),
             ),
             (
                 names::LOOKUPS_ANSWERED.to_owned(),
@@ -580,6 +593,7 @@ mod tests {
         metrics.note_wire_frame(1, 128);
         metrics.note_wire_frame(4, 13);
         metrics.wire_reply_writes.inc();
+        metrics.snapshot_shard_captures.add(9);
         metrics.drain_latency.record(Duration::from_micros(250));
         metrics.drain_latency.record(Duration::from_micros(90));
         metrics
@@ -595,6 +609,7 @@ mod tests {
         assert_eq!(snapshot.counter(&names::wire_bytes(1)), Some(4_224));
         assert_eq!(snapshot.counter(&names::wire_frames(4)), Some(1));
         assert_eq!(snapshot.counter(names::WIRE_REPLY_WRITES), Some(1));
+        assert_eq!(snapshot.counter(names::SNAPSHOT_SHARD_CAPTURES), Some(9));
         assert_eq!(snapshot.gauge(names::RESHARD_EPOCH), Some(2));
         assert_eq!(snapshot.gauge(&names::shard_buffered(1)), Some(17));
         assert_eq!(snapshot.gauge(&names::shard_buffered(0)), Some(0));
@@ -721,6 +736,7 @@ mod tests {
         assert!(text.contains("satn_shard_buffered_requests{shard=\"1\"} 17"));
         assert!(text.contains("satn_wire_frames_total{tag=\"1\"} 2"));
         assert!(text.contains("satn_wire_reply_writes_total 1"));
+        assert!(text.contains("satn_snapshot_shard_captures_total 9"));
         assert!(text.contains("satn_drain_latency_nanos{quantile=\"0.5\"}"));
         assert!(text.contains("satn_drain_latency_nanos_count 2"));
         assert!(text.contains("satn_drain_latency_nanos_max 250000"));

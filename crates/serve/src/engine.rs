@@ -29,6 +29,9 @@ pub const DEFAULT_DRAIN_THRESHOLD: usize = 4_096;
 struct Shard {
     tree: Box<dyn SelfAdjustingTree + Send>,
     pending: Vec<ElementId>,
+    /// Served or rebuilt since the last snapshot publication, so the next
+    /// one must recapture this shard's tree instead of sharing its `Arc`.
+    changed: bool,
 }
 
 /// Mirrors one drain's cost ledger delta into the engine's metric registry.
@@ -61,10 +64,11 @@ enum OnlineSchedule {
 /// Requests enter via [`ShardedEngine::submit`] (or a whole
 /// [`IngestQueue`] via [`ShardedEngine::serve_queue`]), are routed to their
 /// owning shard under the **current epoch's** partition and buffered; once
-/// the buffered total reaches the drain threshold, every shard's batch is
-/// served through the allocation-free
-/// [`SelfAdjustingTree::serve_batch`] fast path — one worker per shard batch,
-/// results merged back **in shard order** via
+/// the buffered total reaches the drain threshold, every non-empty shard
+/// batch is served through the allocation-free
+/// [`SelfAdjustingTree::serve_batch`] fast path — one worker per non-empty
+/// shard batch (shards with nothing buffered are not dispatched at all),
+/// results merged back **in ascending shard order** via
 /// [`satn_exec::for_each_ordered`], so per-shard cost totals, the merged
 /// summary, and the per-shard placement [`Fingerprint`]s are identical at
 /// every thread count and every drain cadence.
@@ -106,6 +110,11 @@ enum OnlineSchedule {
 /// determinism oracle is untouched; each snapshot is stamped with the
 /// requests accounted when it was frozen, tying every answered lookup to
 /// one point on the deterministic write timeline.
+///
+/// A publication costs O(shards changed): the engine flags each shard a
+/// drain serves or a handover rebuilds, recaptures only the flagged shards,
+/// and shares every other shard's [`TreeSnapshot`] `Arc` with the previous
+/// publication. Only the first publication captures every shard.
 pub struct ShardedEngine {
     log: EpochedPartition,
     shards: Vec<Shard>,
@@ -128,6 +137,10 @@ pub struct ShardedEngine {
     /// The read side, opened by [`ShardedEngine::snapshots`]: `None` until
     /// a reader exists, so write-only runs pay nothing for the feature.
     hub: Option<Arc<SnapshotHub>>,
+    /// Every shard's [`TreeSnapshot`] in the latest publication (empty until
+    /// the read side opens). A publication recaptures only the shards
+    /// flagged `changed` and shares the rest of these `Arc`s.
+    published: Vec<Arc<TreeSnapshot>>,
     /// The engine's atomic metric registry — always present (updating an
     /// atomic costs a few nanoseconds; gating it would cost a branch in the
     /// same places), shared with the ingest channel and the network layer.
@@ -160,6 +173,7 @@ impl ShardedEngine {
             .map(|tree| Shard {
                 tree,
                 pending: Vec::new(),
+                changed: false,
             })
             .collect();
         let accounting = ShardedCostSummary::new(partition.shards());
@@ -176,6 +190,7 @@ impl ShardedEngine {
             epoch_fingerprints: Vec::new(),
             boundaries: Vec::new(),
             hub: None,
+            published: Vec::new(),
             metrics,
             tracer: Arc::new(TraceRing::with_default_capacity()),
         })
@@ -347,18 +362,39 @@ impl ShardedEngine {
     }
 
     /// Freezes the engine's current served state (the most recent drain
-    /// boundary: trees only change inside drains, so capturing between them
-    /// is always consistent with the accounting). The snapshot shares the
-    /// epoch log's own partition allocation.
-    fn freeze(&self) -> EngineSnapshot {
+    /// boundary: trees only change inside drains and handovers, so capturing
+    /// between them is always consistent with the accounting). The snapshot
+    /// shares the epoch log's own partition allocation, and every shard that
+    /// was neither served nor rebuilt since the last publication shares that
+    /// publication's [`TreeSnapshot`]: only the changed shards are captured,
+    /// except on the first call, which captures them all.
+    fn freeze(&mut self) -> EngineSnapshot {
+        let capture = |shard: &mut Shard| {
+            shard.changed = false;
+            Arc::new(TreeSnapshot::capture(shard.tree.occupancy()))
+        };
+        let captures = if self.published.is_empty() {
+            self.published = self.shards.iter_mut().map(capture).collect();
+            self.shards.len()
+        } else {
+            let mut captures = 0;
+            for (shard, published) in self.shards.iter_mut().zip(&mut self.published) {
+                if shard.changed {
+                    *published = capture(shard);
+                    captures += 1;
+                }
+            }
+            captures
+        };
+        self.metrics.snapshot_shard_captures.add(captures as u64);
         let epoch = self.log.current_epoch();
         let partition = Arc::clone(self.log.current_shared());
-        let shards = self
-            .shards
-            .iter()
-            .map(|shard| TreeSnapshot::capture(shard.tree.occupancy()))
-            .collect();
-        EngineSnapshot::assemble(epoch, self.accounting.requests(), partition, shards)
+        EngineSnapshot::assemble(
+            epoch,
+            self.accounting.requests(),
+            partition,
+            self.published.clone(),
+        )
     }
 
     /// Publishes the current state to the read side, if one is open. Called
@@ -431,7 +467,10 @@ impl ShardedEngine {
     /// Serves every pending per-shard batch concurrently on the pool: one
     /// worker per non-empty shard batch, each through
     /// [`SelfAdjustingTree::serve_batch`]; batch summaries are merged back
-    /// in shard order as their prefix completes.
+    /// in shard order as their prefix completes. Shards with nothing
+    /// buffered are never dispatched (merging their empty summary would be
+    /// the identity), so a drain's work grows with the shards it serves,
+    /// not with the shard count.
     ///
     /// # Errors
     ///
@@ -449,38 +488,41 @@ impl ShardedEngine {
         // The drain's summed delta reaches the registry only after the
         // publication below.
         let mut drained = CostSummary::new();
-        // One worker per shard batch; summaries merge in shard order (every
-        // shard's served prefix is accounted, failed or not), and the error
-        // reported is the lowest-indexed failing shard's, independent of
-        // completion order.
+        // One worker per non-empty shard batch, listed in ascending shard
+        // order; summaries merge in that order (every shard's served prefix
+        // is accounted, failed or not), and the error reported is the
+        // lowest-indexed failing shard's, independent of completion order.
+        let mut batches: Vec<(u32, &mut Shard)> = self
+            .shards
+            .iter_mut()
+            .enumerate()
+            .filter(|(_, shard)| !shard.pending.is_empty())
+            .map(|(index, shard)| (index as u32, shard))
+            .collect();
         let mut failure = None;
         for_each_ordered(
-            &mut self.shards,
+            &mut batches,
             self.parallelism,
-            |_, shard| {
+            |_, (index, shard)| {
                 let mut delta = CostSummary::new();
-                let outcome = if shard.pending.is_empty() {
-                    Ok(())
-                } else {
-                    shard.tree.serve_batch(&shard.pending, &mut delta)
-                };
+                let outcome = shard.tree.serve_batch(&shard.pending, &mut delta);
                 shard.pending.clear();
-                (delta, outcome)
+                shard.changed = true;
+                (*index, delta, outcome)
             },
-            |index, (delta, outcome)| {
+            |_, (index, delta, outcome)| {
                 drained.merge(&delta);
-                self.accounting.merge_into_shard(index as u32, &delta);
+                self.accounting.merge_into_shard(index, &delta);
+                // The batch was consumed (cleared even on failure).
+                self.metrics.shard_buffered[index as usize].set(0);
                 if let (Err(error), None) = (outcome, failure.as_ref()) {
-                    failure = Some((index as u32, error));
+                    failure = Some((index, error));
                 }
             },
         );
-        // Every pending buffer was consumed (cleared even on failure), and a
-        // failed drain is still a counted drain — so the registry records the
-        // drain before the error propagates, keeping it equal to the ledger.
-        for gauge in self.metrics.shard_buffered.iter() {
-            gauge.set(0);
-        }
+        // A failed drain is still a counted drain — so the registry records
+        // the drain before the error propagates, keeping it equal to the
+        // ledger.
         self.metrics.batches_drained.inc();
         self.metrics.drain_latency.record(started.elapsed());
         let served = self.accounting.requests();
@@ -596,6 +638,7 @@ impl ShardedEngine {
             touched += 1;
             rebuilt_nodes += (1u64 << levels) - 1;
             self.shards[shard].tree = tree;
+            self.shards[shard].changed = true;
         }
         self.tracer.record(TraceStamp {
             kind: TraceKind::ReshardMigrate,
@@ -822,6 +865,7 @@ mod tests {
     use crate::config::ShardedEngineConfig;
     use crate::ingest::ingest_channel;
     use satn_sim::{AlgorithmKind, ShardRouter, SimRunner, WorkloadSpec};
+    use satn_workloads::shard::ReshardPolicy;
 
     fn scenario(algorithm: AlgorithmKind, router: ShardRouter) -> ShardedScenario {
         let mut s = ShardedScenario::new(
@@ -1177,6 +1221,116 @@ mod tests {
             (1, 2),
             "the post-reshard publication must route under the new partition"
         );
+    }
+
+    #[test]
+    fn handovers_republish_the_shards_they_rebuild() {
+        // 64 range shards under a hot-shard stream: every handover rebuilds
+        // a hot source and a cold destination, and most drains skip most
+        // shards, so a rebuilt shard is often one the fence did not serve.
+        let mut sharded =
+            ShardedScenario::hot_shard(AlgorithmKind::RotorPush, 64, 4, 6_000, 31, 8, 1.9);
+        sharded.reshard = satn_sim::ReshardSchedule::Policy(ReshardPolicy::MoveHottest {
+            every: 500,
+            max_moves: 8,
+        });
+        let mut engine = ShardedEngineConfig::from_scenario(&sharded)
+            .parallelism(Parallelism::Threads(2))
+            .drain_threshold(97)
+            .build()
+            .unwrap();
+        let mut reader = engine.snapshots();
+        let (mut handovers, mut moved) = (0, 0);
+        for element in sharded.stream() {
+            let epoch = engine.epoch();
+            engine.submit(element).unwrap();
+            if engine.epoch() == epoch {
+                continue;
+            }
+            handovers += 1;
+            let snapshot = Arc::clone(reader.snapshot());
+            assert_eq!(snapshot.epoch(), engine.epoch());
+            for shard in 0..engine.shards() {
+                assert_eq!(
+                    snapshot.fingerprint(shard),
+                    engine.fingerprint(shard),
+                    "epoch {}: shard {shard}'s published tree is not its live tree",
+                    engine.epoch()
+                );
+            }
+            for &(element, to) in engine.epoch_log().epoch(engine.epoch()).plan().moves() {
+                let (shard, local) = engine.partition().localize(element).unwrap();
+                assert_eq!(shard, to);
+                let live = engine.shards[shard as usize]
+                    .tree
+                    .occupancy()
+                    .node_of(local);
+                let answer = snapshot.lookup(element).unwrap();
+                assert_eq!(
+                    (answer.shard, answer.node),
+                    (shard, live),
+                    "moved element {element:?} answered from a stale tree"
+                );
+                moved += 1;
+            }
+        }
+        assert!(handovers >= 5, "only {handovers} handovers fired");
+        assert!(moved > 0);
+    }
+
+    #[test]
+    fn publications_capture_only_the_shards_that_changed() {
+        let sharded = scenario(AlgorithmKind::RotorPush, ShardRouter::Range);
+        let mut engine = ShardedEngineConfig::from_scenario(&sharded)
+            .parallelism(Parallelism::Threads(2))
+            .drain_threshold(1_000_000)
+            .build()
+            .unwrap();
+        let metrics = Arc::clone(engine.metrics());
+        let captures = || metrics.snapshot_shard_captures.get();
+        let shard_of = |engine: &ShardedEngine, element: u32| {
+            engine
+                .partition()
+                .shard_of(ElementId::new(element))
+                .unwrap()
+        };
+        // The first publication captures all four shards.
+        let _reader = engine.snapshots();
+        assert_eq!(captures(), 4);
+
+        // A drain serving two shards recaptures exactly those two.
+        for element in [0, 1, 70] {
+            engine.submit(ElementId::new(element)).unwrap();
+        }
+        assert_eq!((shard_of(&engine, 0), shard_of(&engine, 70)), (0, 2));
+        engine.drain().unwrap();
+        assert_eq!(captures(), 4 + 2);
+        // An empty drain publishes nothing.
+        engine.drain().unwrap();
+        assert_eq!(captures(), 4 + 2);
+
+        // A handover with nothing buffered rebuilds its source and
+        // destination (shards 0 and 3) and recaptures just those.
+        engine
+            .reshard(ReshardPlan::new([(ElementId::new(0), 3)]))
+            .unwrap();
+        assert_eq!(captures(), 4 + 2 + 2);
+
+        // The fence of a handover recaptures the shard it served, then the
+        // rebuilt shards (1 and 2) once more: a served shard that is also
+        // rebuilt is captured twice, once per publication.
+        engine.submit(ElementId::new(40)).unwrap();
+        assert_eq!(shard_of(&engine, 40), 1);
+        engine
+            .reshard(ReshardPlan::new([(ElementId::new(40), 2)]))
+            .unwrap();
+        assert_eq!(captures(), 4 + 2 + 2 + 1 + 2);
+
+        // `finish` publishes again, but nothing changed since.
+        let report = engine.finish().unwrap();
+        assert_eq!(captures(), 4 + 2 + 2 + 1 + 2);
+        assert_eq!(report.drains, 2);
+        assert_eq!(metrics.snapshot_publishes.get(), 1 + 1 + 1 + 2 + 1);
     }
 
     #[test]

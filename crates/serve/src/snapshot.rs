@@ -30,6 +30,13 @@
 //! touched only when the version has actually moved — at most once per
 //! drain.
 //!
+//! **Publication is O(shards changed).** Each shard's frozen tree sits
+//! behind its own `Arc`. A publication captures only the shards a drain
+//! served or a handover rebuilt since the previous publication, and hands
+//! every other shard on by `Arc::clone`. Successive snapshots therefore
+//! share the trees of unchanged shards, and a held older snapshot keeps
+//! exactly the trees it was published with.
+//!
 //! **Determinism stays derived:** reads never mutate, so the write-side
 //! oracle is untouched; and every snapshot is stamped with the number of
 //! requests accounted when it was frozen, so a lookup answered from
@@ -78,23 +85,29 @@ impl LookupAnswer {
 /// One frozen, immutable view of a whole engine: the epoch's partition and
 /// every shard's [`TreeSnapshot`], stamped with the write-timeline position
 /// it was taken at.
+///
+/// Both the partition and the shard trees are `Arc`-shared with other
+/// publications: the partition with every snapshot of the same epoch, and
+/// each shard's tree with every later snapshot up to the next drain that
+/// serves the shard or handover that rebuilds it.
 #[derive(Debug, Clone, PartialEq)]
 pub struct EngineSnapshot {
     epoch: u32,
     served: u64,
     partition: Arc<Partition>,
-    shards: Vec<TreeSnapshot>,
+    shards: Vec<Arc<TreeSnapshot>>,
 }
 
 impl EngineSnapshot {
     /// Assembles a snapshot. `partition` is the epoch log's own shared
     /// allocation: it only changes at epoch boundaries while snapshots are
-    /// published at every drain.
+    /// published at every drain. `shards` shares the unchanged shards'
+    /// trees with the previous publication.
     pub(crate) fn assemble(
         epoch: u32,
         served: u64,
         partition: Arc<Partition>,
-        shards: Vec<TreeSnapshot>,
+        shards: Vec<Arc<TreeSnapshot>>,
     ) -> Self {
         debug_assert_eq!(partition.shards() as usize, shards.len());
         EngineSnapshot {
@@ -329,7 +342,7 @@ mod tests {
         let trees = (0..shards)
             .map(|_| {
                 let tree = CompleteTree::with_levels(levels).unwrap();
-                TreeSnapshot::capture(&Occupancy::identity(tree))
+                Arc::new(TreeSnapshot::capture(&Occupancy::identity(tree)))
             })
             .collect();
         EngineSnapshot::assemble(epoch, served, partition, trees)

@@ -10,6 +10,11 @@
 //! implies every individual lookup answer (node, level, access cost) agrees
 //! with the serial replay too.
 //!
+//! The property runs on two shapes: a dense one, where every drain serves
+//! all four shards, and a sparse one — 64 range shards under a hot-shard
+//! stream — where most drains skip most shards, so most of every
+//! publication is shared with the previous one rather than recaptured.
+//!
 //! Each run also races a lock-free reader thread against the engine while
 //! it drains: whatever snapshots that thread happens to catch mid-flight
 //! are held to the same oracle, proving the read phase never observes a
@@ -18,7 +23,7 @@
 use satn_serve::{EngineSnapshot, Parallelism, ShardedEngineConfig};
 use satn_sim::{AlgorithmKind, ShardedScenario, SimRunner, WorkloadSpec};
 use satn_tree::ElementId;
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::thread;
@@ -34,12 +39,21 @@ fn scenario() -> ShardedScenario {
     )
 }
 
+/// 64 range shards of 15 elements, with each of 8 stream phases confined to
+/// one shard: a drain serves one or two shards and skips the rest.
+fn sparse_scenario() -> ShardedScenario {
+    ShardedScenario::hot_shard(AlgorithmKind::RotorPush, 64, 4, 2_000, 23, 8, 1.9)
+}
+
 /// Drives the full scenario stream through an engine, collecting every
 /// distinct snapshot the submitting thread observes at drain boundaries
 /// plus whatever a concurrent lock-free reader catches mid-flight.
-fn observed_snapshots(parallelism: Parallelism, threshold: usize) -> Vec<Arc<EngineSnapshot>> {
-    let scenario = scenario();
-    let mut engine = ShardedEngineConfig::from_scenario(&scenario)
+fn observed_snapshots(
+    scenario: &ShardedScenario,
+    parallelism: Parallelism,
+    threshold: usize,
+) -> Vec<Arc<EngineSnapshot>> {
+    let mut engine = ShardedEngineConfig::from_scenario(scenario)
         .parallelism(parallelism)
         .drain_threshold(threshold)
         .build()
@@ -88,10 +102,13 @@ fn observed_snapshots(parallelism: Parallelism, threshold: usize) -> Vec<Arc<Eng
 
 /// The property itself: every observed snapshot equals the serial replay
 /// of its own prefix of the request stream, byte for byte.
-fn snapshots_match_prefix_replay(parallelism: Parallelism, threshold: usize) {
-    let scenario = scenario();
+fn snapshots_match_prefix_replay(
+    scenario: &ShardedScenario,
+    parallelism: Parallelism,
+    threshold: usize,
+) {
     let runner = SimRunner::new();
-    let observed = observed_snapshots(parallelism, threshold);
+    let observed = observed_snapshots(scenario, parallelism, threshold);
 
     // Dedup by served stamp; two observations of the same checkpoint
     // (submitter vs racer) must already agree with each other.
@@ -217,17 +234,99 @@ fn snapshots_share_one_partition_allocation_per_epoch() {
 
 #[test]
 fn serial_snapshots_match_the_prefix_replay() {
-    snapshots_match_prefix_replay(Parallelism::Serial, 250);
+    snapshots_match_prefix_replay(&scenario(), Parallelism::Serial, 250);
 }
 
 #[test]
 fn two_thread_snapshots_match_the_prefix_replay() {
-    snapshots_match_prefix_replay(Parallelism::Threads(2), 500);
+    snapshots_match_prefix_replay(&scenario(), Parallelism::Threads(2), 500);
 }
 
 #[test]
 fn auto_snapshots_match_the_prefix_replay() {
-    snapshots_match_prefix_replay(Parallelism::Auto, 997);
+    snapshots_match_prefix_replay(&scenario(), Parallelism::Auto, 997);
+}
+
+/// Sparse drains: at threshold 1 each publication recaptures one shard and
+/// shares 63; at 97 a drain spans a phase change at most; at 4096 the
+/// whole stream is one final drain.
+const SPARSE_THRESHOLDS: [usize; 3] = [1, 97, 4_096];
+
+#[test]
+fn serial_sparse_snapshots_match_the_prefix_replay() {
+    for threshold in SPARSE_THRESHOLDS {
+        snapshots_match_prefix_replay(&sparse_scenario(), Parallelism::Serial, threshold);
+    }
+}
+
+#[test]
+fn two_thread_sparse_snapshots_match_the_prefix_replay() {
+    for threshold in SPARSE_THRESHOLDS {
+        snapshots_match_prefix_replay(&sparse_scenario(), Parallelism::Threads(2), threshold);
+    }
+}
+
+#[test]
+fn auto_sparse_snapshots_match_the_prefix_replay() {
+    for threshold in SPARSE_THRESHOLDS {
+        snapshots_match_prefix_replay(&sparse_scenario(), Parallelism::Auto, threshold);
+    }
+}
+
+/// A publication recaptures only the shards its drain served: every other
+/// shard's frozen tree is the previous publication's very allocation, and
+/// the older snapshot, held across the publication, still answers from its
+/// own point on the write timeline.
+#[test]
+fn publications_share_the_trees_of_unserved_shards() {
+    let scenario = sparse_scenario();
+    let mut engine = ShardedEngineConfig::from_scenario(&scenario)
+        .parallelism(Parallelism::Threads(2))
+        .drain_threshold(100_000)
+        .build()
+        .unwrap();
+    let mut reader = engine.snapshots();
+    let older = Arc::clone(reader.snapshot());
+
+    let batch: Vec<ElementId> = scenario.stream().take(300).collect();
+    let served: BTreeSet<u32> = batch
+        .iter()
+        .map(|&element| engine.partition().shard_of(element).unwrap())
+        .collect();
+    assert!(
+        served.len() * 4 < scenario.shards as usize,
+        "the drain must leave most shards unserved ({} served)",
+        served.len()
+    );
+    engine.submit_burst(&batch).unwrap();
+    engine.drain().unwrap();
+    let newer = Arc::clone(reader.snapshot());
+    assert_eq!((older.served(), newer.served()), (0, 300));
+
+    for shard in 0..scenario.shards {
+        // `shard` derefs the snapshot's per-shard `Arc`: equal addresses
+        // are one shared allocation, exactly what `Arc::ptr_eq` compares.
+        let shared = std::ptr::eq(older.shard(shard), newer.shard(shard));
+        assert_eq!(
+            shared,
+            !served.contains(&shard),
+            "shard {shard}: served shards must be recaptured, unserved ones shared"
+        );
+    }
+
+    let runner = SimRunner::new();
+    for (snapshot, served) in [(&older, 0), (&newer, 300)] {
+        let reference = scenario.prefix_fingerprints(&runner, served).unwrap();
+        for shard in 0..scenario.shards {
+            assert_eq!(snapshot.fingerprint(shard), reference[shard as usize]);
+        }
+    }
+    for element in (0..scenario.universe()).map(ElementId::new) {
+        let answer = older.lookup(element).unwrap();
+        assert_eq!(answer.served, 0, "the held snapshot keeps its own stamp");
+        let (shard, local) = older.partition().localize(element).unwrap();
+        assert_eq!(older.shard(shard).node_of(local), Some(answer.node));
+    }
 }
 
 /// The served counter never runs ahead of the published snapshot: a reader
