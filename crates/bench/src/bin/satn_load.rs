@@ -11,8 +11,7 @@
 //! ```text
 //! satn-load --addr ADDR [--shards N] [--levels N] [--algorithm A]
 //!           [--workload W] [--requests N] [--seed S] [--burst N]
-//!           [--window N] [--reads FRACTION] [--reshard-every N]
-//!           [--stats] [--out FILE]
+//!           [--window N] [--reads FRACTION] [--stats]
 //! ```
 //!
 //! With `--reads FRACTION` (0 ≤ f < 1) the generator interleaves `Lookup`
@@ -22,13 +21,6 @@
 //! server's published snapshots, so their RTTs measure the lock-free read
 //! path, not the write path.
 //!
-//! With `--reshard-every N` the generator injects a `Reshard` control frame
-//! after every `N` requests sent, moving two elements of the latest burst to
-//! their next shard (the client tracks its own epoch log, so every plan names
-//! real cross-shard moves). Each reshard frame's write-to-ack RTT is reported
-//! separately, so the client sees exactly what a handover costs the write
-//! path.
-//!
 //! With `--stats` the generator additionally polls the server's metrics
 //! registry over the wire (a `Stats` frame, answered off the write path)
 //! roughly every reporting interval, printing the server-side drain latency
@@ -37,16 +29,14 @@
 //! is taken after a `Flush` once the server reports every sent request
 //! served, so its counters are final.
 //!
-//! Writes a JSON report (throughput + p50/p99/p999/max frame RTT, and the
-//! same quantiles for lookup RTTs when reads are mixed in) to `--out`, and
-//! prints the same summary to stdout. Retries the initial connection for a
-//! few seconds so it can be launched alongside `satnd`.
+//! Prints a JSON report (throughput + p50/p99/p999/max frame RTT, and the
+//! same quantiles for lookup RTTs when reads are mixed in) to stdout.
+//! Retries the initial connection for a few seconds so it can be launched
+//! alongside `satnd`.
 
 use satn_core::AlgorithmKind;
 use satn_obs::{names, LatencyHistogram, MetricsSnapshot};
-use satn_serve::{
-    EpochedPartition, Ingest, ReshardPlan, ServeError, ShardedScenario, TcpIngest, DEFAULT_WINDOW,
-};
+use satn_serve::{Ingest, ServeError, ShardedScenario, TcpIngest, DEFAULT_WINDOW};
 use satn_sim::WorkloadSpec;
 use satn_tree::ElementId;
 use std::collections::VecDeque;
@@ -55,7 +45,7 @@ use std::time::{Duration, Instant};
 
 const USAGE: &str = "usage: satn-load --addr ADDR [--shards N] [--levels N] [--algorithm A] \
                      [--workload W] [--requests N] [--seed S] [--burst N] [--window N] \
-                     [--reads FRACTION] [--reshard-every N] [--stats] [--out FILE]";
+                     [--reads FRACTION] [--stats]";
 
 /// How often `--stats` polls the server registry mid-run.
 const STATS_INTERVAL: Duration = Duration::from_millis(250);
@@ -83,11 +73,9 @@ struct LoadReport {
     frames: u64,
     requests: usize,
     lookups: u64,
-    reshards: u64,
     elapsed: f64,
     histogram: LatencyHistogram,
     lookup_histogram: LatencyHistogram,
-    reshard_histogram: LatencyHistogram,
     server: Option<MetricsSnapshot>,
 }
 
@@ -102,13 +90,13 @@ fn print_stats_line(snapshot: &MetricsSnapshot) {
         .unwrap_or((0.0, 0.0));
     println!(
         "stats: served={} drains={} drain_us p50={p50:.1} p99={p99:.1} lookups={} \
-         queue_depth={} epoch={} touched_units={} rebuilt_nodes={}",
+         queue_depth={} epoch={} migration_units={} rebuilt_nodes={}",
         counter(names::REQUESTS_SERVED),
         counter(names::BATCHES_DRAINED),
         counter(names::LOOKUPS_ANSWERED),
         snapshot.gauge(names::INGEST_QUEUE_DEPTH).unwrap_or(0),
         snapshot.gauge(names::RESHARD_EPOCH).unwrap_or(0),
-        counter(names::MIGRATION_TOUCHED_UNITS),
+        counter(names::MIGRATION_UNITS),
         counter(names::MIGRATION_REBUILT_NODES),
     );
 }
@@ -116,31 +104,22 @@ fn print_stats_line(snapshot: &MetricsSnapshot) {
 /// Replays the scenario stream in bursts, timing each frame from write to
 /// acknowledgement. With `reads > 0`, lookups are interleaved after every
 /// burst (probing elements the burst just wrote) so they make up `reads`
-/// of all operations; each lookup's RTT spans write to `Found`. With
-/// `reshard_every > 0`, a `Reshard` frame follows every `reshard_every`-th
-/// request: the client applies each plan to its own epoch log, so every
-/// plan moves two of the latest burst's elements to their next shard.
+/// of all operations; each lookup's RTT spans write to `Found`.
 fn run(
     addr: &str,
     scenario: &ShardedScenario,
     burst: usize,
     window: usize,
     reads: f64,
-    reshard_every: usize,
     stats: bool,
 ) -> Result<LoadReport, ServeError> {
     let mut client = connect_with_retry(addr)?.with_window(window);
     let requests: Vec<ElementId> = scenario.stream().collect();
     let mut histogram = LatencyHistogram::new();
     let mut lookup_histogram = LatencyHistogram::new();
-    let mut reshard_histogram = LatencyHistogram::new();
-    let mut in_flight: VecDeque<(Instant, bool)> = VecDeque::with_capacity(window);
+    let mut in_flight: VecDeque<Instant> = VecDeque::with_capacity(window);
     let mut recorded = 0u64;
     let mut lookups = 0u64;
-    let mut reshards = 0u64;
-    let mut log = EpochedPartition::from_partition(scenario.partition());
-    let shards = scenario.shards;
-    let mut sent_requests = 0usize;
     // Lookups owed so the read fraction converges on `reads`: every write
     // earns reads / (1 - reads) of a lookup.
     let mut owed = 0.0f64;
@@ -148,28 +127,7 @@ fn run(
     let mut last_poll = started;
     for chunk in requests.chunks(burst) {
         client.send_burst(chunk)?;
-        in_flight.push_back((Instant::now(), false));
-        sent_requests += chunk.len();
-        if reshard_every > 0 && sent_requests / reshard_every > reshards as usize {
-            // Move the burst's first two distinct elements one shard over
-            // (per the client's own epoch log, so the moves are real).
-            let mut moves = Vec::new();
-            for &element in chunk {
-                if moves.iter().any(|&(seen, _)| seen == element) {
-                    continue;
-                }
-                let from = log.current().shard_of(element).expect("routed elements");
-                moves.push((element, (from + 1) % shards));
-                if moves.len() == 2 {
-                    break;
-                }
-            }
-            let plan = ReshardPlan::new(moves);
-            log.apply(plan.clone()).expect("plans move owned elements");
-            client.reshard(&plan)?;
-            in_flight.push_back((Instant::now(), true));
-            reshards += 1;
-        }
+        in_flight.push_back(Instant::now());
         owed += chunk.len() as f64 * reads / (1.0 - reads);
         while owed >= 1.0 {
             let probe = chunk[lookups as usize % chunk.len()];
@@ -186,23 +144,15 @@ fn run(
         // Every ack the send and lookup loops have absorbed closes one
         // frame's RTT.
         while recorded < client.acked() {
-            let (sent_at, was_reshard) = in_flight.pop_front().expect("one send per ack");
-            if was_reshard {
-                reshard_histogram.record(sent_at.elapsed());
-            } else {
-                histogram.record(sent_at.elapsed());
-            }
+            let sent_at = in_flight.pop_front().expect("one send per ack");
+            histogram.record(sent_at.elapsed());
             recorded += 1;
         }
     }
     client.drain_acks()?;
     while recorded < client.acked() {
-        let (sent_at, was_reshard) = in_flight.pop_front().expect("one send per ack");
-        if was_reshard {
-            reshard_histogram.record(sent_at.elapsed());
-        } else {
-            histogram.record(sent_at.elapsed());
-        }
+        let sent_at = in_flight.pop_front().expect("one send per ack");
+        histogram.record(sent_at.elapsed());
         recorded += 1;
     }
     // An ack only means enqueued: the final poll must wait for the engine
@@ -220,11 +170,9 @@ fn run(
         frames,
         requests: requests.len(),
         lookups,
-        reshards,
         elapsed,
         histogram,
         lookup_histogram,
-        reshard_histogram,
         server,
     })
 }
@@ -288,7 +236,7 @@ fn json(
             format!(
                 "{{\n    \"requests_served\": {},\n    \"batches_drained\": {},\n    \
                  \"lookups_answered\": {},\n    \"migration_units\": {},\n    \
-                 \"migration_touched_units\": {},\n    \"migration_rebuilt_nodes\": {},\n    \
+                 \"migration_rebuilt_nodes\": {},\n    \
                  \"reshard_epoch\": {},\n    \"drain_latency_us\": {{\n      \
                  \"p50\": {:.1},\n      \"p99\": {:.1},\n      \"max\": {:.1}\n    }},\n    \
                  \"handover_latency_us\": {{\n      \
@@ -297,7 +245,6 @@ fn json(
                 counter(names::BATCHES_DRAINED),
                 counter(names::LOOKUPS_ANSWERED),
                 counter(names::MIGRATION_UNITS),
-                counter(names::MIGRATION_TOUCHED_UNITS),
                 counter(names::MIGRATION_REBUILT_NODES),
                 snapshot.gauge(names::RESHARD_EPOCH).unwrap_or(0),
                 micros(drain.quantile(0.50)),
@@ -311,16 +258,15 @@ fn json(
         .unwrap_or_else(|| String::from("null"));
     format!(
         "{{\n  \"scenario\": \"{}\",\n  \"requests\": {},\n  \"frames\": {},\n  \
-         \"lookups\": {},\n  \"reshards\": {},\n  \
+         \"lookups\": {},\n  \
          \"reads\": {:.4},\n  \"burst\": {},\n  \"window\": {},\n  \
          \"elapsed_s\": {:.6},\n  \"throughput_req_per_s\": {:.0},\n  \
          \"throughput_ops_per_s\": {:.0},\n  \"frame_rtt_us\": {},\n  \
-         \"lookup_rtt_us\": {},\n  \"reshard_rtt_us\": {},\n  \"server\": {}\n}}\n",
+         \"lookup_rtt_us\": {},\n  \"server\": {}\n}}\n",
         scenario.name(),
         report.requests,
         report.frames,
         report.lookups,
-        report.reshards,
         reads,
         burst,
         window,
@@ -329,7 +275,6 @@ fn json(
         (report.requests as u64 + report.lookups) as f64 / elapsed,
         quantiles(&report.histogram),
         quantiles(&report.lookup_histogram),
-        quantiles(&report.reshard_histogram),
         server,
     )
 }
@@ -345,9 +290,7 @@ fn main() -> ExitCode {
     let mut burst = 512usize;
     let mut window = DEFAULT_WINDOW;
     let mut reads = 0.0f64;
-    let mut reshard_every = 0usize;
     let mut stats = false;
-    let mut out = None;
 
     let mut args = std::env::args().skip(1);
     while let Some(argument) = args.next() {
@@ -392,15 +335,7 @@ fn main() -> ExitCode {
                 Some(value) if (0.0..1.0).contains(&value) => reads = value,
                 _ => return usage(),
             },
-            "--reshard-every" => match args.next().and_then(|v| v.parse::<usize>().ok()) {
-                Some(value) if value > 0 => reshard_every = value,
-                _ => return usage(),
-            },
             "--stats" => stats = true,
-            "--out" => match args.next() {
-                Some(value) => out = Some(value),
-                None => return usage(),
-            },
             "--help" | "-h" => {
                 println!("{USAGE}");
                 return ExitCode::SUCCESS;
@@ -413,7 +348,7 @@ fn main() -> ExitCode {
     };
 
     let scenario = ShardedScenario::new(algorithm, workload, shards, levels, requests, seed);
-    let report = match run(&addr, &scenario, burst, window, reads, reshard_every, stats) {
+    let report = match run(&addr, &scenario, burst, window, reads, stats) {
         Ok(report) => report,
         Err(error) => {
             eprintln!("satn-load: {error}");
@@ -421,13 +356,6 @@ fn main() -> ExitCode {
         }
     };
 
-    let rendered = json(&report, &scenario, burst, window, reads);
-    print!("{rendered}");
-    if let Some(path) = out {
-        if let Err(error) = std::fs::write(&path, &rendered) {
-            eprintln!("satn-load: cannot write {path}: {error}");
-            return ExitCode::FAILURE;
-        }
-    }
+    print!("{}", json(&report, &scenario, burst, window, reads));
     ExitCode::SUCCESS
 }

@@ -17,10 +17,10 @@
 //! * No dependencies (the build environment has no crates.io access; no
 //!   rayon). Workers are [`std::thread::scope`] threads, so borrowed inputs
 //!   need no `'static` gymnastics.
-//! * Work distribution is a chunked atomic work queue: workers claim the
-//!   next chunk of indices with a single `fetch_add`, so load balancing is
-//!   dynamic (a slow cell never serializes the grid) while claim overhead
-//!   stays one atomic per chunk.
+//! * Work distribution is an atomic work counter: workers claim the next
+//!   index with a single `fetch_add`, so load balancing is dynamic (a slow
+//!   cell never serializes the grid) while claim overhead stays one atomic
+//!   per item.
 //! * Each worker buffers `(index, result)` pairs locally; the caller's
 //!   thread merges them back into input order after the scope joins. No
 //!   locks anywhere on the hot path.
@@ -83,45 +83,6 @@ impl Parallelism {
             n => Parallelism::Threads(n),
         }
     }
-
-    /// Splits this budget across two nesting levels — `outer_tasks`
-    /// independent outer work items (grid cells, epochs) that each fan out
-    /// again on the inside (shard drains) — and returns `(outer, inner)`
-    /// modes whose product never exceeds the budget, so nested calls cannot
-    /// oversubscribe the machine.
-    ///
-    /// The outer level gets `min(outer_tasks, budget)` workers (there is no
-    /// point in more workers than tasks); the inner level divides what is
-    /// left: `max(1, budget / outer)`.
-    ///
-    /// ```
-    /// use satn_exec::Parallelism;
-    ///
-    /// let (outer, inner) = Parallelism::Threads(8).split(2);
-    /// assert_eq!(outer.threads() , 2);
-    /// assert_eq!(inner.threads(), 4);
-    /// // Serial stays serial at both levels.
-    /// let (outer, inner) = Parallelism::Serial.split(16);
-    /// assert_eq!((outer.threads(), inner.threads()), (1, 1));
-    /// ```
-    pub fn split(self, outer_tasks: usize) -> (Parallelism, Parallelism) {
-        let budget = self.threads();
-        let outer = budget.min(outer_tasks).max(1);
-        let inner = (budget / outer).max(1);
-        (
-            Parallelism::from_thread_count_exact(outer),
-            Parallelism::from_thread_count_exact(inner),
-        )
-    }
-
-    /// Like [`Parallelism::from_thread_count`] but without the `0 → Auto`
-    /// CLI convention: the count is taken literally.
-    fn from_thread_count_exact(threads: usize) -> Self {
-        match threads {
-            0 | 1 => Parallelism::Serial,
-            n => Parallelism::Threads(n),
-        }
-    }
 }
 
 impl fmt::Display for Parallelism {
@@ -174,8 +135,7 @@ impl FromStr for Parallelism {
 /// `items.iter().map(f).collect()`.
 ///
 /// Work is claimed one item at a time, which suits the coarse work items of
-/// this workspace (a scenario cell runs for milliseconds to seconds); use
-/// [`ordered_map_chunked`] for fine-grained items.
+/// this workspace (a scenario cell runs for milliseconds to seconds).
 ///
 /// # Panics
 ///
@@ -186,49 +146,23 @@ where
     R: Send,
     F: Fn(&T) -> R + Sync,
 {
-    ordered_map_chunked(items, parallelism, 1, f)
-}
-
-/// [`ordered_map`] with an explicit claim-chunk size: each `fetch_add` on the
-/// shared work counter hands a worker `chunk` consecutive items. Larger
-/// chunks amortise claim overhead for very cheap `f`; chunking never affects
-/// the output, only the schedule.
-///
-/// # Panics
-///
-/// Panics if `chunk` is zero; propagates the first panic raised by `f`.
-pub fn ordered_map_chunked<T, R, F>(
-    items: &[T],
-    parallelism: Parallelism,
-    chunk: usize,
-    f: F,
-) -> Vec<R>
-where
-    T: Sync,
-    R: Send,
-    F: Fn(&T) -> R + Sync,
-{
-    assert!(chunk > 0, "the claim-chunk size must be positive");
     let workers = parallelism.threads().min(items.len());
     if workers <= 1 {
         return items.iter().map(f).collect();
     }
 
-    let next_chunk = AtomicUsize::new(0);
+    let next = AtomicUsize::new(0);
     let buckets: Vec<Vec<(usize, R)>> = std::thread::scope(|scope| {
         let handles: Vec<_> = (0..workers)
             .map(|_| {
                 scope.spawn(|| {
                     let mut local: Vec<(usize, R)> = Vec::new();
                     loop {
-                        let start = next_chunk.fetch_add(chunk, Ordering::Relaxed);
-                        if start >= items.len() {
+                        let index = next.fetch_add(1, Ordering::Relaxed);
+                        if index >= items.len() {
                             return local;
                         }
-                        let end = (start + chunk).min(items.len());
-                        for index in start..end {
-                            local.push((index, f(&items[index])));
-                        }
+                        local.push((index, f(&items[index])));
                     }
                 })
             })
@@ -336,27 +270,6 @@ where
     });
 }
 
-/// Maps `f` over `items` with mutable access, returning the results in input
-/// order — [`ordered_map`] for stateful work items. Built on
-/// [`for_each_ordered`], so results are collected as their prefix completes.
-///
-/// # Panics
-///
-/// Propagates the first panic raised by `f`.
-pub fn ordered_map_mut<T, R, F>(items: &mut [T], parallelism: Parallelism, f: F) -> Vec<R>
-where
-    T: Send,
-    R: Send,
-    F: Fn(usize, &mut T) -> R + Sync,
-{
-    let mut results = Vec::with_capacity(items.len());
-    for_each_ordered(items, parallelism, f, |index, result| {
-        debug_assert_eq!(index, results.len());
-        results.push(result);
-    });
-    results
-}
-
 /// A handle for spawning dynamically discovered tasks onto the scoped pool
 /// of a [`task_scope`] call.
 ///
@@ -439,27 +352,19 @@ impl fmt::Debug for TaskScope<'_> {
 /// runs even under [`Parallelism::Serial`]; serial mode bounds concurrent
 /// tasks to one, it does not defer them until `f` returns.
 ///
+/// When `gauges` is provided, spawned tasks move its
+/// `queued → running → completed` gauges as they progress through the pool.
+/// The gauge updates are relaxed atomics on the existing lock boundaries —
+/// instrumentation adds no lock and no allocation to the task path.
+///
 /// # Panics
 ///
 /// Propagates the first panic raised by a task (after all workers have
 /// stopped) — mirroring the ordered-map primitives. Queued tasks behind a
-/// panicking worker may be abandoned.
-pub fn task_scope<'env, R>(parallelism: Parallelism, f: impl FnOnce(&TaskScope<'env>) -> R) -> R {
-    task_scope_instrumented(parallelism, None, f)
-}
-
-/// [`task_scope`] with optional task-lifecycle telemetry: when `gauges` is
-/// provided, spawned tasks move its `queued → running → completed` gauges as
-/// they progress through the pool. The gauge updates are relaxed atomics on
-/// the existing lock boundaries — instrumentation adds no lock and no
-/// allocation to the task path.
-///
-/// # Panics
-///
-/// Propagates the first panic raised by a task, like [`task_scope`]. A
-/// panicking task is neither completed nor decremented from `running` — the
-/// whole scope is unwinding at that point and the gauges are advisory.
-pub fn task_scope_instrumented<'env, R>(
+/// panicking worker may be abandoned. A panicking task is neither completed
+/// nor decremented from `running` — the whole scope is unwinding at that
+/// point and the gauges are advisory.
+pub fn task_scope<'env, R>(
     parallelism: Parallelism,
     gauges: Option<&'env satn_obs::TaskGauges>,
     f: impl FnOnce(&TaskScope<'env>) -> R,
@@ -535,45 +440,6 @@ mod tests {
     }
 
     #[test]
-    fn split_never_oversubscribes_the_budget() {
-        for budget in 1..=32usize {
-            for outer_tasks in [1usize, 2, 3, 7, 16, 100] {
-                let (outer, inner) = Parallelism::Threads(budget).split(outer_tasks);
-                assert!(
-                    outer.threads() * inner.threads() <= budget.max(1),
-                    "budget={budget} tasks={outer_tasks}: {} x {}",
-                    outer.threads(),
-                    inner.threads()
-                );
-                assert!(outer.threads() <= outer_tasks.max(1));
-                assert!(outer.threads() >= 1 && inner.threads() >= 1);
-            }
-        }
-    }
-
-    #[test]
-    fn split_uses_the_whole_budget_when_tasks_divide_it() {
-        let (outer, inner) = Parallelism::Threads(12).split(4);
-        assert_eq!((outer.threads(), inner.threads()), (4, 3));
-        let (outer, inner) = Parallelism::Threads(6).split(100);
-        assert_eq!((outer.threads(), inner.threads()), (6, 1));
-        let (outer, inner) = Parallelism::Serial.split(8);
-        assert_eq!((outer, inner), (Parallelism::Serial, Parallelism::Serial));
-        // Zero outer tasks degrades gracefully to serial x budget.
-        let (outer, inner) = Parallelism::Threads(4).split(0);
-        assert_eq!((outer.threads(), inner.threads()), (1, 4));
-    }
-
-    #[test]
-    fn chunked_claiming_covers_every_item_exactly_once() {
-        let items: Vec<usize> = (0..100).collect();
-        for chunk in [1usize, 3, 7, 64, 1000] {
-            let got = ordered_map_chunked(&items, Parallelism::Threads(4), chunk, |&n| n);
-            assert_eq!(got, items, "chunk {chunk}");
-        }
-    }
-
-    #[test]
     fn empty_and_singleton_inputs() {
         let empty: Vec<u32> = Vec::new();
         assert!(ordered_map(&empty, Parallelism::Auto, |&n| n).is_empty());
@@ -640,12 +506,6 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "must be positive")]
-    fn zero_chunk_is_rejected() {
-        ordered_map_chunked(&[1], Parallelism::Serial, 0, |&n: &i32| n);
-    }
-
-    #[test]
     fn for_each_ordered_streams_prefixes_in_input_order() {
         let mut items: Vec<u64> = (0..137).collect();
         for parallelism in [
@@ -690,22 +550,6 @@ mod tests {
     }
 
     #[test]
-    fn ordered_map_mut_matches_serial_map() {
-        let mut serial: Vec<u64> = (0..100).collect();
-        let mut parallel = serial.clone();
-        let expected = ordered_map_mut(&mut serial, Parallelism::Serial, |i, n| {
-            *n ^= 0xF0;
-            *n + i as u64
-        });
-        let got = ordered_map_mut(&mut parallel, Parallelism::Threads(5), |i, n| {
-            *n ^= 0xF0;
-            *n + i as u64
-        });
-        assert_eq!(expected, got);
-        assert_eq!(serial, parallel);
-    }
-
-    #[test]
     fn for_each_ordered_worker_panics_propagate() {
         let mut items: Vec<i32> = (0..32).collect();
         let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
@@ -730,7 +574,7 @@ mod tests {
             Parallelism::Auto,
         ] {
             let done = Mutex::new(Vec::new());
-            let produced = task_scope(parallelism, |scope| {
+            let produced = task_scope(parallelism, None, |scope| {
                 for task in 0..17 {
                     let done = &done;
                     scope.spawn(move || done.lock().unwrap().push(task));
@@ -749,7 +593,7 @@ mod tests {
         // A task spawned first can complete (and unblock `f`) before `f`
         // returns: `f` waits on a channel that only the task feeds.
         let (sender, receiver) = mpsc::channel();
-        task_scope(Parallelism::Serial, |scope| {
+        task_scope(Parallelism::Serial, None, |scope| {
             scope.spawn(move || sender.send(42u32).unwrap());
             assert_eq!(receiver.recv().unwrap(), 42);
         });
@@ -759,7 +603,7 @@ mod tests {
     fn task_scope_tasks_borrow_the_environment() {
         let words = ["rotor".to_owned(), "walk".to_owned()];
         let lengths = Mutex::new(0usize);
-        task_scope(Parallelism::Threads(2), |scope| {
+        task_scope(Parallelism::Threads(2), None, |scope| {
             for word in &words {
                 let lengths = &lengths;
                 scope.spawn(move || *lengths.lock().unwrap() += word.len());
@@ -771,7 +615,7 @@ mod tests {
     #[test]
     fn task_scope_gauges_settle_to_the_task_count() {
         let gauges = satn_obs::TaskGauges::new();
-        task_scope_instrumented(Parallelism::Threads(3), Some(&gauges), |scope| {
+        task_scope(Parallelism::Threads(3), Some(&gauges), |scope| {
             for _ in 0..25 {
                 scope.spawn(|| {});
             }
@@ -784,7 +628,7 @@ mod tests {
     #[test]
     fn task_scope_panics_propagate() {
         let result = std::panic::catch_unwind(|| {
-            task_scope(Parallelism::Threads(2), |scope| {
+            task_scope(Parallelism::Threads(2), None, |scope| {
                 scope.spawn(|| panic!("boom"));
             })
         });

@@ -820,10 +820,9 @@ pub struct EngineReport {
 impl EngineReport {
     /// Verifies this report byte for byte against the epoch-segmented
     /// serial reference replay of the same scenario — the determinism
-    /// oracle shared by the `serve-smoke` CI binary, the `satnd --verify`
-    /// mode, and the transport tests: epoch schedule and boundaries, the
-    /// full epoch-versioned cost ledger, and every per-epoch per-shard
-    /// boundary fingerprint must all match.
+    /// oracle shared by the `satnd --verify` mode and the transport tests:
+    /// epoch schedule and boundaries, the full epoch-versioned cost ledger,
+    /// and every per-epoch per-shard boundary fingerprint must all match.
     ///
     /// # Errors
     ///

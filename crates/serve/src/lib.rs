@@ -70,8 +70,8 @@
 //! per-epoch per-shard scenarios through [`satn_sim::SimRunner`], re-deriving
 //! every handover itself — reproduces the engine's per-epoch cost
 //! sub-summaries, migration costs, and boundary fingerprints byte for byte,
-//! which is exactly what the crate's property tests and the `serve-smoke` CI
-//! binary assert.
+//! which is exactly what the crate's property tests and `satnd --verify`
+//! assert.
 //!
 //! ## Example
 //!

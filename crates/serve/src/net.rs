@@ -59,7 +59,7 @@ use crate::error::ServeError;
 use crate::ingest::{Ingest, IngestMessage, IngestSender};
 use crate::snapshot::{LookupAnswer, SnapshotReader};
 use crate::wire::{encode_frame, read_frame, write_frame, Frame, WireError, MAX_BURST_ELEMENTS};
-use satn_exec::{task_scope_instrumented, Parallelism};
+use satn_exec::{task_scope, Parallelism};
 use satn_obs::{EngineMetrics, MetricsSnapshot};
 use satn_tree::ElementId;
 use satn_workloads::shard::ReshardPlan;
@@ -445,7 +445,7 @@ fn record_report(reports: &Mutex<Vec<ConnectionReport>>, report: ConnectionRepor
 }
 
 /// The server-side accept loop: accepts exactly `connections` connections
-/// from `listener` and serves each on the scoped [`task_scope_instrumented`]
+/// from `listener` and serves each on the scoped [`task_scope`]
 /// pool with up to `parallelism` concurrent connection workers (feeding the
 /// engine's pool gauges when the sender carries a registry), forwarding every
 /// decoded ingest frame into `sender`'s bounded channel. When `reads` is
@@ -475,7 +475,7 @@ pub fn serve_connections(
     let reports: Mutex<Vec<ConnectionReport>> = Mutex::new(Vec::with_capacity(connections));
     let metrics = sender.metrics();
     let pool = metrics.map(|metrics| &metrics.pool);
-    task_scope_instrumented(parallelism, pool, |scope| -> Result<(), ServeError> {
+    task_scope(parallelism, pool, |scope| -> Result<(), ServeError> {
         for connection in 0..connections as u64 {
             let (stream, _peer) = listener.accept()?;
             if let Some(metrics) = metrics {

@@ -238,7 +238,7 @@ impl SimRunner {
     /// own algorithm, stream, and observer from the scenario value — and the
     /// pool merges results in grid order, so the outcome is byte-identical
     /// at every [`Parallelism`] (the `parallel_determinism` regression test
-    /// and the `bench-report` harness both assert this).
+    /// asserts this).
     ///
     /// # Errors
     ///

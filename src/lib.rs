@@ -68,7 +68,7 @@ pub use satn_core::{
     AlgorithmKind, MaxPush, MoveHalf, MoveToFront, RandomPush, RotorPush, SelfAdjustingTree,
     StaticOblivious, StaticOpt,
 };
-pub use satn_exec::{for_each_ordered, ordered_map, ordered_map_mut, Parallelism};
+pub use satn_exec::{for_each_ordered, ordered_map, Parallelism};
 pub use satn_network::{Host, HostPair, SelfAdjustingNetwork};
 pub use satn_obs::{EngineMetrics, LatencyHistogram, MetricsSnapshot, TraceRing};
 pub use satn_rotor::{RotorState, RotorWalk};
