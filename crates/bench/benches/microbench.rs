@@ -12,8 +12,7 @@ use satn_core::pushdown::augmented_push_down;
 use satn_core::{AlgorithmKind, SelfAdjustingTree};
 use satn_rotor::{RotorGraph, RotorState};
 use satn_tree::{
-    placement, CompleteTree, CostSummary, ElementId, LayoutKind, MarkScratch, MarkedRound, NodeId,
-    Occupancy,
+    placement, CompleteTree, CostSummary, ElementId, MarkScratch, MarkedRound, NodeId, Occupancy,
 };
 use satn_workloads::synthetic;
 
@@ -147,56 +146,6 @@ fn bench_push_down(c: &mut Criterion) {
     group.finish();
 }
 
-/// The tentpole comparison of the cache-blocked layout: random root-to-leaf
-/// walks reading the occupancy along the path — the exact slab access
-/// pattern of the serve hot path — under the heap (identity) layout versus
-/// the blocked layout, across tree sizes from L1-resident to far beyond LLC.
-fn bench_layout_walks(c: &mut Criterion) {
-    let mut group = c.benchmark_group("root-to-leaf-walk");
-    group.sample_size(20);
-
-    for levels in [10u32, 13, 16, 20] {
-        let tree = CompleteTree::with_levels(levels).unwrap();
-        let leaves = tree.nodes_at_level(tree.max_level());
-        // Pseudorandom leaf targets from a splitmix-style LCG: the identity
-        // placement puts element `i` at node `i`, so these double as request
-        // elements. Random leaves defeat any cache reuse across walks on the
-        // large trees, which is the regime the blocked layout targets.
-        let mut state = 0x2545_F491_4F6C_DD1Du64;
-        let targets: Vec<ElementId> = (0..4096)
-            .map(|_| {
-                state = state
-                    .wrapping_mul(6_364_136_223_846_793_005)
-                    .wrapping_add(1_442_695_040_888_963_407);
-                let offset = (state >> 33) as u32 % leaves;
-                ElementId::new(NodeId::from_level_offset(tree.max_level(), offset).index())
-            })
-            .collect();
-
-        for kind in [LayoutKind::Heap, LayoutKind::Blocked] {
-            let occupancy = Occupancy::identity_with_layout(tree, kind);
-            group.bench_with_input(
-                BenchmarkId::new(kind.to_string(), 1u64 << levels),
-                &occupancy,
-                |b, occupancy| {
-                    b.iter(|| {
-                        let mut acc = 0u64;
-                        for &element in &targets {
-                            let node = occupancy.node_of(element);
-                            for ancestor in node.ancestors() {
-                                acc ^= u64::from(occupancy.element_at(ancestor).index());
-                            }
-                        }
-                        black_box(acc)
-                    })
-                },
-            );
-        }
-    }
-
-    group.finish();
-}
-
 /// The fused batch drain with its prefetch-ahead prologue (`serve_batch`)
 /// against the same requests served one `serve` call at a time — the only
 /// difference on self-adjusting trees being the batch-local next-request
@@ -212,8 +161,7 @@ fn bench_serve_batch_prefetch(c: &mut Criterion) {
         group.bench_function(name, |b| {
             b.iter(|| {
                 let mut rng = StdRng::seed_from_u64(7);
-                let initial =
-                    placement::random_occupancy(tree, &mut rng).with_layout(LayoutKind::Blocked);
+                let initial = placement::random_occupancy(tree, &mut rng);
                 let mut algorithm = AlgorithmKind::RotorPush
                     .instantiate(initial, 7, workload.requests())
                     .unwrap();
@@ -300,7 +248,6 @@ criterion_group!(
     bench_tree_primitives,
     bench_rotor_machinery,
     bench_push_down,
-    bench_layout_walks,
     bench_serve_batch_prefetch,
     bench_serve_throughput,
     bench_workload_generation

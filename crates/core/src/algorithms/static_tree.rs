@@ -110,15 +110,6 @@ impl StaticOpt {
         }
         Ok(Self::from_weights(tree, &weights))
     }
-
-    /// Re-stores the frequency-ordered placement under `kind`, so the static
-    /// baseline participates in layout comparisons on equal footing.
-    #[must_use]
-    pub fn with_layout(self, kind: satn_tree::LayoutKind) -> Self {
-        StaticOpt {
-            occupancy: self.occupancy.with_layout(kind),
-        }
-    }
 }
 
 impl SelfAdjustingTree for StaticOpt {

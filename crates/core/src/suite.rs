@@ -117,12 +117,7 @@ impl AlgorithmKind {
             AlgorithmKind::MaxPush => Box::new(MaxPush::new(initial)),
             AlgorithmKind::StaticOblivious => Box::new(StaticOblivious::new(initial)),
             AlgorithmKind::StaticOpt => {
-                // Static-Opt derives its own placement from the sequence but
-                // must still store it under the caller's chosen layout so a
-                // `--layout` run covers every algorithm.
-                let layout = initial.layout_kind();
-                let static_opt = StaticOpt::from_sequence(initial.tree(), sequence)?;
-                Box::new(static_opt.with_layout(layout))
+                Box::new(StaticOpt::from_sequence(initial.tree(), sequence)?)
             }
             AlgorithmKind::MoveToFront => Box::new(MoveToFront::new(initial)),
         })

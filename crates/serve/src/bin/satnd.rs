@@ -14,9 +14,8 @@
 //! ```text
 //! satnd [--listen ADDR] [--shards N] [--levels N] [--algorithm A]
 //!       [--workload W] [--requests N] [--seed S] [--router R]
-//!       [--threads N|auto|serial] [--layout heap|blocked]
-//!       [--reshard-every N] [--handover warm] [--connections N]
-//!       [--capacity N] [--verify] [--metrics-dump]
+//!       [--threads N|auto|serial] [--reshard-every N] [--handover warm]
+//!       [--connections N] [--capacity N] [--verify] [--metrics-dump]
 //! ```
 //!
 //! Every reshard handover is warm; `--handover warm` is accepted (and any
@@ -42,7 +41,6 @@ use satn_serve::{
     ReshardPolicy, ReshardSchedule, ServeError, ShardedEngineConfig, ShardedScenario,
 };
 use satn_sim::{ShardRouter, SimRunner, WorkloadSpec};
-use satn_tree::LayoutKind;
 use std::io::Write;
 use std::net::TcpListener;
 use std::process::ExitCode;
@@ -51,9 +49,8 @@ use std::time::Instant;
 
 const USAGE: &str = "usage: satnd [--listen ADDR] [--shards N] [--levels N] [--algorithm A] \
                      [--workload W] [--requests N] [--seed S] [--router hash|range|source] \
-                     [--threads N|auto|serial] [--layout heap|blocked] [--reshard-every N] \
-                     [--handover warm] [--connections N] [--capacity N] [--verify] \
-                     [--metrics-dump]";
+                     [--threads N|auto|serial] [--reshard-every N] [--handover warm] \
+                     [--connections N] [--capacity N] [--verify] [--metrics-dump]";
 
 fn usage() -> ExitCode {
     eprintln!("{USAGE}");
@@ -118,7 +115,6 @@ fn main() -> ExitCode {
     let mut seed = 2022u64;
     let mut router: Option<ShardRouter> = None;
     let mut parallelism = Parallelism::Auto;
-    let mut layout = LayoutKind::default();
     let mut reshard_every = 0usize;
     let mut connections = 1usize;
     let mut capacity = 16usize;
@@ -164,10 +160,6 @@ fn main() -> ExitCode {
                 Some(value) => parallelism = value,
                 None => return usage(),
             },
-            "--layout" => match args.next().and_then(|v| v.parse().ok()) {
-                Some(value) => layout = value,
-                None => return usage(),
-            },
             "--reshard-every" => match args.next().and_then(|v| v.parse::<usize>().ok()) {
                 Some(value) if value > 0 => reshard_every = value,
                 _ => return usage(),
@@ -200,7 +192,6 @@ fn main() -> ExitCode {
     }
 
     let mut scenario = ShardedScenario::new(algorithm, workload, shards, levels, requests, seed);
-    scenario.layout = layout;
     if let Some(router) = router {
         scenario.router = router;
     }

@@ -7,7 +7,6 @@ use crate::error::ServeError;
 use satn_core::{AlgorithmKind, SelfAdjustingTree};
 use satn_exec::Parallelism;
 use satn_sim::ShardedScenario;
-use satn_tree::LayoutKind;
 use satn_workloads::shard::Partition;
 use std::fmt;
 
@@ -53,7 +52,6 @@ pub struct ShardedEngineConfig {
     parallelism: Parallelism,
     drain_threshold: Option<usize>,
     resharding: Option<(AlgorithmKind, u64)>,
-    layout: Option<LayoutKind>,
 }
 
 impl ShardedEngineConfig {
@@ -81,7 +79,6 @@ impl ShardedEngineConfig {
             parallelism: Parallelism::default(),
             drain_threshold: None,
             resharding: None,
-            layout: None,
         }
     }
 
@@ -116,17 +113,6 @@ impl ShardedEngineConfig {
         self
     }
 
-    /// Sets the physical tree-storage layout. For scenario-built engines
-    /// this overrides the scenario's own `layout` field; for parts-built
-    /// engines it applies to post-handover rebuilds (the pre-built trees
-    /// keep whatever layout they were constructed with). Pure performance
-    /// knob: every fingerprint and cost is layout-invariant.
-    #[must_use]
-    pub fn layout(mut self, layout: LayoutKind) -> Self {
-        self.layout = Some(layout);
-        self
-    }
-
     /// Validates the collected configuration and builds the engine.
     ///
     /// # Errors
@@ -138,18 +124,11 @@ impl ShardedEngineConfig {
     /// pairing a reshard schedule with an offline algorithm.
     pub fn build(self) -> Result<ShardedEngine, ServeError> {
         let mut engine = match self.source {
-            Source::Scenario(mut scenario) => {
-                if let Some(layout) = self.layout {
-                    scenario.layout = layout;
-                }
+            Source::Scenario(scenario) => {
                 ShardedEngine::build_from_scenario(&scenario, self.parallelism)?
             }
             Source::Parts { partition, trees } => {
-                let mut engine = ShardedEngine::assemble(partition, trees, self.parallelism)?;
-                if let Some(layout) = self.layout {
-                    engine.set_rebuild_layout(layout);
-                }
-                engine
+                ShardedEngine::assemble(partition, trees, self.parallelism)?
             }
         };
         if let Some(threshold) = self.drain_threshold {

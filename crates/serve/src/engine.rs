@@ -9,7 +9,7 @@ use satn_exec::{for_each_ordered, Parallelism};
 use satn_obs::{EngineMetrics, TraceKind, TraceRing, TraceStamp};
 use satn_sim::{ReshardSchedule, ShardedScenario};
 use satn_tree::{
-    CompleteTree, CostSummary, ElementId, Fingerprint, LayoutKind, MigrationCost, Occupancy,
+    CompleteTree, CostSummary, ElementId, Fingerprint, MigrationCost, Occupancy,
     ShardedCostSummary, TreeSnapshot,
 };
 use satn_workloads::shard::{
@@ -122,11 +122,6 @@ pub struct ShardedEngine {
     parallelism: Parallelism,
     control: DrainControl,
     rebuild: Option<(AlgorithmKind, u64)>,
-    /// The physical tree-storage layout applied to post-handover rebuilds
-    /// (scenario-built engines inherit the scenario's; see
-    /// [`satn_tree::LayoutKind`]). Pure performance knob: every fingerprint
-    /// and cost is layout-invariant.
-    layout: LayoutKind,
     schedule: OnlineSchedule,
     /// Per completed epoch, the per-shard fingerprints at its closing drain
     /// fence (the final epoch's fingerprints are appended by `finish`).
@@ -185,7 +180,6 @@ impl ShardedEngine {
             parallelism,
             control: DrainControl::new(DEFAULT_DRAIN_THRESHOLD),
             rebuild: None,
-            layout: LayoutKind::default(),
             schedule: OnlineSchedule::External,
             epoch_fingerprints: Vec::new(),
             boundaries: Vec::new(),
@@ -240,7 +234,6 @@ impl ShardedEngine {
         }
         let mut engine = ShardedEngine::assemble(partition, trees, parallelism)?;
         engine.rebuild = (!offline).then_some((scenario.algorithm, scenario.seed));
-        engine.layout = scenario.layout;
         engine.schedule = schedule;
         Ok(engine)
     }
@@ -262,14 +255,6 @@ impl ShardedEngine {
         }
         self.rebuild = Some((algorithm, seed));
         Ok(())
-    }
-
-    /// The setter behind
-    /// [`ShardedEngineConfig::layout`](crate::ShardedEngineConfig::layout)
-    /// for parts-built engines: the storage layout every post-handover tree
-    /// is rebuilt under (the pre-built trees keep their own).
-    pub(crate) fn set_rebuild_layout(&mut self, layout: LayoutKind) {
-        self.layout = layout;
     }
 
     /// The validated setter behind
@@ -618,11 +603,12 @@ impl ShardedEngine {
                     shard: shard as u32,
                     reason: format!("{} slots: {error}", placement.len()),
                 })?;
-            let occupancy = Occupancy::from_placement_with_layout(geometry, placement, self.layout)
-                .map_err(|error| ServeError::Handover {
+            let occupancy = Occupancy::from_placement(geometry, placement).map_err(|error| {
+                ServeError::Handover {
                     shard: shard as u32,
                     reason: error.to_string(),
-                })?;
+                }
+            })?;
             let seed = algorithm_seed(shard_epoch_seed(base_seed, shard as u32, epoch));
             let remap = carry_remap(&old, &new, shard as u32);
             let state = self.shards[shard]

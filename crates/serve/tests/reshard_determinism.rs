@@ -7,9 +7,8 @@
 //!   per-epoch per-shard fingerprints at every epoch boundary, per-epoch
 //!   cost sub-summaries, migration costs, and the merged ledger.
 //! * The **property test**: every router policy × every online algorithm ×
-//!   both storage layouts × random reshard cadences / drain cadences /
-//!   thread counts — the resharded engine reproduces the epoch-segmented
-//!   replay exactly.
+//!   random reshard cadences / drain cadences / thread counts — the
+//!   resharded engine reproduces the epoch-segmented replay exactly.
 //! * The **frame test**: explicit `Reshard` ingest frames interleaved with
 //!   bursts are equivalent to the same manual schedule replayed offline.
 
@@ -20,7 +19,7 @@ use satn_serve::{
     ShardedEngineConfig,
 };
 use satn_sim::{ReshardEvent, ShardRouter, ShardedScenario, SimRunner, WorkloadSpec};
-use satn_tree::{ElementId, LayoutKind};
+use satn_tree::ElementId;
 
 /// Runs `scenario` through the engine (optionally via the ingest queue) and
 /// asserts byte-identity against the epoch-segmented serial replay at every
@@ -278,10 +277,10 @@ fn every_online_algorithm_reshards_deterministically() {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(20))]
 
-    /// The acceptance property: routers × online algorithms × storage layouts
-    /// × random reshard cadences, shard counts, drain cadences and thread
-    /// counts — resharded serving is byte-identical to the epoch-segmented
-    /// standalone replay.
+    /// The acceptance property: routers × online algorithms × random
+    /// reshard cadences, shard counts, drain cadences and thread counts —
+    /// resharded serving is byte-identical to the epoch-segmented standalone
+    /// replay.
     #[test]
     fn resharded_serving_equals_the_epoch_segmented_replay(
         router_index in 0usize..3,
@@ -295,7 +294,6 @@ proptest! {
         drain_threshold in 1usize..2_000,
         threads in 1usize..5,
         via_queue in any::<bool>(),
-        layout_index in 0usize..2,
     ) {
         // `ALL` ends with the offline Static-Opt at no fixed index, so
         // filter rather than slice.
@@ -313,7 +311,6 @@ proptest! {
             seed,
         );
         scenario.router = ShardRouter::ALL[router_index];
-        scenario.layout = [LayoutKind::Heap, LayoutKind::Blocked][layout_index];
         scenario.reshard = ReshardSchedule::Policy(ReshardPolicy::MoveHottest {
             every,
             max_moves,

@@ -468,7 +468,6 @@ mod tests {
             seed: 3,
             checkpoints: Checkpoints::every(100),
             initial: InitialPlacement::Random,
-            layout: satn_tree::LayoutKind::default(),
         };
         let results = SimRunner::new().run_grid(&grid, true).unwrap();
         assert_eq!(results.len(), 8);

@@ -4,7 +4,7 @@
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use satn_core::{AlgorithmKind, SelfAdjustingTree, WarmState};
-use satn_tree::{placement, CompleteTree, ElementId, LayoutKind, Occupancy, TreeError};
+use satn_tree::{placement, CompleteTree, ElementId, Occupancy, TreeError};
 use satn_workloads::stream::{
     CombinedStream, HotBlockStream, MarkovBurstyStream, RoundRobinPathStream,
     ShiftingHotspotStream, TemporalStream, UniformStream, ZipfStream,
@@ -356,9 +356,6 @@ pub struct Scenario {
     pub checkpoints: Checkpoints,
     /// The initial element placement.
     pub initial: InitialPlacement,
-    /// The physical storage layout of the tree's occupancy. Pure
-    /// performance knob: every fingerprint and cost is layout-invariant.
-    pub layout: LayoutKind,
     /// The imported warm state the algorithm resumes from, or `None` for a
     /// cold start. This is how warm-handover replays hand a shard's carried
     /// rotor/recency/generator state to the next epoch's standalone
@@ -386,7 +383,6 @@ impl Scenario {
             seed,
             checkpoints: Checkpoints::final_only(),
             initial: InitialPlacement::Random,
-            layout: LayoutKind::default(),
             warm: None,
         }
     }
@@ -444,7 +440,7 @@ impl Scenario {
     /// bijection over the scenario's tree.
     pub fn initial_occupancy(&self) -> Occupancy {
         let tree = self.tree();
-        let occupancy = match &self.initial {
+        match &self.initial {
             InitialPlacement::Identity => Occupancy::identity(tree),
             InitialPlacement::Random => {
                 placement::random_occupancy(tree, &mut StdRng::seed_from_u64(self.placement_seed()))
@@ -453,8 +449,7 @@ impl Scenario {
                 Occupancy::from_placement(tree, placement.clone())
                     .expect("a fixed placement must be a bijection over the scenario's tree")
             }
-        };
-        occupancy.with_layout(self.layout)
+        }
     }
 
     /// The request stream of this scenario.
@@ -530,8 +525,6 @@ pub struct ScenarioGrid {
     pub checkpoints: Checkpoints,
     /// Initial placement of every cell.
     pub initial: InitialPlacement,
-    /// Storage layout of every cell's occupancy.
-    pub layout: LayoutKind,
 }
 
 impl ScenarioGrid {
@@ -552,7 +545,6 @@ impl ScenarioGrid {
             seed,
             checkpoints: Checkpoints::final_only(),
             initial: InitialPlacement::Random,
-            layout: LayoutKind::default(),
         }
     }
 
@@ -579,7 +571,6 @@ impl ScenarioGrid {
                     seed: self.seed,
                     checkpoints: self.checkpoints,
                     initial: self.initial.clone(),
-                    layout: self.layout,
                     warm: None,
                 })
             })

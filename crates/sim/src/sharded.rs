@@ -15,7 +15,7 @@
 use crate::runner::{ScenarioResult, SimError, SimRunner};
 use crate::scenario::{Checkpoints, InitialPlacement, Scenario, WorkloadSpec};
 use satn_core::{AlgorithmKind, WarmState};
-use satn_tree::{CompleteTree, ElementId, Fingerprint, LayoutKind, Occupancy, ShardedCostSummary};
+use satn_tree::{CompleteTree, ElementId, Fingerprint, Occupancy, ShardedCostSummary};
 use satn_workloads::shard::{
     carry_remap, derive_schedule, handover, shard_epoch_seed, EpochedPartition, Partition,
     ReshardEvent, ReshardPolicy, ShardRouter,
@@ -82,9 +82,6 @@ pub struct ShardedScenario {
     pub initial: InitialPlacement,
     /// When (and how) the partition reshards mid-stream.
     pub reshard: ReshardSchedule,
-    /// Storage layout of every shard tree's occupancy (performance knob;
-    /// all fingerprints are layout-invariant).
-    pub layout: LayoutKind,
     /// Read by nothing: kept only because `perfbench/` still sets it. Every
     /// handover is warm (see [`ShardedScenario::epoch_replay`]).
     pub handover: HandoverMode,
@@ -111,7 +108,6 @@ impl ShardedScenario {
             router: ShardRouter::Hash,
             initial: InitialPlacement::Random,
             reshard: ReshardSchedule::Static,
-            layout: LayoutKind::default(),
             handover: HandoverMode::Warm,
         }
     }
@@ -301,7 +297,6 @@ impl ShardedScenario {
                     seed: self.shard_epoch_seed(shard, epoch),
                     checkpoints: Checkpoints::final_only(),
                     initial,
-                    layout: self.layout,
                     warm,
                 }
             })

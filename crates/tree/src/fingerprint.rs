@@ -15,13 +15,12 @@ const MUL_HI: u64 = 0xC2B2_AE3D_27D4_EB4F;
 /// runs agree on a tree's state exactly when their fingerprints are equal
 /// (up to a 2⁻¹²⁸-scale collision chance).
 ///
-/// The digest covers the node count followed by the logical `nd` map —
+/// The digest covers the node count followed by the `nd` map —
 /// `nd(0), nd(1), …, nd(n − 1)`, each element's heap-order node index. That
 /// map is the inverse of the heap-order placement, so it determines the
-/// placement exactly, and it is stored logically in every
-/// [`Occupancy`](crate::Occupancy) and [`TreeSnapshot`](crate::TreeSnapshot)
-/// whatever their storage layout: digesting it reads one slab front to back,
-/// with no allocation and no layout translation.
+/// placement exactly, and every [`Occupancy`](crate::Occupancy) and
+/// [`TreeSnapshot`](crate::TreeSnapshot) stores it as one slab: digesting it
+/// reads that slab front to back, with no allocation.
 ///
 /// The mix is two independent 64-bit lanes over 64-bit words (two map
 /// entries per word). Each lane step is a bijection of `state ⊕ word`
@@ -34,7 +33,7 @@ const MUL_HI: u64 = 0xC2B2_AE3D_27D4_EB4F;
 pub struct Fingerprint(u128);
 
 impl Fingerprint {
-    /// Digests a tree of `nodes` nodes from its logical `nd` map
+    /// Digests a tree of `nodes` nodes from its `nd` map
     /// (`node_of[e]` = heap index of the node holding element `e`).
     pub(crate) fn of_node_map(nodes: u32, node_of: &[u32]) -> Self {
         let mut digest = Digest::new(u64::from(nodes));

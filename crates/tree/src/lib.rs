@@ -13,6 +13,7 @@
 //!   layout (levels, parents, ancestors, root paths),
 //! * [`CompleteTree`] — the fixed topology,
 //! * [`Occupancy`] — the element↔node bijection with swap operations,
+//!   stored as two flat slabs (`el` by heap node index, `nd` by element),
 //! * [`MarkedRound`] — the restricted (marking-rule) swap session online
 //!   algorithms must use, and [`FreeSwapSession`] for offline baselines,
 //! * [`ServeCost`] / [`CostSummary`] — cost accounting,
@@ -45,7 +46,6 @@
 mod cost;
 mod error;
 mod fingerprint;
-mod layout;
 mod node;
 mod occupancy;
 pub mod placement;
@@ -57,7 +57,6 @@ mod topology;
 pub use cost::{CostSummary, EpochCostSummary, MigrationCost, ServeCost, ShardedCostSummary};
 pub use error::TreeError;
 pub use fingerprint::Fingerprint;
-pub use layout::{LayoutKind, TreeLayout, BLOCK_LEVELS};
 pub use node::{Ancestors, Direction, ElementId, NodeId};
 pub use occupancy::Occupancy;
 pub use snapshot::TreeSnapshot;
@@ -70,7 +69,6 @@ pub use topology::CompleteTree;
 fn _assert_parallel_safe() {
     fn assert_send_sync<T: Send + Sync + 'static>() {}
     assert_send_sync::<CompleteTree>();
-    assert_send_sync::<TreeLayout>();
     assert_send_sync::<Occupancy>();
     assert_send_sync::<CostSummary>();
     assert_send_sync::<ServeCost>();
@@ -141,6 +139,24 @@ mod proptests {
             let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
             let occ = placement::random_occupancy(tree, &mut rng);
             prop_assert!(occ.is_consistent());
+        }
+
+        #[test]
+        fn fingerprints_see_every_adjacent_swap(levels in 1u32..=9, seed in any::<u64>()) {
+            use rand::SeedableRng;
+            let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+            let tree = CompleteTree::with_levels(levels).unwrap();
+            let mut occ = placement::random_occupancy(tree, &mut rng);
+            let before = occ.fingerprint();
+            prop_assert_eq!(TreeSnapshot::capture(&occ).fingerprint(), before);
+            for child in tree.nodes().skip(1) {
+                let parent = child.parent().unwrap();
+                occ.swap_nodes(child, parent).unwrap();
+                prop_assert_ne!(occ.fingerprint(), before);
+                prop_assert_eq!(TreeSnapshot::capture(&occ).fingerprint(), occ.fingerprint());
+                occ.swap_nodes(child, parent).unwrap();
+                prop_assert_eq!(occ.fingerprint(), before);
+            }
         }
 
         #[test]

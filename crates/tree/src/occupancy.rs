@@ -2,13 +2,8 @@
 
 use crate::error::TreeError;
 use crate::fingerprint::Fingerprint;
-use crate::layout::{LayoutKind, TreeLayout};
 use crate::node::{ElementId, NodeId};
 use crate::topology::CompleteTree;
-
-/// Sentinel stored in padding slots of non-identity layouts; never observable
-/// through the public API.
-const PAD: ElementId = ElementId::new(u32::MAX);
 
 /// The current assignment of elements to nodes: a bijection `nd : E → T`
 /// together with its inverse `el : T → E` (Section 2 of the paper).
@@ -16,11 +11,8 @@ const PAD: ElementId = ElementId::new(u32::MAX);
 /// A swap exchanges the elements stored at a parent/child pair of nodes and is
 /// the only mutation the model allows.
 ///
-/// Storage is keyed by *physical slots* behind a [`TreeLayout`]: the public
-/// API speaks logical [`NodeId`]s exclusively, and two occupancies with the
-/// same logical placement compare equal regardless of layout — the layout is
-/// a pure storage permutation with no observable effect on costs or
-/// fingerprints.
+/// Both maps are flat slabs: `el` is indexed by heap node index and `nd` by
+/// element id, so either direction is one array read.
 ///
 /// # Examples
 ///
@@ -38,37 +30,20 @@ const PAD: ElementId = ElementId::new(u32::MAX);
 #[derive(Debug, Clone)]
 pub struct Occupancy {
     tree: CompleteTree,
-    layout: TreeLayout,
-    /// Element stored at each node, indexed by *physical slot*; padding slots
-    /// hold [`PAD`].
+    /// Element stored at each node, indexed by heap node index.
     element_of: Vec<ElementId>,
-    /// Logical heap index of the node holding each element, indexed by
-    /// element id. Kept logical (not a slot) so `nd(e)` lookups never pay
-    /// the layout's inverse mapping on the hot path.
+    /// Heap index of the node holding each element, indexed by element id.
     node_of: Vec<u32>,
 }
 
 impl Occupancy {
     /// Creates the identity occupancy: element `i` is stored at node `i`.
     pub fn identity(tree: CompleteTree) -> Self {
-        Self::identity_with_layout(tree, LayoutKind::default())
-    }
-
-    /// Creates the identity occupancy stored under the given layout.
-    pub fn identity_with_layout(tree: CompleteTree, kind: LayoutKind) -> Self {
-        let layout = TreeLayout::new(tree, kind);
-        let mut element_of = vec![PAD; layout.physical_len()];
-        let mut node_of = vec![0u32; tree.num_nodes() as usize];
-        for node in tree.nodes() {
-            let slot = layout.slot_of(node);
-            element_of[slot] = ElementId::new(node.index());
-            node_of[node.usize()] = node.index();
-        }
+        let n = tree.num_nodes();
         Occupancy {
             tree,
-            layout,
-            element_of,
-            node_of,
+            element_of: (0..n).map(ElementId::new).collect(),
+            node_of: (0..n).collect(),
         }
     }
 
@@ -84,21 +59,6 @@ impl Occupancy {
         tree: CompleteTree,
         placement: Vec<ElementId>,
     ) -> Result<Self, TreeError> {
-        Self::from_placement_with_layout(tree, placement, LayoutKind::default())
-    }
-
-    /// Creates an occupancy from a heap-order placement, stored under the
-    /// given layout.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`TreeError::NotABijection`] under the same conditions as
-    /// [`Occupancy::from_placement`].
-    pub fn from_placement_with_layout(
-        tree: CompleteTree,
-        placement: Vec<ElementId>,
-        kind: LayoutKind,
-    ) -> Result<Self, TreeError> {
         let n = tree.num_nodes() as usize;
         if placement.len() != n {
             return Err(TreeError::NotABijection {
@@ -109,8 +69,6 @@ impl Occupancy {
                 ),
             });
         }
-        let layout = TreeLayout::new(tree, kind);
-        let mut element_of = vec![PAD; layout.physical_len()];
         let mut node_of = vec![u32::MAX; n];
         let mut seen = vec![false; n];
         for (node_index, &element) in placement.iter().enumerate() {
@@ -126,45 +84,19 @@ impl Occupancy {
                 });
             }
             seen[e] = true;
-            let slot = layout.slot_of(NodeId::new(node_index as u32));
-            element_of[slot] = element;
             node_of[e] = node_index as u32;
         }
         Ok(Occupancy {
             tree,
-            layout,
-            element_of,
+            element_of: placement,
             node_of,
         })
-    }
-
-    /// Returns this occupancy re-stored under `kind`, preserving the logical
-    /// placement exactly. A no-op (returns `self`) when the layout already
-    /// matches.
-    pub fn with_layout(self, kind: LayoutKind) -> Self {
-        if self.layout.kind() == kind {
-            return self;
-        }
-        Occupancy::from_placement_with_layout(self.tree, self.placement_in_heap_order(), kind)
-            .expect("an existing occupancy is a bijection")
     }
 
     /// Returns the tree topology this occupancy lives on.
     #[inline]
     pub fn tree(&self) -> CompleteTree {
         self.tree
-    }
-
-    /// Returns the physical storage layout.
-    #[inline]
-    pub fn layout(&self) -> &TreeLayout {
-        &self.layout
-    }
-
-    /// Returns the layout kind this occupancy is stored under.
-    #[inline]
-    pub fn layout_kind(&self) -> LayoutKind {
-        self.layout.kind()
     }
 
     /// Returns the number of elements (equal to the number of nodes).
@@ -180,7 +112,7 @@ impl Occupancy {
     /// Panics if `node` does not belong to the tree.
     #[inline]
     pub fn element_at(&self, node: NodeId) -> ElementId {
-        self.element_of[self.layout.slot_of(node)]
+        self.element_of[node.usize()]
     }
 
     /// Returns the node currently holding `element` (the paper's `nd(e)`).
@@ -222,7 +154,7 @@ impl Occupancy {
         let node = NodeId::new(index);
         let mut acc = 0u32;
         for ancestor in node.ancestors() {
-            acc ^= self.element_of[self.layout.slot_of(ancestor)].index();
+            acc ^= self.element_of[ancestor.usize()].index();
         }
         std::hint::black_box(acc);
     }
@@ -269,12 +201,9 @@ impl Occupancy {
     /// [`crate::MarkedRound`] instead.
     #[inline]
     pub fn swap_unchecked(&mut self, a: NodeId, b: NodeId) {
-        let sa = self.layout.slot_of(a);
-        let sb = self.layout.slot_of(b);
-        let ea = self.element_of[sa];
-        let eb = self.element_of[sb];
-        self.element_of[sa] = eb;
-        self.element_of[sb] = ea;
+        let (ea, eb) = (self.element_of[a.usize()], self.element_of[b.usize()]);
+        self.element_of[a.usize()] = eb;
+        self.element_of[b.usize()] = ea;
         self.node_of[ea.usize()] = b.index();
         self.node_of[eb.usize()] = a.index();
         debug_assert!(self.is_consistent());
@@ -292,57 +221,39 @@ impl Occupancy {
         self.swap_nodes(na, nb)
     }
 
-    /// Iterates over `(node, element)` pairs in logical heap order,
-    /// regardless of the storage layout.
+    /// Iterates over `(node, element)` pairs in heap order.
     pub fn iter(&self) -> impl ExactSizeIterator<Item = (NodeId, ElementId)> + '_ {
-        self.tree.nodes().map(|node| (node, self.element_at(node)))
+        self.tree.nodes().zip(self.element_of.iter().copied())
     }
 
-    /// Returns the elements in logical heap (BFS) order, i.e. `el` as a
-    /// vector. This is the canonical, layout-independent serialisation of
-    /// the placement — fingerprints and snapshots are built from it.
+    /// Returns the elements in heap (BFS) order, i.e. `el` as a vector: the
+    /// canonical serialisation of the placement.
     pub fn placement_in_heap_order(&self) -> Vec<ElementId> {
-        self.tree
-            .nodes()
-            .map(|node| self.element_at(node))
-            .collect()
+        self.element_of.clone()
     }
 
     /// The placement's [`Fingerprint`]: a 128-bit digest read straight off
-    /// the logical `nd` slab, so it is the same under every storage layout
-    /// and allocates nothing.
+    /// the `nd` slab, allocating nothing.
     pub fn fingerprint(&self) -> Fingerprint {
         Fingerprint::of_node_map(self.tree.num_nodes(), &self.node_of)
     }
 
-    /// Verifies that the two internal maps are inverse bijections and that
-    /// padding slots are untouched.
+    /// Verifies that the two internal maps are inverse bijections.
     ///
     /// Allocation-free on purpose: `swap_unchecked` runs this under
     /// `debug_assert!` on every swap, and the test profile keeps debug
     /// assertions on — the serve hot path's zero-allocation guarantee is
     /// asserted by a counting-allocator test that would trip on any heap
-    /// traffic here. Slot coverage is checked by counting instead of a
-    /// bitmap: every node's slot must hold a valid element (never the `PAD`
-    /// sentinel), so if exactly `physical_len - n` slots hold `PAD`, the
-    /// node slots are pairwise distinct and cover everything else.
+    /// traffic here. `nd(el(v)) = v` for every node `v` of equal-length maps
+    /// makes `el` injective, hence a bijection with `nd` as its inverse.
     pub fn is_consistent(&self) -> bool {
         let n = self.tree.num_nodes() as usize;
-        if self.node_of.len() != n || self.element_of.len() != self.layout.physical_len() {
+        if self.node_of.len() != n || self.element_of.len() != n {
             return false;
         }
-        let pad_slots = self.element_of.iter().filter(|&&e| e == PAD).count();
-        if pad_slots != self.element_of.len() - n {
-            return false;
-        }
-        for node in self.tree.nodes() {
-            let slot = self.layout.slot_of(node);
-            let element = self.element_of[slot];
-            if element.usize() >= n || self.node_of[element.usize()] != node.index() {
-                return false;
-            }
-        }
-        true
+        self.iter().all(|(node, element)| {
+            element.usize() < n && self.node_of[element.usize()] == node.index()
+        })
     }
 
     /// Total access cost of the current configuration under a request
@@ -358,27 +269,19 @@ impl Occupancy {
             .sum()
     }
 
-    /// Grants [`crate::TreeSnapshot`] access to the raw slabs (slot-keyed
-    /// `el`, logically-keyed `nd`) for an allocation-cheap capture.
+    /// Grants [`crate::TreeSnapshot`] access to the raw `el` and `nd` slabs
+    /// for an allocation-cheap capture.
     #[inline]
-    pub(crate) fn raw_parts(&self) -> (&TreeLayout, &[ElementId], &[u32]) {
-        (&self.layout, &self.element_of, &self.node_of)
+    pub(crate) fn raw_parts(&self) -> (&[ElementId], &[u32]) {
+        (&self.element_of, &self.node_of)
     }
 }
 
-/// Layout-agnostic equality: two occupancies are equal when they place the
-/// same elements on the same logical nodes, however they are stored.
+/// Two occupancies are equal when they place the same elements on the same
+/// nodes of the same tree.
 impl PartialEq for Occupancy {
     fn eq(&self, other: &Self) -> bool {
-        if self.tree != other.tree {
-            return false;
-        }
-        if self.layout == other.layout {
-            return self.element_of == other.element_of;
-        }
-        self.tree
-            .nodes()
-            .all(|node| self.element_at(node) == other.element_at(node))
+        self.tree == other.tree && self.element_of == other.element_of
     }
 }
 
@@ -501,60 +404,8 @@ mod tests {
     }
 
     #[test]
-    fn blocked_layout_matches_heap_behaviour() {
-        let t = tree(6);
-        let heap = Occupancy::identity(t);
-        let blocked = Occupancy::identity_with_layout(t, LayoutKind::Blocked);
-        assert!(blocked.is_consistent());
-        assert_eq!(heap, blocked, "equality is layout-agnostic");
-        for node in t.nodes() {
-            assert_eq!(heap.element_at(node), blocked.element_at(node));
-        }
-        for e in 0..t.num_nodes() {
-            let e = ElementId::new(e);
-            assert_eq!(heap.node_of(e), blocked.node_of(e));
-            assert_eq!(heap.access_cost(e), blocked.access_cost(e));
-        }
-        assert_eq!(
-            heap.placement_in_heap_order(),
-            blocked.placement_in_heap_order()
-        );
-    }
-
-    #[test]
-    fn blocked_layout_tracks_swaps_like_heap() {
-        let t = tree(5);
-        let mut heap = Occupancy::identity(t);
-        let mut blocked = Occupancy::identity_with_layout(t, LayoutKind::Blocked);
-        // A deterministic pseudo-random swap walk over parent/child pairs.
-        let mut x = 0x9e3779b9u32;
-        for _ in 0..500 {
-            x = x.wrapping_mul(1664525).wrapping_add(1013904223);
-            let child = NodeId::new(1 + x % (t.num_nodes() - 1));
-            let parent = child.parent().unwrap();
-            heap.swap_unchecked(parent, child);
-            blocked.swap_unchecked(parent, child);
-        }
-        assert!(blocked.is_consistent());
-        assert_eq!(heap, blocked);
-    }
-
-    #[test]
-    fn with_layout_round_trips_the_placement() {
-        let t = tree(6);
-        let mut occ = Occupancy::identity(t);
-        occ.swap_nodes(NodeId::ROOT, NodeId::new(2)).unwrap();
-        let placement = occ.placement_in_heap_order();
-        let blocked = occ.clone().with_layout(LayoutKind::Blocked);
-        assert_eq!(blocked.layout_kind(), LayoutKind::Blocked);
-        assert_eq!(blocked.placement_in_heap_order(), placement);
-        let back = blocked.with_layout(LayoutKind::Heap);
-        assert_eq!(back, occ);
-    }
-
-    #[test]
     fn touch_path_is_a_safe_no_op_observably() {
-        let occ = Occupancy::identity_with_layout(tree(5), LayoutKind::Blocked);
+        let occ = Occupancy::identity(tree(5));
         let before = occ.clone();
         occ.touch_path(ElementId::new(17));
         occ.touch_path(ElementId::new(9999)); // out of range: ignored

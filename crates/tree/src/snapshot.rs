@@ -15,7 +15,6 @@
 //! earlier states.
 
 use crate::fingerprint::Fingerprint;
-use crate::layout::TreeLayout;
 use crate::node::{ElementId, NodeId};
 use crate::occupancy::Occupancy;
 use crate::topology::CompleteTree;
@@ -36,25 +35,19 @@ use std::fmt;
 #[derive(Debug, Clone)]
 pub struct TreeSnapshot {
     tree: CompleteTree,
-    /// The physical layout the slabs below are keyed by — inherited from the
-    /// captured occupancy, invisible in every answer the snapshot gives.
-    layout: TreeLayout,
-    /// Element stored at each node, indexed by physical slot.
+    /// Element stored at each node, indexed by heap node index.
     element_of: Box<[ElementId]>,
-    /// Logical heap index of the node holding each element, indexed by
-    /// element id — layout-independent, so `nd(e)` never pays the layout's
-    /// inverse mapping.
+    /// Heap index of the node holding each element, indexed by element id.
     node_of: Box<[u32]>,
 }
 
 impl TreeSnapshot {
     /// Freezes the current state of an occupancy. The capture is two slab
-    /// memcpys regardless of layout.
+    /// memcpys.
     pub fn capture(occupancy: &Occupancy) -> Self {
-        let (layout, element_of, node_of) = occupancy.raw_parts();
+        let (element_of, node_of) = occupancy.raw_parts();
         TreeSnapshot {
             tree: occupancy.tree(),
-            layout: layout.clone(),
             element_of: element_of.into(),
             node_of: node_of.into(),
         }
@@ -87,7 +80,7 @@ impl TreeSnapshot {
     #[inline]
     pub fn element_at(&self, node: NodeId) -> Option<ElementId> {
         if self.tree.contains(node) {
-            Some(self.element_of[self.layout.slot_of(node)])
+            Some(self.element_of[node.usize()])
         } else {
             None
         }
@@ -106,47 +99,30 @@ impl TreeSnapshot {
         self.level_of(element).map(|level| level as u64 + 1)
     }
 
-    /// The elements in logical heap (BFS) order — `el` rendered
-    /// layout-independently, as fingerprints and golden files expect.
+    /// The elements in heap (BFS) order, i.e. `el` as a vector.
     pub fn placement_in_heap_order(&self) -> Vec<ElementId> {
-        self.tree
-            .nodes()
-            .map(|node| self.element_of[self.layout.slot_of(node)])
-            .collect()
+        self.element_of.to_vec()
     }
 
     /// The captured placement's [`Fingerprint`] — equal to
     /// [`Occupancy::fingerprint`] of the occupancy the snapshot was captured
-    /// from, whatever layout either side uses.
+    /// from.
     pub fn fingerprint(&self) -> Fingerprint {
         Fingerprint::of_node_map(self.tree.num_nodes(), &self.node_of)
     }
 
-    /// Rebuilds a mutable [`Occupancy`] equal to the captured state, stored
-    /// under the same layout the capture came from.
+    /// Rebuilds a mutable [`Occupancy`] equal to the captured state.
     pub fn to_occupancy(&self) -> Occupancy {
-        Occupancy::from_placement_with_layout(
-            self.tree,
-            self.placement_in_heap_order(),
-            self.layout.kind(),
-        )
-        .expect("a snapshot is a frozen bijection")
+        Occupancy::from_placement(self.tree, self.placement_in_heap_order())
+            .expect("a snapshot is a frozen bijection")
     }
 }
 
-/// Layout-agnostic equality, matching [`Occupancy`]'s: snapshots are equal
-/// when they froze the same logical placement on the same tree.
+/// Equality matching [`Occupancy`]'s: snapshots are equal when they froze
+/// the same placement on the same tree.
 impl PartialEq for TreeSnapshot {
     fn eq(&self, other: &Self) -> bool {
-        if self.tree != other.tree {
-            return false;
-        }
-        if self.layout == other.layout {
-            return self.element_of == other.element_of;
-        }
-        self.tree
-            .nodes()
-            .all(|node| self.element_at(node) == other.element_at(node))
+        self.tree == other.tree && self.element_of == other.element_of
     }
 }
 
@@ -200,9 +176,8 @@ impl fmt::Display for SnapshotError {
 
 impl std::error::Error for SnapshotError {}
 
-/// Serialises an occupancy into the snapshot text format. The output lists
-/// elements in logical heap order and is therefore identical for every
-/// storage layout of the same placement.
+/// Serialises an occupancy into the snapshot text format: the elements in
+/// heap order, one per line.
 pub fn occupancy_to_string(occupancy: &Occupancy) -> String {
     let mut output = format!("satn-occupancy nodes={}\n", occupancy.num_elements());
     for (_, element) in occupancy.iter() {
@@ -340,32 +315,6 @@ mod tests {
         let snapshot = TreeSnapshot::capture(&occupancy);
         let restored = occupancy_from_str(&occupancy_to_string(&occupancy)).unwrap();
         assert_eq!(restored.fingerprint(), snapshot.fingerprint());
-    }
-
-    #[test]
-    fn snapshots_are_layout_invariant() {
-        use crate::layout::LayoutKind;
-        let tree = CompleteTree::with_levels(6).unwrap();
-        let mut rng = StdRng::seed_from_u64(21);
-        let heap = placement::random_occupancy(tree, &mut rng);
-        let blocked = heap.clone().with_layout(LayoutKind::Blocked);
-        let snap_heap = TreeSnapshot::capture(&heap);
-        let snap_blocked = TreeSnapshot::capture(&blocked);
-        // Equal fingerprints and equal snapshots across layouts.
-        assert_eq!(snap_heap.fingerprint(), snap_blocked.fingerprint());
-        assert_eq!(snap_heap.fingerprint(), blocked.fingerprint());
-        assert_eq!(occupancy_to_string(&heap), occupancy_to_string(&blocked));
-        assert_eq!(snap_heap, snap_blocked);
-        for (node, element) in heap.iter() {
-            assert_eq!(snap_blocked.element_at(node), Some(element));
-            assert_eq!(snap_blocked.node_of(element), Some(node));
-        }
-        // Round-tripping keeps the layout kind.
-        assert_eq!(
-            snap_blocked.to_occupancy().layout_kind(),
-            LayoutKind::Blocked
-        );
-        assert_eq!(snap_blocked.to_occupancy(), heap);
     }
 
     #[test]

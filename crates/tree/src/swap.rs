@@ -10,7 +10,6 @@
 
 use crate::cost::ServeCost;
 use crate::error::TreeError;
-use crate::layout::TreeLayout;
 use crate::node::{ElementId, NodeId};
 use crate::occupancy::Occupancy;
 
@@ -24,10 +23,8 @@ use crate::occupancy::Occupancy;
 /// buffer (the buffer is re-zeroed only on the ~never-happening epoch wrap).
 #[derive(Debug, Clone, Default)]
 pub struct MarkScratch {
-    /// `stamps[slot] == epoch` means the node stored at that physical slot is
-    /// marked in the open round. Keying by the occupancy's layout slot (not
-    /// the logical node index) lets a blocked layout pack a root path's marks
-    /// into the same few cache lines as its occupancy reads.
+    /// `stamps[v] == epoch` means node `v` (by heap index) is marked in the
+    /// open round.
     stamps: Vec<u32>,
     epoch: u32,
 }
@@ -38,11 +35,10 @@ impl MarkScratch {
         MarkScratch::default()
     }
 
-    /// Starts a new round over `num_slots` physical slots with every mark
-    /// cleared.
-    fn begin(&mut self, num_slots: usize) {
-        if self.stamps.len() < num_slots {
-            self.stamps.resize(num_slots, 0);
+    /// Starts a new round over `num_nodes` nodes with every mark cleared.
+    fn begin(&mut self, num_nodes: usize) {
+        if self.stamps.len() < num_nodes {
+            self.stamps.resize(num_nodes, 0);
         }
         self.epoch = self.epoch.wrapping_add(1);
         if self.epoch == 0 {
@@ -53,23 +49,23 @@ impl MarkScratch {
     }
 
     #[inline]
-    fn mark(&mut self, slot: usize) {
-        self.stamps[slot] = self.epoch;
+    fn mark(&mut self, node: NodeId) {
+        self.stamps[node.usize()] = self.epoch;
     }
 
     /// Marks every node on the root-to-`target` path — the one ancestor walk
     /// shared by [`MarkedRound::access`] and [`MarkedRound::mark_root_path`].
     #[inline]
-    fn mark_root_path(&mut self, target: NodeId, layout: &TreeLayout) {
+    fn mark_root_path(&mut self, target: NodeId) {
         for ancestor in target.ancestors() {
-            self.mark(layout.slot_of(ancestor));
+            self.mark(ancestor);
         }
     }
 
     #[inline]
-    fn is_marked(&self, slot: usize) -> bool {
+    fn is_marked(&self, node: NodeId) -> bool {
         self.stamps
-            .get(slot)
+            .get(node.usize())
             .is_some_and(|&stamp| stamp == self.epoch)
     }
 }
@@ -171,8 +167,8 @@ impl<'a> MarkedRound<'a> {
         let node = occupancy.node_of(element);
         let access_cost = node.level() as u64 + 1;
         let scratch = marks.get_mut();
-        scratch.begin(occupancy.layout().physical_len());
-        scratch.mark_root_path(node, occupancy.layout());
+        scratch.begin(occupancy.num_elements() as usize);
+        scratch.mark_root_path(node);
         Ok(MarkedRound {
             occupancy,
             marks,
@@ -198,11 +194,7 @@ impl<'a> MarkedRound<'a> {
     /// are never marked.
     #[inline]
     pub fn is_marked(&self, node: NodeId) -> bool {
-        self.occupancy.tree().contains(node)
-            && self
-                .marks
-                .get()
-                .is_marked(self.occupancy.layout().slot_of(node))
+        self.occupancy.tree().contains(node) && self.marks.get().is_marked(node)
     }
 
     /// Number of swaps performed so far in this round.
@@ -226,9 +218,7 @@ impl<'a> MarkedRound<'a> {
     /// Returns [`TreeError::NodeOutOfRange`] if `target` is not in the tree.
     pub fn mark_root_path(&mut self, target: NodeId) -> Result<(), TreeError> {
         self.occupancy.tree().check_node(target)?;
-        self.marks
-            .get_mut()
-            .mark_root_path(target, self.occupancy.layout());
+        self.marks.get_mut().mark_root_path(target);
         Ok(())
     }
 
@@ -256,11 +246,9 @@ impl<'a> MarkedRound<'a> {
             });
         }
         self.occupancy.swap_unchecked(a, b);
-        let slot_a = self.occupancy.layout().slot_of(a);
-        let slot_b = self.occupancy.layout().slot_of(b);
         let scratch = self.marks.get_mut();
-        scratch.mark(slot_a);
-        scratch.mark(slot_b);
+        scratch.mark(a);
+        scratch.mark(b);
         self.swaps += 1;
         Ok(())
     }
