@@ -4,10 +4,10 @@
 //! per steady-state request, no locks on the drain path. This crate adds
 //! eyes to that machine without dirtying it. Three layers:
 //!
-//! - **Primitives** ([`Counter`], [`Gauge`], [`TaskGauges`],
-//!   [`AtomicHistogram`]): single `AtomicU64` cells (or a preallocated
-//!   array of them), each updated by atomic read-modify-writes — no
-//!   lock, no allocation, wait-free on every architecture Rust targets.
+//! - **Primitives** ([`Counter`], [`Gauge`], [`AtomicHistogram`]): single
+//!   `AtomicU64` cells (or a preallocated array of them), each updated by
+//!   atomic read-modify-writes — no lock, no allocation, wait-free on every
+//!   architecture Rust targets.
 //! - **Registry** ([`EngineMetrics`] → [`MetricsSnapshot`]): the static,
 //!   named set of metrics one engine exposes, frozen on demand into a
 //!   snapshot with a canonical binary encoding (carried by the `Stats`
@@ -38,7 +38,7 @@ mod registry;
 mod trace;
 
 pub use histogram::{AtomicHistogram, LatencyHistogram};
-pub use metrics::{Counter, Gauge, TaskGauges};
+pub use metrics::{Counter, Gauge};
 pub use registry::{names, EngineMetrics, MetricsCodecError, MetricsSnapshot, WIRE_TAG_COUNT};
 pub use trace::{TraceEvent, TraceKind, TraceRing, TraceStamp, DEFAULT_TRACE_CAPACITY};
 

@@ -1,5 +1,4 @@
-//! The atomic metric primitives: [`Counter`], [`Gauge`], and the pool
-//! [`TaskGauges`] bundle.
+//! The atomic metric primitives: [`Counter`] and [`Gauge`].
 //!
 //! Every primitive is one `AtomicU64` updated with single atomic
 //! read-modify-writes or stores — no lock, no allocation, safe to hammer from
@@ -93,29 +92,6 @@ impl Gauge {
     }
 }
 
-/// Task-lifecycle gauges for a worker pool: spawned tasks move
-/// `queued → running → completed`.
-#[derive(Debug, Default)]
-pub struct TaskGauges {
-    /// Tasks spawned but not yet picked up by a worker.
-    pub queued: Gauge,
-    /// Tasks currently executing on a worker.
-    pub running: Gauge,
-    /// Tasks finished since the gauges were created.
-    pub completed: Counter,
-}
-
-impl TaskGauges {
-    /// Fresh gauges, all zero.
-    pub const fn new() -> Self {
-        TaskGauges {
-            queued: Gauge::new(),
-            running: Gauge::new(),
-            completed: Counter::new(),
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -159,18 +135,5 @@ mod tests {
         });
         assert_eq!(counter.get(), 40_000);
         assert_eq!(gauge.get(), 0);
-    }
-
-    #[test]
-    fn task_gauges_model_the_lifecycle() {
-        let gauges = TaskGauges::new();
-        gauges.queued.inc();
-        gauges.queued.dec();
-        gauges.running.inc();
-        gauges.running.dec();
-        gauges.completed.inc();
-        assert_eq!(gauges.queued.get(), 0);
-        assert_eq!(gauges.running.get(), 0);
-        assert_eq!(gauges.completed.get(), 1);
     }
 }

@@ -19,7 +19,7 @@
 //! advisory.
 
 use crate::histogram::{AtomicHistogram, LatencyHistogram, NUM_BUCKETS};
-use crate::metrics::{Counter, Gauge, TaskGauges};
+use crate::metrics::{Counter, Gauge};
 use std::fmt;
 use std::fmt::Write as _;
 
@@ -72,8 +72,6 @@ pub mod names {
     /// the frames per write; how many frames share a write depends on
     /// timing, so it is never oracle-checked.
     pub const WIRE_REPLY_WRITES: &str = "satn_wire_reply_writes_total";
-    /// Pool tasks completed (counter).
-    pub const POOL_COMPLETED: &str = "satn_pool_tasks_completed_total";
     /// Protocol messages currently queued in the ingest channel (gauge).
     pub const INGEST_QUEUE_DEPTH: &str = "satn_ingest_queue_depth";
     /// The engine's current reshard epoch (gauge; oracle-checked).
@@ -82,10 +80,6 @@ pub mod names {
     pub const SNAPSHOT_VERSION: &str = "satn_snapshot_version";
     /// Connections currently being served (gauge).
     pub const CONNECTIONS_ACTIVE: &str = "satn_connections_active";
-    /// Pool tasks spawned but not yet running (gauge).
-    pub const POOL_QUEUED: &str = "satn_pool_tasks_queued";
-    /// Pool tasks currently running (gauge).
-    pub const POOL_RUNNING: &str = "satn_pool_tasks_running";
     /// Drain wall-clock latency in nanoseconds (histogram; advisory).
     pub const DRAIN_LATENCY: &str = "satn_drain_latency_nanos";
     /// Reshard-handover wall-clock latency in nanoseconds, one sample per
@@ -156,8 +150,6 @@ pub struct EngineMetrics {
     pub wire_frames: [Counter; WIRE_TAG_COUNT],
     /// Wire bytes seen, by frame tag (length prefix included).
     pub wire_bytes: [Counter; WIRE_TAG_COUNT],
-    /// Connection-pool task gauges.
-    pub pool: TaskGauges,
     /// Wall-clock latency of each drain (advisory: never oracle-checked).
     pub drain_latency: AtomicHistogram,
     /// Wall-clock latency of each reshard handover, drain fence excluded
@@ -188,7 +180,6 @@ impl EngineMetrics {
             shard_buffered: (0..shards).map(|_| Gauge::new()).collect(),
             wire_frames: std::array::from_fn(|_| Counter::new()),
             wire_bytes: std::array::from_fn(|_| Counter::new()),
-            pool: TaskGauges::new(),
             drain_latency: AtomicHistogram::new(),
             handover_latency: AtomicHistogram::new(),
         }
@@ -261,7 +252,6 @@ impl EngineMetrics {
                 names::WIRE_REPLY_WRITES.to_owned(),
                 self.wire_reply_writes.get(),
             ),
-            (names::POOL_COMPLETED.to_owned(), self.pool.completed.get()),
         ];
         for (tag, counter) in self.wire_frames.iter().enumerate() {
             counters.push((names::wire_frames(tag), counter.get()));
@@ -283,8 +273,6 @@ impl EngineMetrics {
                 names::CONNECTIONS_ACTIVE.to_owned(),
                 self.connections_active.get(),
             ),
-            (names::POOL_QUEUED.to_owned(), self.pool.queued.get()),
-            (names::POOL_RUNNING.to_owned(), self.pool.running.get()),
         ];
         for (shard, gauge) in self.shard_buffered.iter().enumerate() {
             gauges.push((names::shard_buffered(shard as u32), gauge.get()));

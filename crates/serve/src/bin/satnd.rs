@@ -1,12 +1,12 @@
 //! `satnd` — the network front door of the sharded serving engine.
 //!
 //! Binds a TCP listener, accepts `--connections` clients speaking the
-//! length-prefixed wire protocol (`satn_serve::wire`), forwards every
-//! decoded ingest frame into the engine's bounded ingest channel
-//! (acknowledging each frame only once enqueued, so backpressure reaches
-//! the clients), and drains the
-//! [`ShardedEngine`](satn_serve::ShardedEngine) concurrently on the
-//! `satn-exec` pool. `Lookup` frames never enter the channel: each
+//! length-prefixed wire protocol (`satn_serve::wire`), each on its own
+//! thread, forwards every decoded ingest frame into the engine's bounded
+//! ingest channel (acknowledging each frame only once enqueued, so
+//! backpressure reaches the clients), and drains the
+//! [`ShardedEngine`](satn_serve::ShardedEngine) concurrently on `--threads`
+//! workers. `Lookup` frames never enter the channel: each
 //! connection answers them lock-free from the engine's published snapshots
 //! (the read phase), so read-mostly traffic bypasses the write path
 //! entirely.
@@ -227,13 +227,13 @@ fn main() -> ExitCode {
     let _ = std::io::stdout().flush();
 
     // The registry and tracer outlive the engine's serving thread: the
-    // connection workers answer Stats frames from the registry mid-run, and
+    // connection threads answer Stats frames from the registry mid-run, and
     // the shutdown path dumps and oracle-checks it after the thread joins.
     let metrics = Arc::clone(engine.metrics());
     let tracer = Arc::clone(engine.tracer());
     let (sender, queue) = ingest_channel_with_metrics(capacity, Arc::clone(&metrics));
     // Open the read side before the engine moves to its serving thread:
-    // every connection worker answers Lookup frames lock-free from the
+    // every connection thread answers Lookup frames lock-free from the
     // snapshots the engine publishes at each drain boundary.
     let mut engine = engine;
     let reader = engine.snapshots();
@@ -243,13 +243,7 @@ fn main() -> ExitCode {
     });
 
     let started = Instant::now();
-    let reports = serve_connections(
-        &listener,
-        &sender,
-        Some(&reader),
-        Parallelism::from_thread_count(connections),
-        connections,
-    );
+    let reports = serve_connections(&listener, &sender, Some(&reader), connections);
     drop(sender); // Close the channel so the engine drains and finishes.
     let elapsed = started.elapsed().as_secs_f64();
 

@@ -66,9 +66,9 @@ impl ShardedEngineConfig {
 
     /// Configures a **static** engine from a partition and one pre-built
     /// tree per shard (shard `s`'s tree serves local ids `0..` of
-    /// `partition.owned(s)`). Built this way the engine cannot reshard
-    /// unless a rebuild recipe is supplied via
-    /// [`ShardedEngineConfig::resharding`].
+    /// `partition.owned(s)`, so it needs at least that many nodes). Built
+    /// this way the engine cannot reshard unless a rebuild recipe is
+    /// supplied via [`ShardedEngineConfig::resharding`].
     pub fn from_parts(partition: Partition, trees: Vec<Box<dyn SelfAdjustingTree + Send>>) -> Self {
         ShardedEngineConfig::with_source(Source::Parts { partition, trees })
     }
@@ -118,7 +118,8 @@ impl ShardedEngineConfig {
     /// # Errors
     ///
     /// [`ServeError::InvalidConfig`] for a zero drain threshold, a
-    /// tree/shard count mismatch, or an offline reshard algorithm;
+    /// tree/shard count mismatch, a tree with fewer nodes than its shard
+    /// owns elements, or an offline reshard algorithm;
     /// [`ServeError::Tree`] if a scenario shard's algorithm cannot be
     /// instantiated; [`ServeError::ReshardUnsupported`] for a scenario
     /// pairing a reshard schedule with an offline algorithm.
@@ -225,6 +226,29 @@ mod tests {
             .unwrap_err();
         assert!(matches!(err, ServeError::InvalidConfig(_)));
         assert!(err.to_string().contains("one tree per shard"));
+    }
+
+    #[test]
+    fn undersized_trees_are_invalid_config() {
+        // A shard tree smaller than the shard's owned set would accept
+        // every in-universe submit and fail only at the next drain.
+        let scenario = scenario();
+        let partition = scenario.partition();
+        let mut trees: Vec<_> = scenario
+            .shard_scenarios()
+            .iter()
+            .map(|s| s.instantiate().unwrap())
+            .collect();
+        let small = satn_tree::CompleteTree::with_levels(2).unwrap();
+        assert!((small.num_nodes() as usize) < partition.owned(1).len());
+        trees[1] = Box::new(satn_core::RotorPush::new(satn_tree::Occupancy::identity(
+            small,
+        )));
+        let err = ShardedEngineConfig::from_parts(partition, trees)
+            .build()
+            .unwrap_err();
+        assert!(matches!(err, ServeError::InvalidConfig(_)));
+        assert!(err.to_string().contains("shard 1"), "{err}");
     }
 
     #[test]

@@ -5,7 +5,7 @@ use crate::error::ServeError;
 use crate::ingest::{IngestMessage, IngestQueue};
 use crate::snapshot::{EngineSnapshot, SnapshotHub, SnapshotReader};
 use satn_core::{AlgorithmKind, SelfAdjustingTree};
-use satn_exec::{for_each_ordered, Parallelism};
+use satn_exec::{ordered_map, Parallelism};
 use satn_obs::{EngineMetrics, TraceKind, TraceRing, TraceStamp};
 use satn_sim::{ReshardSchedule, ShardedScenario};
 use satn_tree::{
@@ -59,19 +59,19 @@ enum OnlineSchedule {
 
 /// The sharded serving engine: `S` independent per-shard trees partitioning
 /// the element universe, fed through an epoch-versioned [`Partition`]
-/// router, drained concurrently on the `satn-exec` pool.
+/// router, drained concurrently through [`satn_exec::ordered_map`].
 ///
 /// Requests enter via [`ShardedEngine::submit`] (or a whole
 /// [`IngestQueue`] via [`ShardedEngine::serve_queue`]), are routed to their
 /// owning shard under the **current epoch's** partition and buffered; once
 /// the buffered total reaches the drain threshold, every non-empty shard
 /// batch is served through the allocation-free
-/// [`SelfAdjustingTree::serve_batch`] fast path — one worker per non-empty
-/// shard batch (shards with nothing buffered are not dispatched at all),
-/// results merged back **in ascending shard order** via
-/// [`satn_exec::for_each_ordered`], so per-shard cost totals, the merged
-/// summary, and the per-shard placement [`Fingerprint`]s are identical at
-/// every thread count and every drain cadence.
+/// [`SelfAdjustingTree::serve_batch`] fast path — one work item per
+/// non-empty shard batch (shards with nothing buffered are not dispatched at
+/// all). Once every batch is served, the results are merged **in ascending
+/// shard order**, so per-shard cost totals, the merged summary, and the
+/// per-shard placement [`Fingerprint`]s are identical at every thread count
+/// and every drain cadence.
 ///
 /// ## Resharding
 ///
@@ -148,9 +148,9 @@ impl ShardedEngine {
     /// The non-panicking constructor behind
     /// [`ShardedEngineConfig::from_parts`](crate::ShardedEngineConfig::from_parts):
     /// a **static** engine from a partition and one pre-built tree per shard
-    /// (shard `s`'s tree serves local ids `0..` of `partition.owned(s)`).
-    /// Built this way the engine cannot reshard — arbitrary pre-built trees
-    /// carry no rebuild recipe.
+    /// (shard `s`'s tree serves local ids `0..` of `partition.owned(s)`, so
+    /// it needs at least that many nodes). Built this way the engine cannot
+    /// reshard — arbitrary pre-built trees carry no rebuild recipe.
     pub(crate) fn assemble(
         partition: Partition,
         trees: Vec<Box<dyn SelfAdjustingTree + Send>>,
@@ -162,6 +162,15 @@ impl ShardedEngine {
                 trees.len(),
                 partition.shards()
             )));
+        }
+        for (shard, tree) in (0..).zip(&trees) {
+            let nodes = tree.occupancy().num_elements() as usize;
+            let owned = partition.owned(shard).len();
+            if nodes < owned {
+                return Err(ServeError::InvalidConfig(format!(
+                    "shard {shard}'s tree has {nodes} nodes for {owned} owned elements"
+                )));
+            }
         }
         let shards: Vec<Shard> = trees
             .into_iter()
@@ -449,13 +458,13 @@ impl ShardedEngine {
         Ok(())
     }
 
-    /// Serves every pending per-shard batch concurrently on the pool: one
-    /// worker per non-empty shard batch, each through
-    /// [`SelfAdjustingTree::serve_batch`]; batch summaries are merged back
-    /// in shard order as their prefix completes. Shards with nothing
-    /// buffered are never dispatched (merging their empty summary would be
-    /// the identity), so a drain's work grows with the shards it serves,
-    /// not with the shard count.
+    /// Serves every pending per-shard batch concurrently through
+    /// [`ordered_map`]: one work item per non-empty shard batch, each
+    /// through [`SelfAdjustingTree::serve_batch`]; once all are served, the
+    /// batch summaries are merged in ascending shard order. Shards with
+    /// nothing buffered are never dispatched (merging their empty summary
+    /// would be the identity), so a drain's work grows with the shards it
+    /// serves, not with the shard count.
     ///
     /// # Errors
     ///
@@ -473,7 +482,7 @@ impl ShardedEngine {
         // The drain's summed delta reaches the registry only after the
         // publication below.
         let mut drained = CostSummary::new();
-        // One worker per non-empty shard batch, listed in ascending shard
+        // One work item per non-empty shard batch, listed in ascending shard
         // order; summaries merge in that order (every shard's served prefix
         // is accounted, failed or not), and the error reported is the
         // lowest-indexed failing shard's, independent of completion order.
@@ -484,27 +493,23 @@ impl ShardedEngine {
             .filter(|(_, shard)| !shard.pending.is_empty())
             .map(|(index, shard)| (index as u32, shard))
             .collect();
+        let outcomes = ordered_map(&mut batches, self.parallelism, |(index, shard)| {
+            let mut delta = CostSummary::new();
+            let outcome = shard.tree.serve_batch(&shard.pending, &mut delta);
+            shard.pending.clear();
+            shard.changed = true;
+            (*index, delta, outcome)
+        });
         let mut failure = None;
-        for_each_ordered(
-            &mut batches,
-            self.parallelism,
-            |_, (index, shard)| {
-                let mut delta = CostSummary::new();
-                let outcome = shard.tree.serve_batch(&shard.pending, &mut delta);
-                shard.pending.clear();
-                shard.changed = true;
-                (*index, delta, outcome)
-            },
-            |_, (index, delta, outcome)| {
-                drained.merge(&delta);
-                self.accounting.merge_into_shard(index, &delta);
-                // The batch was consumed (cleared even on failure).
-                self.metrics.shard_buffered[index as usize].set(0);
-                if let (Err(error), None) = (outcome, failure.as_ref()) {
-                    failure = Some((index, error));
-                }
-            },
-        );
+        for (index, delta, outcome) in outcomes {
+            drained.merge(&delta);
+            self.accounting.merge_into_shard(index, &delta);
+            // The batch was consumed (cleared even on failure).
+            self.metrics.shard_buffered[index as usize].set(0);
+            if let Err(error) = outcome {
+                failure.get_or_insert((index, error));
+            }
+        }
         // A failed drain is still a counted drain — so the registry records
         // the drain before the error propagates, keeping it equal to the
         // ledger.
@@ -972,6 +977,122 @@ mod tests {
         assert_eq!(report.merged, recombined);
         assert_eq!(report.merged, merged);
         assert_eq!(report.merged.requests(), 3_000);
+    }
+
+    /// A real shard tree that fails on one poisoned local element. Before
+    /// failing it waits on `gate` and then sends on `signal`, so a test can
+    /// order the failures of shards served by different workers.
+    struct Poisoned {
+        inner: Box<dyn SelfAdjustingTree + Send>,
+        poison: ElementId,
+        gate: Option<std::sync::mpsc::Receiver<()>>,
+        signal: Option<std::sync::mpsc::Sender<()>>,
+    }
+
+    impl SelfAdjustingTree for Poisoned {
+        fn name(&self) -> &'static str {
+            "poisoned"
+        }
+
+        fn occupancy(&self) -> &Occupancy {
+            self.inner.occupancy()
+        }
+
+        fn serve(
+            &mut self,
+            element: ElementId,
+        ) -> Result<satn_tree::ServeCost, satn_tree::TreeError> {
+            if element == self.poison {
+                if let Some(gate) = &self.gate {
+                    gate.recv().expect("the signalling shard is still alive");
+                }
+                if let Some(signal) = &self.signal {
+                    signal.send(()).expect("the gated shard is still alive");
+                }
+                return Err(satn_tree::TreeError::ElementOutOfRange {
+                    element,
+                    num_elements: 0,
+                });
+            }
+            self.inner.serve(element)
+        }
+    }
+
+    #[test]
+    fn failed_drains_account_every_served_prefix_and_report_the_lowest_shard() {
+        let sharded = scenario(AlgorithmKind::RotorPush, ShardRouter::Range);
+        let partition = sharded.partition();
+        let mut batches = vec![Vec::new(); 4];
+        for element in sharded.stream() {
+            let (shard, local) = partition.localize(element).unwrap();
+            batches[shard as usize].push(local);
+        }
+        assert!(batches.iter().all(|batch| !batch.is_empty()));
+        // Shards 1 and 3 fail midway through their batch; at every worker
+        // count the ledger must hold exactly what each tree served before
+        // its failure.
+        let midway = |batch: &Vec<ElementId>| Some(batch[batch.len() / 2]);
+        let poisons = [None, midway(&batches[1]), None, midway(&batches[3])];
+        let expected: Vec<CostSummary> = sharded
+            .shard_scenarios()
+            .iter()
+            .zip(&batches)
+            .zip(poisons)
+            .map(|((reference, batch), poison)| {
+                let served = poison.map_or(batch.len(), |poison| {
+                    batch.iter().position(|&local| local == poison).unwrap()
+                });
+                let mut tree = reference.instantiate().unwrap();
+                tree.serve_sequence(&batch[..served]).unwrap()
+            })
+            .collect();
+        assert!(expected[1].requests() < batches[1].len() as u64);
+        assert!(expected[3].requests() < batches[3].len() as u64);
+
+        for parallelism in [
+            Parallelism::Serial,
+            Parallelism::Threads(2),
+            Parallelism::Threads(4),
+        ] {
+            // With two or more workers, shard 1 fails only after shard 3
+            // has, so a merge in completion order would report shard 3.
+            // One worker serves shard 1 first and must not wait.
+            let (signal, gate) = std::sync::mpsc::channel();
+            let parallel = parallelism != Parallelism::Serial;
+            let (mut signal, mut gate) = (parallel.then_some(signal), parallel.then_some(gate));
+            let mut trees: Vec<Box<dyn SelfAdjustingTree + Send>> = Vec::new();
+            for (shard, (reference, poison)) in
+                sharded.shard_scenarios().iter().zip(poisons).enumerate()
+            {
+                let inner = reference.instantiate().unwrap();
+                trees.push(match poison {
+                    Some(poison) => Box::new(Poisoned {
+                        inner,
+                        poison,
+                        gate: if shard == 1 { gate.take() } else { None },
+                        signal: if shard == 3 { signal.take() } else { None },
+                    }),
+                    None => inner,
+                });
+            }
+            let mut engine = ShardedEngineConfig::from_parts(partition.clone(), trees)
+                .parallelism(parallelism)
+                .drain_threshold(1_000_000)
+                .build()
+                .unwrap();
+            for element in sharded.stream() {
+                engine.submit(element).unwrap();
+            }
+            let err = engine.drain().unwrap_err();
+            assert!(
+                matches!(err, ServeError::Tree { shard: 1, .. }),
+                "{parallelism:?}: {err}"
+            );
+            assert_eq!(engine.accounting().per_shard(), expected, "{parallelism:?}");
+            for (shard, gauge) in engine.metrics().shard_buffered.iter().enumerate() {
+                assert_eq!(gauge.get(), 0, "{parallelism:?}: shard {shard} gauge");
+            }
+        }
     }
 
     #[test]

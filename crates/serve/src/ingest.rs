@@ -20,7 +20,7 @@
 //! or over a wire.
 
 use crate::error::ServeError;
-use crate::snapshot::{LookupAnswer, SnapshotReader};
+use crate::snapshot::LookupAnswer;
 use satn_obs::{EngineMetrics, MetricsSnapshot};
 use satn_tree::ElementId;
 use satn_workloads::shard::ReshardPlan;
@@ -92,9 +92,9 @@ pub trait Ingest {
     /// Looks up an element's current placement — the **read phase** of the
     /// protocol. Lookups never enter the write path: they are answered from
     /// the engine's most recently published snapshot (in-process via a
-    /// [`SnapshotReader`], over the network via a `Lookup`/`Found` frame
-    /// exchange), so they neither mutate the trees nor contend with the
-    /// shard drain path.
+    /// [`SnapshotReader`](crate::SnapshotReader), over the network via a
+    /// `Lookup`/`Found` frame exchange), so they neither mutate the trees
+    /// nor contend with the shard drain path.
     ///
     /// # Errors
     ///
@@ -150,26 +150,16 @@ pub fn replay<I: Ingest + ?Sized>(
 /// The in-process producer half: cloneable, blocking on a full queue
 /// (backpressure).
 ///
-/// A plain sender carries only the write verbs; attach a
-/// [`SnapshotReader`] with [`IngestSender::with_snapshots`] to serve
-/// [`Ingest::lookup`] as well (each clone of the sender gets its own
-/// independently cached read handle).
+/// The sender carries only the write verbs and [`Ingest::stats`]: its
+/// [`Ingest::lookup`] answers [`ServeError::LookupUnsupported`]. In-process
+/// readers use a [`SnapshotReader`](crate::SnapshotReader) directly.
 #[derive(Debug, Clone)]
 pub struct IngestSender {
     inner: mpsc::SyncSender<IngestMessage>,
-    snapshots: Option<SnapshotReader>,
     metrics: Option<Arc<EngineMetrics>>,
 }
 
 impl IngestSender {
-    /// Attaches the read side: lookups on the returned sender are answered
-    /// lock-free from the engine's published snapshots.
-    #[must_use]
-    pub fn with_snapshots(mut self, reader: SnapshotReader) -> Self {
-        self.snapshots = Some(reader);
-        self
-    }
-
     /// The attached metrics registry, if the channel was built with
     /// [`ingest_channel_with_metrics`]. The network layer uses this to reach
     /// the engine's registry through the sender it already holds.
@@ -237,24 +227,6 @@ impl IngestSender {
         self.send_message(IngestMessage::Reshard(plan))
     }
 
-    /// Answers a lookup from the attached [`SnapshotReader`] — never touches
-    /// the queue, never blocks on the engine.
-    ///
-    /// # Errors
-    ///
-    /// [`ServeError::LookupUnsupported`] without an attached reader,
-    /// [`ServeError::OutOfUniverse`] for an unknown element.
-    pub fn lookup(&mut self, element: ElementId) -> Result<LookupAnswer, ServeError> {
-        let reader = self
-            .snapshots
-            .as_mut()
-            .ok_or(ServeError::LookupUnsupported)?;
-        let universe = reader.snapshot().partition().universe();
-        reader
-            .lookup(element)
-            .ok_or(ServeError::OutOfUniverse { element, universe })
-    }
-
     /// Freezes the attached metrics registry into a snapshot — never touches
     /// the queue, never blocks on the engine.
     ///
@@ -286,8 +258,8 @@ impl Ingest for IngestSender {
         IngestSender::reshard(self, plan.clone())
     }
 
-    fn lookup(&mut self, element: ElementId) -> Result<LookupAnswer, ServeError> {
-        IngestSender::lookup(self, element)
+    fn lookup(&mut self, _element: ElementId) -> Result<LookupAnswer, ServeError> {
+        Err(ServeError::LookupUnsupported)
     }
 
     fn stats(&mut self) -> Result<MetricsSnapshot, ServeError> {
@@ -353,7 +325,6 @@ fn build_channel(
     (
         IngestSender {
             inner: sender,
-            snapshots: None,
             metrics: metrics.clone(),
         },
         IngestQueue {

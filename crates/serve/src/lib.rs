@@ -23,8 +23,8 @@
 //!   universe via an **epoch-versioned** [`Partition`]
 //!   ([`EpochedPartition`] log) built from a pluggable [`ShardRouter`]
 //!   policy; requests buffer per shard and drain concurrently through the
-//!   allocation-free `serve_batch` fast path, one `satn-exec` worker per
-//!   shard batch,
+//!   allocation-free `serve_batch` fast path, one `satn-exec` work item
+//!   per shard batch,
 //! * [`ShardedEngine::reshard`] — the deterministic handover: **drain
 //!   fence** (buffered batches served under the closing epoch, boundary
 //!   fingerprints recorded) → **migrate** (moved elements deleted from
@@ -153,14 +153,14 @@ fn _assert_parallel_safe() {
     assert_send::<TcpIngest>();
     assert_send::<ConnectionReport>();
     assert_send::<Frame>();
-    // Readers are cloned across connection workers; snapshots are shared
+    // Readers are cloned across connection threads; snapshots are shared
     // behind `Arc` by arbitrarily many reader threads.
     fn assert_send_sync<T: Send + Sync + 'static>() {}
     assert_send::<SnapshotReader>();
     assert_send_sync::<EngineSnapshot>();
     assert_send_sync::<LookupAnswer>();
     // The registry and tracer are shared by the engine thread, every
-    // connection worker, and any number of stats pollers at once.
+    // connection thread, and any number of stats pollers at once.
     assert_send_sync::<EngineMetrics>();
     assert_send_sync::<TraceRing>();
     assert_send_sync::<MetricsSnapshot>();

@@ -5,7 +5,7 @@
 //! ```text
 //!  client                         server (satnd)
 //!  ───────                        ──────────────────────────────────────
-//!  TcpIngest ── frames ──▶ accept loop (task_scope worker per connection)
+//!  TcpIngest ── frames ──▶ accept loop (one scoped thread per connection)
 //!      ▲                        │ decode, forward
 //!      └────── Ack{seq} ────────┤
 //!                               ▼ bounded channel (backpressure)
@@ -40,14 +40,14 @@
 //!
 //! **Failure isolation:** a malformed frame or I/O error closes only its
 //! own connection (reported per connection in [`ConnectionReport`]); the
-//! engine and the other connections keep running. A panicking worker
-//! poisons nothing that matters: the report mutex recovers via
+//! engine and the other connections keep running. A panicking connection
+//! thread poisons nothing that matters: the report mutex recovers via
 //! [`PoisonError::into_inner`], so the accept loop and the remaining
 //! connections carry on.
 //!
 //! **The read path:** a `Lookup` frame never enters the channel above.
 //! When the accept loop is given a [`SnapshotReader`], each connection
-//! worker answers lookups directly from the engine's published snapshot —
+//! thread answers lookups directly from the engine's published snapshot —
 //! lock-free, off the write path — and replies with a `Found` frame.
 //! Lookups carry no sequence number and consume no window slot; the
 //! `Found` reply is their acknowledgement. The engine adds to its served
@@ -59,7 +59,6 @@ use crate::error::ServeError;
 use crate::ingest::{Ingest, IngestMessage, IngestSender};
 use crate::snapshot::{LookupAnswer, SnapshotReader};
 use crate::wire::{encode_frame, read_frame, write_frame, Frame, WireError, MAX_BURST_ELEMENTS};
-use satn_exec::{task_scope, Parallelism};
 use satn_obs::{EngineMetrics, MetricsSnapshot};
 use satn_tree::ElementId;
 use satn_workloads::shard::ReshardPlan;
@@ -434,7 +433,7 @@ fn write_replies(
 }
 
 /// Appends one report, recovering the vector from a poisoned lock: a
-/// panicking connection worker must not take the whole accept loop (and
+/// panicking connection thread must not take the whole accept loop (and
 /// every other connection's report) down with it — per-connection failure
 /// isolation extends to panics.
 fn record_report(reports: &Mutex<Vec<ConnectionReport>>, report: ConnectionReport) {
@@ -445,19 +444,21 @@ fn record_report(reports: &Mutex<Vec<ConnectionReport>>, report: ConnectionRepor
 }
 
 /// The server-side accept loop: accepts exactly `connections` connections
-/// from `listener` and serves each on the scoped [`task_scope`]
-/// pool with up to `parallelism` concurrent connection workers (feeding the
-/// engine's pool gauges when the sender carries a registry), forwarding every
-/// decoded ingest frame into `sender`'s bounded channel. When `reads` is
-/// given, each worker gets its own clone of the [`SnapshotReader`] and
-/// answers `Lookup` frames lock-free from the engine's published snapshot;
-/// without it, a lookup closes its connection with
+/// from `listener` and serves each on its own scoped thread, spawned as the
+/// connection is accepted, forwarding every decoded ingest frame into
+/// `sender`'s bounded channel. Every accepted connection is served at once,
+/// so an idle client never stalls another. When `reads` is given, each
+/// connection gets its own clone of the [`SnapshotReader`] and answers
+/// `Lookup` frames lock-free from the engine's published snapshot; without
+/// it, a lookup closes its connection with
 /// [`ServeError::LookupUnsupported`]. Returns one [`ConnectionReport`] per
-/// connection, in accept order.
+/// connection, in accept order, once every connection has closed.
 ///
-/// Per-connection failures (malformed frames, vanished clients, even a
-/// panicking worker) are **contained**: they appear in that connection's
-/// report while every other connection and the engine keep running. Only
+/// Per-connection failures (malformed frames, vanished clients) are
+/// **contained**: they appear in that connection's report while every
+/// other connection and the engine keep running. A panicking connection
+/// thread cannot poison the other reports (the report lock recovers); its
+/// panic propagates once every connection thread has been joined. Only
 /// listener-level failures — `accept` itself erroring — abort the loop.
 ///
 /// # Errors
@@ -469,29 +470,26 @@ pub fn serve_connections(
     listener: &TcpListener,
     sender: &IngestSender,
     reads: Option<&SnapshotReader>,
-    parallelism: Parallelism,
     connections: usize,
 ) -> Result<Vec<ConnectionReport>, ServeError> {
     let reports: Mutex<Vec<ConnectionReport>> = Mutex::new(Vec::with_capacity(connections));
     let metrics = sender.metrics();
-    let pool = metrics.map(|metrics| &metrics.pool);
-    task_scope(parallelism, pool, |scope| -> Result<(), ServeError> {
+    std::thread::scope(|scope| -> Result<(), ServeError> {
         for connection in 0..connections as u64 {
             let (stream, _peer) = listener.accept()?;
             if let Some(metrics) = metrics {
                 metrics.connections_total.inc();
             }
-            let sender = sender.clone();
-            // Each worker reads through its own independently cached handle.
+            // Each connection reads through its own independently cached
+            // handle.
             let reads = reads.cloned();
             let reports = &reports;
             scope.spawn(move || {
-                let metrics = sender.metrics().cloned();
-                if let Some(metrics) = &metrics {
+                if let Some(metrics) = metrics {
                     metrics.connections_active.inc();
                 }
-                let (frames, lookups, error) = serve_connection(&stream, &sender, reads);
-                if let Some(metrics) = &metrics {
+                let (frames, lookups, error) = serve_connection(&stream, sender, reads);
+                if let Some(metrics) = metrics {
                     metrics.connections_active.dec();
                 }
                 record_report(
@@ -528,9 +526,8 @@ mod tests {
     fn frames_cross_the_wire_in_order() {
         let (listener, addr) = loopback_listener();
         let (sender, queue) = ingest_channel(64);
-        let server = std::thread::spawn(move || {
-            serve_connections(&listener, &sender, None, Parallelism::Serial, 1).unwrap()
-        });
+        let server =
+            std::thread::spawn(move || serve_connections(&listener, &sender, None, 1).unwrap());
         let mut client = TcpIngest::connect(addr).unwrap();
         client.send(ElementId::new(5)).unwrap();
         client
@@ -575,9 +572,8 @@ mod tests {
         // after `drain_acks` returns it without any waiting.
         let (listener, addr) = loopback_listener();
         let (sender, queue) = ingest_channel(1);
-        let server = std::thread::spawn(move || {
-            serve_connections(&listener, &sender, None, Parallelism::Serial, 1).unwrap()
-        });
+        let server =
+            std::thread::spawn(move || serve_connections(&listener, &sender, None, 1).unwrap());
         let mut client = TcpIngest::connect(addr).unwrap().with_window(1);
         client.send(ElementId::new(0)).unwrap();
         assert_eq!(client.drain_acks().unwrap(), 1);
@@ -608,9 +604,8 @@ mod tests {
     fn lookups_without_a_server_side_reader_close_only_that_connection() {
         let (listener, addr) = loopback_listener();
         let (sender, queue) = ingest_channel(16);
-        let server = std::thread::spawn(move || {
-            serve_connections(&listener, &sender, None, Parallelism::Serial, 2).unwrap()
-        });
+        let server =
+            std::thread::spawn(move || serve_connections(&listener, &sender, None, 2).unwrap());
         // Connection 0 issues a lookup the server cannot serve: the server
         // closes it, surfacing the failure client-side too.
         let mut reading = TcpIngest::connect(addr).unwrap();
@@ -627,6 +622,43 @@ mod tests {
         ));
         assert!(reports[1].is_clean(), "{:?}", reports[1].error);
         drop(queue);
+    }
+
+    #[test]
+    fn an_idle_connection_never_stalls_another() {
+        use std::sync::mpsc;
+        use std::time::Duration;
+
+        let (listener, addr) = loopback_listener();
+        let (sender, queue) = ingest_channel(16);
+        let server =
+            std::thread::spawn(move || serve_connections(&listener, &sender, None, 2).unwrap());
+        let drainer = std::thread::spawn(move || while queue.recv().is_some() {});
+        // Connection 0 connects and sends nothing.
+        let idle = TcpIngest::connect(addr).unwrap();
+        // Connection 1 runs to completion while connection 0 is still open.
+        let (done, finished) = mpsc::channel();
+        let busy = std::thread::spawn(move || {
+            let mut client = TcpIngest::connect(addr).unwrap();
+            client
+                .send_burst(&[ElementId::new(1), ElementId::new(2)])
+                .unwrap();
+            done.send(client.finish().unwrap()).unwrap();
+        });
+        let acked = finished
+            .recv_timeout(Duration::from_secs(10))
+            .expect("connection 1 stalled behind idle connection 0");
+        assert_eq!(acked, 1);
+        busy.join().unwrap();
+        assert_eq!(idle.finish().unwrap(), 0);
+        let reports = server.join().unwrap();
+        assert_eq!(reports.len(), 2);
+        assert_eq!((reports[0].frames, reports[1].frames), (0, 1));
+        assert!(
+            reports.iter().all(ConnectionReport::is_clean),
+            "{reports:?}"
+        );
+        drainer.join().unwrap();
     }
 
     #[test]
@@ -675,9 +707,8 @@ mod tests {
         let (listener, addr) = loopback_listener();
         let metrics = Arc::new(EngineMetrics::new(2));
         let (sender, queue) = ingest_channel_with_metrics(16, Arc::clone(&metrics));
-        let server = std::thread::spawn(move || {
-            serve_connections(&listener, &sender, None, Parallelism::Serial, 1).unwrap()
-        });
+        let server =
+            std::thread::spawn(move || serve_connections(&listener, &sender, None, 1).unwrap());
         let drainer = std::thread::spawn(move || while queue.recv().is_some() {});
         let mut client = TcpIngest::connect(addr).unwrap();
         client.send(ElementId::new(5)).unwrap();
@@ -706,9 +737,8 @@ mod tests {
         // exercising the windowed path as well as the chunking itself.
         let (listener, addr) = loopback_listener();
         let (sender, queue) = ingest_channel(64);
-        let server = std::thread::spawn(move || {
-            serve_connections(&listener, &sender, None, Parallelism::Serial, 1).unwrap()
-        });
+        let server =
+            std::thread::spawn(move || serve_connections(&listener, &sender, None, 1).unwrap());
         let burst: Vec<ElementId> = (0..2 * MAX_BURST_ELEMENTS as u32 + 3)
             .map(ElementId::new)
             .collect();

@@ -62,9 +62,8 @@ fn run_over_tcp(scenario: &ShardedScenario, parallelism: Parallelism) -> EngineR
     let listener = TcpListener::bind((Ipv4Addr::LOCALHOST, 0)).unwrap();
     let addr = listener.local_addr().unwrap();
     let (sender, queue) = ingest_channel(16);
-    let server = std::thread::spawn(move || {
-        serve_connections(&listener, &sender, None, Parallelism::Serial, 1).unwrap()
-    });
+    let server =
+        std::thread::spawn(move || serve_connections(&listener, &sender, None, 1).unwrap());
     let requests: Vec<ElementId> = scenario.stream().collect();
     let client = std::thread::spawn(move || {
         let mut client = TcpIngest::connect(addr).unwrap();

@@ -54,9 +54,8 @@ fn single_connection_server(
     std::thread::JoinHandle<Vec<satn_serve::ConnectionReport>>,
 ) {
     let (sender, queue) = ingest_channel(capacity);
-    let server = std::thread::spawn(move || {
-        serve_connections(&listener, &sender, None, Parallelism::Serial, 1).unwrap()
-    });
+    let server =
+        std::thread::spawn(move || serve_connections(&listener, &sender, None, 1).unwrap());
     (queue, server)
 }
 
@@ -170,9 +169,8 @@ fn zero_length_bursts_are_acknowledged_noops() {
     let requests: Vec<ElementId> = scenario.stream().collect();
     let (listener, addr) = loopback();
     let (sender, queue) = ingest_channel(8);
-    let server = std::thread::spawn(move || {
-        serve_connections(&listener, &sender, None, Parallelism::Serial, 1).unwrap()
-    });
+    let server =
+        std::thread::spawn(move || serve_connections(&listener, &sender, None, 1).unwrap());
     let mut engine = engine(&scenario, Parallelism::Serial);
     let engine_thread = std::thread::spawn(move || {
         engine.serve_queue(&queue).unwrap();
@@ -204,9 +202,8 @@ fn reshard_frames_interleave_with_flushes_over_the_wire() {
 
     let (listener, addr) = loopback();
     let (sender, queue) = ingest_channel(4);
-    let server = std::thread::spawn(move || {
-        serve_connections(&listener, &sender, None, Parallelism::Serial, 1).unwrap()
-    });
+    let server =
+        std::thread::spawn(move || serve_connections(&listener, &sender, None, 1).unwrap());
     let mut engine = engine(&scenario, Parallelism::Threads(2));
     let engine_thread = std::thread::spawn(move || {
         engine.serve_queue(&queue).unwrap();
@@ -277,9 +274,8 @@ fn byte_at_a_time_clients_are_served_normally() {
 fn failures_are_isolated_per_connection() {
     let (listener, addr) = loopback();
     let (sender, queue) = ingest_channel(64);
-    let server = std::thread::spawn(move || {
-        serve_connections(&listener, &sender, None, Parallelism::Threads(3), 3).unwrap()
-    });
+    let server =
+        std::thread::spawn(move || serve_connections(&listener, &sender, None, 3).unwrap());
     let drainer = drain_in_background(queue);
 
     let clean = |offset: u32| {
@@ -351,7 +347,7 @@ fn lookups_are_served_end_to_end_from_published_snapshots() {
         .unwrap();
     let reader = engine.snapshots();
     let server = std::thread::spawn(move || {
-        serve_connections(&listener, &sender, Some(&reader), Parallelism::Serial, 1).unwrap()
+        serve_connections(&listener, &sender, Some(&reader), 1).unwrap()
     });
     let engine_thread = std::thread::spawn(move || {
         engine.serve_queue(&queue).unwrap();
@@ -439,7 +435,7 @@ fn metered_lookup_server(
     let (sender, queue) = ingest_channel_with_metrics(8, Arc::clone(&metrics));
     let reader = engine.snapshots();
     let server = std::thread::spawn(move || {
-        serve_connections(&listener, &sender, Some(&reader), Parallelism::Serial, 1).unwrap()
+        serve_connections(&listener, &sender, Some(&reader), 1).unwrap()
     });
     let engine_thread = std::thread::spawn(move || {
         engine.serve_queue(&queue).unwrap();

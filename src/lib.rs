@@ -19,7 +19,7 @@
 //! | [`analysis`] | `satn-analysis` | working-set bounds, MRU reference, credit audits, Lemma 8 adversary |
 //! | [`network`] | `satn-network` | multi-source datacenter networks composed of per-source ego-trees |
 //! | [`sim`] | `satn-sim` | scenario-simulation engine: declarative grids, batched serving, invariant hooks, replay |
-//! | [`exec`] | `satn-exec` | deterministic parallel execution layer: scoped worker pool, order-preserving fan-out |
+//! | [`exec`] | `satn-exec` | deterministic parallel execution layer: one scoped fan-out with an order-preserving merge |
 //! | [`serve`] | `satn-serve` | sharded multi-tree serving engine: transport-agnostic ingestion, wire protocol + `satnd` TCP front door, lock-free snapshot reads, replay fingerprints |
 //! | [`obs`] | `satn-obs` | lock-free runtime metrics (atomic counters/gauges/histograms), deterministic handover tracing, wire-pollable snapshots |
 //!
@@ -68,7 +68,7 @@ pub use satn_core::{
     AlgorithmKind, MaxPush, MoveHalf, MoveToFront, RandomPush, RotorPush, SelfAdjustingTree,
     StaticOblivious, StaticOpt,
 };
-pub use satn_exec::{for_each_ordered, ordered_map, Parallelism};
+pub use satn_exec::{ordered_map, Parallelism};
 pub use satn_network::{Host, HostPair, SelfAdjustingNetwork};
 pub use satn_obs::{EngineMetrics, LatencyHistogram, MetricsSnapshot, TraceRing};
 pub use satn_rotor::{RotorState, RotorWalk};
