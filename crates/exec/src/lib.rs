@@ -196,29 +196,15 @@ mod tests {
     fn preserves_input_order_at_every_parallelism() {
         let items: Vec<u64> = (0..257).collect();
         let expected: Vec<u64> = items.iter().map(|&n| n.wrapping_mul(31) ^ 7).collect();
-        let mut cells: Vec<u64> = (0..137).collect();
-        for (pass, parallelism) in [
+        for parallelism in [
             Parallelism::Serial,
             Parallelism::Threads(2),
             Parallelism::Threads(5),
             Parallelism::Auto,
-        ]
-        .into_iter()
-        .enumerate()
-        {
+        ] {
             let got = ordered_map(&items, parallelism, |&n| n.wrapping_mul(31) ^ 7);
             assert_eq!(got, expected, "{parallelism:?}");
-            // Exclusive `&mut` items: results in input order, and every
-            // item mutated exactly once per pass.
-            let got = ordered_map(&mut cells, parallelism, |cell| {
-                *cell += 1;
-                *cell * 3
-            });
-            let offset = pass as u64 + 1;
-            let expected: Vec<u64> = (0..137).map(|n| (n + offset) * 3).collect();
-            assert_eq!(got, expected, "&mut at {parallelism:?}");
         }
-        assert_eq!(cells, (4..141).collect::<Vec<u64>>());
 
         // Item 0 finishes only after item 1 has: results come back in input
         // order, not completion order.
@@ -242,15 +228,6 @@ mod tests {
             ordered_map(&[9u32], Parallelism::Threads(8), |&n| n + 1),
             [10]
         );
-        let mut empty: Vec<u8> = Vec::new();
-        let none: Vec<u8> = ordered_map(&mut empty, Parallelism::Auto, |_| unreachable!());
-        assert!(none.is_empty());
-        let mut one = vec![41u8];
-        let got = ordered_map(&mut one, Parallelism::Threads(8), |n| {
-            *n += 1;
-            *n
-        });
-        assert_eq!((got, one), (vec![42], vec![42]));
     }
 
     #[test]
@@ -287,6 +264,49 @@ mod tests {
             })
         });
         assert!(result.is_err());
+    }
+
+    // The next four tests map over exclusive `&mut` items, the shape
+    // `ShardedEngine::drain` hands the pool (one shard per item).
+
+    #[test]
+    fn for_each_ordered_streams_prefixes_in_input_order() {
+        let mut items: Vec<u64> = (0..137).collect();
+        for (pass, parallelism) in [
+            Parallelism::Serial,
+            Parallelism::Threads(2),
+            Parallelism::Threads(7),
+            Parallelism::Auto,
+        ]
+        .into_iter()
+        .enumerate()
+        {
+            let got = ordered_map(
+                items.iter_mut().enumerate(),
+                parallelism,
+                |(index, item)| {
+                    *item += 1;
+                    (index, *item)
+                },
+            );
+            let offset = pass as u64 + 1;
+            let expected: Vec<(usize, u64)> = (0..137).map(|n| (n, n as u64 + offset)).collect();
+            assert_eq!(got, expected, "{parallelism:?}");
+        }
+        // The mutations applied by all four passes accumulated determinately.
+        assert_eq!(items, (4..141).collect::<Vec<u64>>());
+    }
+
+    #[test]
+    fn for_each_ordered_mutates_items_exactly_once() {
+        let mut items = vec![0u32; 513];
+        let got = ordered_map(&mut items, Parallelism::Threads(4), |item| *item += 1);
+        assert_eq!(got.len(), 513);
+        assert!(items.iter().all(|&n| n == 1));
+    }
+
+    #[test]
+    fn for_each_ordered_worker_panics_propagate() {
         let mut items: Vec<i32> = (0..32).collect();
         let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
             ordered_map(&mut items, Parallelism::Threads(3), |n| {
@@ -295,6 +315,19 @@ mod tests {
             })
         }));
         assert!(result.is_err());
+    }
+
+    #[test]
+    fn for_each_ordered_handles_empty_and_singleton() {
+        let mut empty: Vec<u8> = Vec::new();
+        let none: Vec<u8> = ordered_map(&mut empty, Parallelism::Auto, |_| unreachable!());
+        assert!(none.is_empty());
+        let mut one = vec![41u8];
+        let got = ordered_map(&mut one, Parallelism::Threads(8), |n| {
+            *n += 1;
+            *n
+        });
+        assert_eq!((got, one), (vec![42], vec![42]));
     }
 
     #[test]
