@@ -136,9 +136,9 @@ impl SelfAdjustingTree for MaxPush {
     }
 
     /// The batched fast path: same victim selection and exchange sequence as
-    /// [`MaxPush::serve`], but with the reusable victim scratch buffer and
-    /// the unchecked exchange helper instead of a fresh [`MarkedRound`]
-    /// bitmap and path vectors per request. Max-Push is not restricted to
+    /// [`MaxPush::serve`], but each exchange is one unchecked two-node write
+    /// (reporting the `2·dist − 1` adjacent swaps it stands for) instead of
+    /// a swap chain inside a [`MarkedRound`]. Max-Push is not restricted to
     /// marked swaps in the paper's model, so skipping the marking discipline
     /// changes nothing; the differential tests assert per-request
     /// equivalence with [`MaxPush::serve`].

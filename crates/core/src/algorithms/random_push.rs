@@ -1,12 +1,14 @@
 //! **Random-Push** — the randomized algorithm of Avin et al. (LATIN 2020),
 //! re-analysed in Section 5 of the paper (16-competitive in expectation).
 
-use crate::pushdown::augmented_push_down;
+use crate::pushdown::{augmented_push_down, serve_push_batch};
 use crate::traits::SelfAdjustingTree;
 use crate::warm::WarmState;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use satn_tree::{ElementId, MarkedRound, NodeId, Occupancy, ServeCost, TreeError};
+use satn_tree::{
+    CostSummary, ElementId, MarkScratch, MarkedRound, NodeId, Occupancy, ServeCost, TreeError,
+};
 use std::any::Any;
 
 /// The randomized Random-Push algorithm.
@@ -24,16 +26,16 @@ use std::any::Any;
 pub struct RandomPush<R = StdRng> {
     occupancy: Occupancy,
     rng: R,
+    /// Reused marking buffer: `serve` opens its [`MarkedRound`] through this
+    /// scratch so the steady-state request path performs no heap allocation.
+    scratch: MarkScratch,
 }
 
 impl RandomPush<StdRng> {
     /// Creates a Random-Push network with a seeded default generator, making
     /// runs reproducible.
     pub fn with_seed(occupancy: Occupancy, seed: u64) -> Self {
-        RandomPush {
-            occupancy,
-            rng: StdRng::seed_from_u64(seed),
-        }
+        RandomPush::with_rng(occupancy, StdRng::seed_from_u64(seed))
     }
 }
 
@@ -41,7 +43,11 @@ impl<R: Rng> RandomPush<R> {
     /// Creates a Random-Push network using the supplied random number
     /// generator.
     pub fn with_rng(occupancy: Occupancy, rng: R) -> Self {
-        RandomPush { occupancy, rng }
+        RandomPush {
+            occupancy,
+            rng,
+            scratch: MarkScratch::new(),
+        }
     }
 }
 
@@ -58,13 +64,30 @@ impl<R: Rng + 'static> SelfAdjustingTree for RandomPush<R> {
         self.occupancy.check_element(element)?;
         let u = self.occupancy.node_of(element);
         let level = u.level();
-        let mut round = MarkedRound::access(&mut self.occupancy, element)?;
+        let mut round =
+            MarkedRound::access_reusing(&mut self.occupancy, element, &mut self.scratch)?;
         if level > 0 {
-            let offset = self.rng.gen_range(0..(1u32 << level));
-            let v = NodeId::from_level_offset(level, offset);
+            let v = random_level_node(&mut self.rng, level);
             augmented_push_down(&mut round, u, v)?;
         }
         Ok(round.finish())
+    }
+
+    /// The allocation-free batched fast path: draws `v` exactly as
+    /// [`RandomPush::serve`] does (one draw per request above the root, so
+    /// the generator stream is unchanged), writes the push-down as
+    /// Definition 1's cycle ([`Occupancy::push_down_unchecked`]) and records
+    /// the swap count Lemma 1 prices it at. The differential tests assert
+    /// per-request equivalence with [`RandomPush::serve`].
+    fn serve_batch(
+        &mut self,
+        requests: &[ElementId],
+        summary: &mut CostSummary,
+    ) -> Result<(), TreeError> {
+        let rng = &mut self.rng;
+        serve_push_batch(&mut self.occupancy, requests, summary, |level| {
+            random_level_node(rng, level)
+        })
     }
 
     /// Exports the generator position when the instance runs on the standard
@@ -76,6 +99,12 @@ impl<R: Rng + 'static> SelfAdjustingTree for RandomPush<R> {
             ..WarmState::default()
         }
     }
+}
+
+/// Draws the push-down target: a uniform node of `level`, one generator
+/// draw.
+fn random_level_node<R: Rng>(rng: &mut R, level: u32) -> NodeId {
+    NodeId::from_level_offset(level, rng.gen_range(0..(1u32 << level)))
 }
 
 #[cfg(test)]

@@ -1,12 +1,11 @@
 //! **Rotor-Push** — the paper's deterministic self-adjusting tree network.
 
-use crate::ops::relocate_unchecked;
-use crate::pushdown::augmented_push_down;
+use crate::pushdown::{augmented_push_down, serve_push_batch};
 use crate::traits::SelfAdjustingTree;
 use crate::warm::WarmState;
 use satn_rotor::RotorState;
 use satn_tree::{
-    CostSummary, ElementId, MarkScratch, MarkedRound, NodeId, Occupancy, ServeCost, TreeError,
+    CostSummary, ElementId, MarkScratch, MarkedRound, Occupancy, ServeCost, TreeError,
 };
 
 /// The deterministic Rotor-Push algorithm (Section 3 of the paper).
@@ -100,20 +99,6 @@ impl RotorPush {
     }
 }
 
-/// Moves the element currently at `node` to the root via
-/// [`relocate_unchecked`] (pure parent swaps; `level(node)` of them).
-fn bubble_to_root_unchecked(occupancy: &mut Occupancy, node: NodeId) -> u64 {
-    let element = occupancy.element_at(node);
-    relocate_unchecked(occupancy, element, NodeId::ROOT)
-}
-
-/// Sinks the root's element down to `target` via [`relocate_unchecked`]
-/// (pure descent swaps; `level(target)` of them).
-fn sink_from_root_unchecked(occupancy: &mut Occupancy, target: NodeId) -> u64 {
-    let element = occupancy.element_at(NodeId::ROOT);
-    relocate_unchecked(occupancy, element, target)
-}
-
 impl SelfAdjustingTree for RotorPush {
     fn name(&self) -> &'static str {
         if self.flipping_enabled {
@@ -155,44 +140,30 @@ impl SelfAdjustingTree for RotorPush {
         }
     }
 
-    /// The allocation-free batched fast path: performs exactly the swap
-    /// sequence of the Lemma 1 push-down via unchecked adjacent swaps,
-    /// skipping the per-request marked-node bitmap of [`MarkedRound`]. The
-    /// marking discipline is statically satisfied — every swap below touches
-    /// a node on the access path, the global-path branch, or a node marked by
-    /// an earlier swap of the same round — and the differential tests assert
-    /// batch/serve equivalence per request.
+    /// The allocation-free batched fast path: writes the push-down as
+    /// Definition 1's cycle ([`Occupancy::push_down_unchecked`], `d + 2`
+    /// element moves) instead of replaying Lemma 1's `3d − 1` swaps through a
+    /// [`MarkedRound`], and records the swap count Lemma 1 prices the cycle
+    /// at (`d` when the request sits on the global path, `3d − 1`
+    /// otherwise). The resulting occupancy, rotor state and per-request costs
+    /// equal those of [`RotorPush::serve`], which stays the marked reference;
+    /// the differential tests assert the equivalence per request.
     fn serve_batch(
         &mut self,
         requests: &[ElementId],
         summary: &mut CostSummary,
     ) -> Result<(), TreeError> {
-        for (i, &element) in requests.iter().enumerate() {
-            if let Some(&next) = requests.get(i + 1) {
-                self.occupancy.touch_path(next);
+        let rotors = &mut self.rotors;
+        let flipping = self.flipping_enabled;
+        serve_push_batch(&mut self.occupancy, requests, summary, |level| {
+            // `flip` walks the global path anyway and returns its level-d
+            // node, so the flipping variant walks it once.
+            if flipping {
+                rotors.flip(level)
+            } else {
+                rotors.global_path_node(level)
             }
-            self.occupancy.check_element(element)?;
-            let u = self.occupancy.node_of(element);
-            let level = u.level();
-            let access = u64::from(level) + 1;
-            let mut swaps = 0;
-            if level > 0 {
-                let v = self.rotors.global_path_node(level);
-                if u == v {
-                    swaps += bubble_to_root_unchecked(&mut self.occupancy, u);
-                } else {
-                    swaps += bubble_to_root_unchecked(&mut self.occupancy, v);
-                    swaps += sink_from_root_unchecked(&mut self.occupancy, u);
-                    let parent_of_u = u.parent().expect("level >= 1 nodes have a parent");
-                    swaps += bubble_to_root_unchecked(&mut self.occupancy, parent_of_u);
-                }
-                if self.flipping_enabled {
-                    self.rotors.flip(level);
-                }
-            }
-            summary.record(ServeCost::new(access, swaps));
-        }
-        Ok(())
+        })
     }
 }
 

@@ -64,7 +64,10 @@ pub use warm::WarmState;
 mod proptests {
     use super::*;
     use proptest::prelude::*;
-    use satn_tree::{CompleteTree, ElementId, Occupancy};
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
+    use satn_rotor::RotorState;
+    use satn_tree::{placement, CompleteTree, CostSummary, Direction, ElementId, Occupancy};
 
     fn arb_requests(levels: u32, len: usize) -> impl Strategy<Value = Vec<ElementId>> {
         let n = (1u32 << levels) - 1;
@@ -154,15 +157,60 @@ mod proptests {
                 let mut batched = kind
                     .instantiate(Occupancy::identity(tree), seed, &requests)
                     .unwrap();
-                let mut reference_summary = satn_tree::CostSummary::new();
+                let mut reference_summary = CostSummary::new();
                 for &request in &requests {
                     reference_summary.record(reference.serve(request).unwrap());
                 }
-                let mut batched_summary = satn_tree::CostSummary::new();
+                let mut batched_summary = CostSummary::new();
                 batched.serve_batch(&requests, &mut batched_summary).unwrap();
                 prop_assert_eq!(reference_summary, batched_summary, "{}", kind);
                 prop_assert_eq!(reference.occupancy(), batched.occupancy(), "{}", kind);
                 prop_assert!(batched.occupancy().is_consistent(), "{}", kind);
+            }
+        }
+
+        #[test]
+        fn push_batches_match_a_serve_loop_on_deep_random_states(
+            draws in proptest::collection::vec((0..4095u32, any::<bool>()), 1..100),
+            seed in any::<u64>(),
+        ) {
+            // 12 levels, a random placement and a random rotor state: most
+            // requests start at level 10 or 11. A drawn `true` repeats the
+            // request, which then sits at the root (a level-0 request).
+            let tree = CompleteTree::with_levels(12).unwrap();
+            let requests: Vec<ElementId> = draws
+                .iter()
+                .flat_map(|&(e, repeat)| {
+                    std::iter::repeat_n(ElementId::new(e), 1 + usize::from(repeat))
+                })
+                .collect();
+            let mut rng = StdRng::seed_from_u64(seed);
+            let initial = placement::random_occupancy(tree, &mut rng);
+            let mut rotors = RotorState::new(tree);
+            for node in tree.nodes() {
+                if rng.gen::<bool>() {
+                    rotors.set_pointer(node, Direction::Right).unwrap();
+                }
+            }
+            let build = |which: usize| -> Box<dyn SelfAdjustingTree> {
+                match which {
+                    0 => Box::new(RotorPush::with_rotor_state(initial.clone(), rotors.clone())),
+                    _ => Box::new(RandomPush::with_seed(initial.clone(), seed)),
+                }
+            };
+            for which in 0..2 {
+                let mut reference = build(which);
+                let mut batched = build(which);
+                let mut reference_summary = CostSummary::new();
+                for &request in &requests {
+                    reference_summary.record(reference.serve(request).unwrap());
+                }
+                let mut batched_summary = CostSummary::new();
+                batched.serve_batch(&requests, &mut batched_summary).unwrap();
+                let name = reference.name();
+                prop_assert_eq!(reference_summary, batched_summary, "{}", name);
+                prop_assert_eq!(reference.occupancy(), batched.occupancy(), "{}", name);
+                prop_assert_eq!(reference.rotors(), batched.rotors(), "{}", name);
             }
         }
 

@@ -82,40 +82,13 @@ pub fn exchange_elements(
     Ok(swaps)
 }
 
-/// The allocation-free counterpart of [`relocate`] used by batched fast
-/// paths: moves `element` to `target` with unchecked adjacent swaps along the
-/// unique tree path, without a [`MarkedRound`] bitmap or path vector. Returns
-/// the number of swaps (the tree distance).
+/// The allocation-free counterpart of [`exchange_elements`] used by batched
+/// fast paths: trades the two elements' nodes with one unchecked
+/// [`Occupancy::swap_unchecked`], without a [`MarkedRound`] bitmap, and
+/// returns the `2·dist − 1` swaps (0 when `first == second`) that
+/// [`exchange_elements`] performs to reach the same occupancy.
 ///
-/// Callers must pass a valid element and node; the swap sequence is
-/// identical to [`relocate`]'s, so the two are interchangeable cost- and
-/// state-wise (asserted by the tests below and the differential suite in
-/// `satn-sim`).
-pub fn relocate_unchecked(occupancy: &mut Occupancy, element: ElementId, target: NodeId) -> u64 {
-    let source = occupancy.node_of(element);
-    let lca = source.lowest_common_ancestor(target);
-    let mut swaps = 0;
-
-    let mut current = source;
-    while current != lca {
-        let parent = current.parent().expect("non-LCA node has a parent");
-        occupancy.swap_unchecked(parent, current);
-        current = parent;
-        swaps += 1;
-    }
-
-    for level in lca.level()..target.level() {
-        occupancy.swap_unchecked(
-            target.ancestor_at_level(level),
-            target.ancestor_at_level(level + 1),
-        );
-        swaps += 1;
-    }
-    swaps
-}
-
-/// The allocation-free counterpart of [`exchange_elements`]: swaps the
-/// positions of two elements with `2·dist − 1` unchecked adjacent swaps.
+/// Callers must pass valid elements.
 pub fn exchange_elements_unchecked(
     occupancy: &mut Occupancy,
     first: ElementId,
@@ -126,9 +99,10 @@ pub fn exchange_elements_unchecked(
     }
     let node_of_first = occupancy.node_of(first);
     let node_of_second = occupancy.node_of(second);
-    let mut swaps = relocate_unchecked(occupancy, first, node_of_second);
-    swaps += relocate_unchecked(occupancy, second, node_of_first);
-    swaps
+    occupancy.swap_unchecked(node_of_first, node_of_second);
+    let lca = node_of_first.lowest_common_ancestor(node_of_second);
+    let distance = node_of_first.level() + node_of_second.level() - 2 * lca.level();
+    2 * u64::from(distance) - 1
 }
 
 #[cfg(test)]
@@ -225,24 +199,20 @@ mod tests {
     }
 
     #[test]
-    fn unchecked_relocate_matches_marked_relocate() {
-        for (element, target) in [(11u32, 14u32), (9, 1), (2, 12), (5, 5), (7, 8)] {
-            let mut marked = identity(4);
-            let mut unchecked = identity(4);
-            let element = ElementId::new(element);
-            let target = NodeId::new(target);
-            let mut round = MarkedRound::access(&mut marked, element).unwrap();
-            let marked_swaps = relocate(&mut round, element, target).unwrap();
-            round.finish();
-            let unchecked_swaps = relocate_unchecked(&mut unchecked, element, target);
-            assert_eq!(marked_swaps, unchecked_swaps, "{element} -> {target}");
-            assert_eq!(marked, unchecked, "{element} -> {target}");
-        }
-    }
-
-    #[test]
     fn unchecked_exchange_matches_marked_exchange() {
-        for (first, second) in [(12u32, 2u32), (3, 3), (1, 0), (14, 7)] {
+        // Disjoint branches, a pair of equal elements, parent and child,
+        // siblings, an ancestor two levels up, and a leaf and the root.
+        for (first, second) in [
+            (12u32, 2u32),
+            (3, 3),
+            (1, 0),
+            (14, 7),
+            (11, 14),
+            (9, 1),
+            (2, 12),
+            (7, 8),
+            (13, 0),
+        ] {
             let mut marked = identity(4);
             let mut unchecked = identity(4);
             let first = ElementId::new(first);

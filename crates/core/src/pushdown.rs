@@ -5,8 +5,16 @@
 //! `v_0, …, v_d = v` is the root path of `v`) and moves the element of every
 //! cycle node to the next node of the cycle. It is the single reorganisation
 //! primitive of both Random-Push and Rotor-Push.
+//!
+//! The operation has two implementations. [`augmented_push_down`], used by
+//! `serve`, follows the proof of Lemma 1 swap by swap inside a
+//! [`MarkedRound`], which enforces the model's marking rule. The batched
+//! fast paths write Definition 1's cycle directly
+//! ([`Occupancy::push_down_unchecked`], `d + 2` element moves) and report
+//! the swap count Lemma 1 prices it at, so both paths yield the same
+//! occupancy and the same cost.
 
-use satn_tree::{MarkedRound, NodeId, TreeError};
+use satn_tree::{CostSummary, ElementId, MarkedRound, NodeId, Occupancy, ServeCost, TreeError};
 
 /// Executes `PD(u, v)` inside an open [`MarkedRound`].
 ///
@@ -20,10 +28,12 @@ use satn_tree::{MarkedRound, NodeId, TreeError};
 ///   level down, to `v_{i+1}`,
 /// * every other element is unchanged.
 ///
-/// The implementation follows the proof of Lemma 1 and uses at most
-/// `3·d − 1` swaps, so together with the access cost of `d + 1` a request
-/// costs at most `4·d` (for `d ≥ 1`), matching the bound used by the
-/// competitive analysis.
+/// The implementation follows the proof of Lemma 1 and uses exactly `d`
+/// swaps when `u = v` and `3·d − 1` otherwise, so together with the access
+/// cost of `d + 1` a request costs at most `4·d` (for `d ≥ 1`), matching the
+/// bound used by the competitive analysis. Every swap is a marked swap of the
+/// round. The batched fast paths reach the same occupancy through
+/// [`Occupancy::push_down_unchecked`], which writes the cycle directly.
 ///
 /// # Errors
 ///
@@ -78,6 +88,56 @@ pub fn augmented_push_down(
     Ok(())
 }
 
+/// Applies `PD(u, v)` to `occupancy` as one cycle shift
+/// ([`Occupancy::push_down_unchecked`]) and returns the number of swaps
+/// Lemma 1 prices it at: `d` when `u = v`, otherwise `3·d − 1`. These are
+/// exactly the swaps [`augmented_push_down`] performs, so a batched request
+/// costs what the same request served through a [`MarkedRound`] costs.
+///
+/// # Panics
+///
+/// Panics if `u` or `v` lies outside the occupancy's tree.
+pub(crate) fn push_down_unchecked(occupancy: &mut Occupancy, u: NodeId, v: NodeId) -> u64 {
+    occupancy.push_down_unchecked(u, v);
+    let d = u64::from(u.level());
+    if u == v {
+        d
+    } else {
+        3 * d - 1
+    }
+}
+
+/// The batched serve loop of the push algorithms: for every request it
+/// touches the next request's root path, then, above the root, asks
+/// `target` for the level-`d` node `v` and applies [`push_down_unchecked`],
+/// recording the same [`ServeCost`] the marked `serve` path reports.
+///
+/// # Errors
+///
+/// Returns [`TreeError::ElementOutOfRange`] for the first unknown element;
+/// `summary` holds the costs of the requests served before it.
+pub(crate) fn serve_push_batch(
+    occupancy: &mut Occupancy,
+    requests: &[ElementId],
+    summary: &mut CostSummary,
+    mut target: impl FnMut(u32) -> NodeId,
+) -> Result<(), TreeError> {
+    for (i, &element) in requests.iter().enumerate() {
+        if let Some(&next) = requests.get(i + 1) {
+            occupancy.touch_path(next);
+        }
+        occupancy.check_element(element)?;
+        let u = occupancy.node_of(element);
+        let level = u.level();
+        let mut swaps = 0;
+        if level > 0 {
+            swaps = push_down_unchecked(occupancy, u, target(level));
+        }
+        summary.record(ServeCost::new(u64::from(level) + 1, swaps));
+    }
+    Ok(())
+}
+
 /// Computes the occupancy that `PD(u, v)` must produce, directly from
 /// Definition 1, without performing any swaps.
 ///
@@ -89,10 +149,10 @@ pub fn augmented_push_down(
 /// Panics if `u` and `v` are not nodes of the same level of the occupancy's
 /// tree.
 pub fn push_down_specification(
-    occupancy: &satn_tree::Occupancy,
+    occupancy: &Occupancy,
     u: NodeId,
     v: NodeId,
-) -> Vec<(satn_tree::ElementId, NodeId)> {
+) -> Vec<(ElementId, NodeId)> {
     assert!(occupancy.tree().contains(u) && occupancy.tree().contains(v));
     assert_eq!(u.level(), v.level());
     let mut cycle: Vec<NodeId> = v.ancestors().rev().collect();
@@ -226,6 +286,49 @@ mod tests {
                         cost.total(),
                         4 * d
                     );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn cycle_shift_matches_specification_for_every_same_level_pair() {
+        // The batched kernel against Definition 1 directly, for every
+        // same-level pair of trees with 1–6 levels, from a random placement;
+        // its swap count against the marked Lemma 1 swap sequence.
+        use rand::{rngs::StdRng, SeedableRng};
+        let mut rng = StdRng::seed_from_u64(21);
+        for levels in 1..=6u32 {
+            let tree = CompleteTree::with_levels(levels).unwrap();
+            let start = satn_tree::placement::random_occupancy(tree, &mut rng);
+            for level in 0..levels {
+                for u in tree.level_nodes(level) {
+                    for v in tree.level_nodes(level) {
+                        let mut shifted = start.clone();
+                        let swaps = push_down_unchecked(&mut shifted, u, v);
+                        let spec = push_down_specification(&start, u, v);
+                        for &(element, target) in &spec {
+                            assert_eq!(
+                                shifted.node_of(element),
+                                target,
+                                "levels {levels}, PD({u}, {v}): element {element}"
+                            );
+                        }
+                        for (node, element) in start.iter() {
+                            if spec.iter().all(|&(moved, _)| moved != element) {
+                                assert_eq!(
+                                    shifted.element_at(node),
+                                    element,
+                                    "levels {levels}, PD({u}, {v}): {node} changed"
+                                );
+                            }
+                        }
+                        assert!(shifted.is_consistent());
+                        let mut marked = start.clone();
+                        let cost = run_pd(&mut marked, u, v);
+                        assert_eq!(swaps, cost.adjustment, "levels {levels}, PD({u}, {v})");
+                        assert_eq!(shifted, marked, "levels {levels}, PD({u}, {v})");
+                    }
                 }
             }
         }

@@ -1,9 +1,10 @@
 //! Verifies the allocation-free serving criterion directly: **zero heap
 //! allocations per served request** on the steady-state path of every
 //! deterministic self-adjusting algorithm — Rotor-Push, Move-To-Front,
-//! Move-Half, and Max-Push — for both the per-request `serve` path (ancestor
-//! iteration + the reused `MarkScratch`, plus Max-Push's reused victim
-//! buffer) and the batched `serve_batch` fast path.
+//! Move-Half, and Max-Push — and of the seeded Random-Push, for both the
+//! per-request `serve` path (ancestor iteration + the reused `MarkScratch`,
+//! plus Max-Push's reused victim buffer) and the batched `serve_batch` fast
+//! path.
 //!
 //! The test installs a counting global allocator and measures the exact
 //! number of allocations across thousands of steady-state requests. The
@@ -23,7 +24,7 @@
 // delegates to `System` after bumping a counter.
 #![allow(unsafe_code)]
 
-use satn_core::{MaxPush, MoveHalf, MoveToFront, RotorPush, SelfAdjustingTree};
+use satn_core::{MaxPush, MoveHalf, MoveToFront, RandomPush, RotorPush, SelfAdjustingTree};
 use satn_tree::{CompleteTree, CostSummary, ElementId, Occupancy};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -208,6 +209,9 @@ fn assert_instrumented_serving_alloc_free() {
 #[test]
 fn self_adjusting_steady_state_serves_without_allocating() {
     assert_steady_state_alloc_free("rotor-push", RotorPush::new);
+    assert_steady_state_alloc_free("random-push", |occupancy| {
+        RandomPush::with_seed(occupancy, 7)
+    });
     assert_steady_state_alloc_free("move-to-front", MoveToFront::new);
     assert_steady_state_alloc_free("move-half", MoveHalf::new);
     assert_steady_state_alloc_free("max-push", MaxPush::new);

@@ -89,7 +89,8 @@ mod proptests {
         fn flip_then_ranks_respect_lemma3(state in arb_state(), d in 0u32..6) {
             let d = d.min(state.tree().max_level());
             let mut after = state.clone();
-            after.flip(d);
+            // flip walks the pre-flip global path and returns its level-d node.
+            prop_assert_eq!(after.flip(d), state.global_path_node(d));
             for node in state.tree().nodes() {
                 let old = state.flip_rank(node);
                 let new = after.flip_rank(node);

@@ -127,25 +127,28 @@ impl RotorState {
     /// Performs the `flip(d)` operation of Definition 2: toggles the pointers
     /// of the global-path nodes at levels `0, …, d − 1`.
     ///
-    /// `flip(0)` is a no-op.
+    /// Returns the node the walk reaches at level `d`: the global-path node
+    /// `P_d` as it was before the flip, so a caller that needs both walks
+    /// one path instead of two. `flip(0)` is a no-op returning the root; for
+    /// `d` equal to the number of levels the returned position lies below
+    /// the leaves, outside the tree.
     ///
     /// # Panics
     ///
     /// Panics if `d` exceeds the number of levels of the tree.
-    pub fn flip(&mut self, d: u32) {
+    pub fn flip(&mut self, d: u32) -> NodeId {
         assert!(
             d <= self.tree.max_level() + 1,
             "flip level {d} exceeds tree depth"
         );
         let mut node = NodeId::ROOT;
-        for level in 0..d {
+        for _ in 0..d {
             let next = self.pointed_child(node);
             let p = &mut self.pointers[node.usize()];
             *p = p.toggled();
-            if level + 1 < d {
-                node = next;
-            }
+            node = next;
         }
+        node
     }
 
     /// Returns the pointer directions of all nodes in heap order (useful for

@@ -197,8 +197,10 @@ impl Occupancy {
     /// Swaps the elements stored at two nodes without adjacency checks.
     ///
     /// This is used by the offline optimum proxies, which the model allows to
-    /// perform arbitrary reorganisation; online algorithms go through
-    /// [`crate::MarkedRound`] instead.
+    /// perform arbitrary reorganisation, and by batched fast paths that
+    /// write in one step what a chain of adjacent swaps would reach (and
+    /// report that chain's cost); online algorithms serve through
+    /// [`crate::MarkedRound`] otherwise.
     #[inline]
     pub fn swap_unchecked(&mut self, a: NodeId, b: NodeId) {
         let (ea, eb) = (self.element_of[a.usize()], self.element_of[b.usize()]);
@@ -206,6 +208,42 @@ impl Occupancy {
         self.element_of[b.usize()] = ea;
         self.node_of[ea.usize()] = b.index();
         self.node_of[eb.usize()] = a.index();
+        debug_assert!(self.is_consistent());
+    }
+
+    /// Applies the augmented push-down `PD(u, v)` of Definition 1 as one
+    /// cycle shift over `v_0 → v_1 → … → v_d = v → u → v_0`, where
+    /// `v_0, …, v_d` is the root path of `v`: the element at `u` moves to the
+    /// root, the element at every proper ancestor of `v` moves one level down
+    /// the path, and the element at `v` moves to `u`. When `u = v` the cycle
+    /// is the root path alone.
+    ///
+    /// The ancestors of `v` come in closed form, `((v + 1) >> (d − l)) − 1`,
+    /// so the shift is `d + 2` writes to each slab (`d + 1` when `u = v`),
+    /// against the four writes per swap of the `3d − 1` swaps Lemma 1 prices
+    /// it at. Like [`Occupancy::swap_unchecked`] it enforces no marking rule;
+    /// online algorithms serve through [`crate::MarkedRound`] and use this
+    /// only on batched fast paths that are checked against that reference.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `u` or `v` lies outside the tree. `u` and `v` must share a
+    /// level (checked by a debug assertion).
+    pub fn push_down_unchecked(&mut self, u: NodeId, v: NodeId) {
+        let d = v.level();
+        debug_assert_eq!(u.level(), d, "push-down nodes must share a level");
+        let path_key = v.index() + 1;
+        let mut carried = self.element_of[u.usize()];
+        for level in 0..=d {
+            let node = (path_key >> (d - level)) - 1;
+            let displaced = std::mem::replace(&mut self.element_of[node as usize], carried);
+            self.node_of[carried.usize()] = node;
+            carried = displaced;
+        }
+        if u != v {
+            self.element_of[u.usize()] = carried;
+            self.node_of[carried.usize()] = u.index();
+        }
         debug_assert!(self.is_consistent());
     }
 
@@ -377,6 +415,26 @@ mod tests {
         assert!(occ
             .swap_elements(ElementId::new(0), ElementId::new(1))
             .is_err());
+    }
+
+    #[test]
+    fn push_down_shifts_the_cycle_one_step() {
+        // Figure 1 of the paper: PD(5, 3) on 15 nodes moves the element at
+        // node 5 to the root and the global path 0 → 1 → 3 one step down,
+        // and the element at node 3 to node 5.
+        let mut occ = Occupancy::identity(tree(4));
+        occ.push_down_unchecked(NodeId::new(5), NodeId::new(3));
+        for (node, element) in [(0, 5), (1, 0), (3, 1), (5, 3), (2, 2), (4, 4)] {
+            assert_eq!(occ.element_at(NodeId::new(node)), ElementId::new(element));
+            assert_eq!(occ.node_of(ElementId::new(element)), NodeId::new(node));
+        }
+        // With u = v the cycle is the root path 0 → 2 → 5 → 11.
+        let mut occ = Occupancy::identity(tree(4));
+        occ.push_down_unchecked(NodeId::new(11), NodeId::new(11));
+        for (node, element) in [(0, 11), (2, 0), (5, 2), (11, 5), (1, 1)] {
+            assert_eq!(occ.element_at(NodeId::new(node)), ElementId::new(element));
+            assert_eq!(occ.node_of(ElementId::new(element)), NodeId::new(node));
+        }
     }
 
     #[test]
