@@ -198,6 +198,38 @@ mod tests {
         assert!(relocate(&mut round, ElementId::new(1), NodeId::new(99)).is_err());
     }
 
+    /// `relocate` written without a `MarkedRound`: the same adjacent swaps
+    /// along the source → LCA → target path, as unchecked writes.
+    fn relocate_by_unchecked_swaps(occ: &mut Occupancy, element: ElementId, target: NodeId) -> u64 {
+        let source = occ.node_of(element);
+        let lca = source.lowest_common_ancestor(target);
+        let mut path: Vec<NodeId> = source.ancestors().take_while(|&n| n != lca).collect();
+        path.push(lca);
+        path.extend(target.ancestors().rev().skip(lca.level() as usize + 1));
+        for pair in path.windows(2) {
+            occ.swap_unchecked(pair[0], pair[1]);
+        }
+        path.len() as u64 - 1
+    }
+
+    #[test]
+    fn unchecked_relocate_matches_marked_relocate() {
+        for (element, target) in [(11u32, 14u32), (9, 1), (2, 12), (5, 5), (7, 8)] {
+            let mut marked = identity(4);
+            let mut unchecked = identity(4);
+            let element = ElementId::new(element);
+            let target = NodeId::new(target);
+            let mut round = MarkedRound::access(&mut marked, element).unwrap();
+            let marked_swaps = relocate(&mut round, element, target).unwrap();
+            round.finish();
+            let unchecked_swaps = relocate_by_unchecked_swaps(&mut unchecked, element, target);
+            assert_eq!(marked_swaps, unchecked_swaps, "{element} -> {target}");
+            assert_eq!(marked_swaps, distance(NodeId::new(element.index()), target));
+            assert_eq!(marked.node_of(element), target, "{element} -> {target}");
+            assert_eq!(marked, unchecked, "{element} -> {target}");
+        }
+    }
+
     #[test]
     fn unchecked_exchange_matches_marked_exchange() {
         // Disjoint branches, a pair of equal elements, parent and child,
