@@ -1,6 +1,7 @@
 //! Golden-file regression test for the experiments harness: a small
-//! deterministic Q1–Q4 configuration runs through the `satn-sim` engine and
-//! its CSV output must match the checked-in snapshots under `tests/golden/`,
+//! deterministic Q1–Q4 configuration runs through the `satn-sim` engine, and
+//! the Q5 complexity map (Figure 6) runs over the synthetic corpus books; their
+//! CSV output must match the checked-in snapshots under `tests/golden/`,
 //! so any change to the serving pipeline, the seed derivations, or the
 //! workload streams that shifts a reported number is caught. The snapshots
 //! pin the outputs as of the engine port (which also redefined the
@@ -34,6 +35,7 @@ fn golden_figures() -> Vec<FigureResult> {
     figures.push(experiments::q3_spatial(&config));
     figures.push(experiments::q4_combined_grid(&config));
     figures.push(experiments::q4_rotor_vs_random_histogram(&config));
+    figures.push(experiments::q5_complexity_map(&config));
     figures
 }
 
@@ -46,7 +48,11 @@ fn golden_path(id: &str) -> PathBuf {
 #[test]
 fn q1_to_q4_match_their_golden_csv_snapshots() {
     let figures = golden_figures();
-    assert_eq!(figures.len(), 6, "Q1 (two figures) + Q2 + Q3 + Q4 + Q4b");
+    assert_eq!(
+        figures.len(),
+        7,
+        "Q1 (two figures) + Q2 + Q3 + Q4 + Q4b + Q5 complexity map"
+    );
 
     if std::env::var_os("UPDATE_GOLDEN").is_some() {
         std::fs::create_dir_all(golden_path("x").parent().unwrap()).unwrap();
