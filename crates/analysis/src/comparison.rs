@@ -132,15 +132,6 @@ pub struct CompetitiveReport {
 }
 
 impl CompetitiveReport {
-    /// Cost per request.
-    pub fn mean_cost(&self) -> f64 {
-        if self.requests == 0 {
-            0.0
-        } else {
-            self.total_cost as f64 / self.requests as f64
-        }
-    }
-
     /// Ratio of the algorithm's cost to the working-set lower bound
     /// (infinite for a zero bound).
     pub fn ratio_to_working_set_bound(&self) -> f64 {
@@ -259,7 +250,6 @@ mod tests {
         );
         assert!(report.working_set_bound > 0.0);
         assert!(report.static_opt_cost > 0);
-        assert!(report.mean_cost() > 1.0);
         assert!(report.ratio_to_working_set_bound().is_finite());
         assert!(report.ratio_to_static_opt().is_finite());
         assert_eq!(report.algorithm, "rotor-push");
@@ -280,7 +270,6 @@ mod tests {
         let mut alg = RotorPush::new(Occupancy::identity(tree));
         let report = competitive_report(&mut alg, tree.num_nodes(), &[]).unwrap();
         assert_eq!(report.total_cost, 0);
-        assert_eq!(report.mean_cost(), 0.0);
         assert!(report.ratio_to_working_set_bound().is_infinite());
     }
 }

@@ -5,14 +5,19 @@
 //!
 //! * [`WorkingSetTracker`] / [`working_set_bound`] — working-set ranks and the
 //!   working-set lower bound of Section 2,
-//! * [`mru`] — the ideal MRU reference tree and an MRU-order checker,
 //! * [`RotorPushAuditor`] / [`RandomPushAuditor`] — per-round verification of
 //!   the amortized analyses behind Theorem 7 (12-competitiveness) and
 //!   Theorem 11 (16-competitiveness),
 //! * [`Lemma8Adversary`] / [`run_lemma8`] — the adaptive adversary showing
 //!   that Rotor-Push lacks the working-set property,
 //! * [`access_cost_differences`] / [`Histogram`] / [`competitive_report`] —
-//!   the cross-algorithm comparisons of the empirical section.
+//!   the cross-algorithm comparisons of the empirical section,
+//! * [`complexity_point`] / [`ComplexityPoint`] — the trace complexity map of
+//!   the Q5 experiment (Figure 6): every trace is placed on a two-dimensional
+//!   map whose axes are temporal complexity (how much of its compressibility
+//!   stems from request ordering) and non-temporal complexity (how much stems
+//!   from frequency skew), measured with the dependency-free LZW compressor
+//!   [`compress`] / [`decompress`].
 //!
 //! ```
 //! use satn_analysis::working_set_bound;
@@ -22,22 +27,36 @@
 //! let bound = working_set_bound(4, &requests);
 //! assert!(bound > 0.0);
 //! ```
+//!
+//! ```
+//! use satn_analysis::{complexity_point, compress, decompress};
+//! use rand::SeedableRng;
+//!
+//! let data = b"self adjusting trees adjust to demand".repeat(20);
+//! assert_eq!(decompress(&compress(&data)), data);
+//!
+//! let trace: Vec<u32> = (0..5000u32).map(|i| i % 7).collect();
+//! let mut rng = rand::rngs::StdRng::seed_from_u64(1);
+//! let point = complexity_point(&trace, &mut rng);
+//! assert!(point.temporal < 1.0); // a strictly periodic trace has temporal structure
+//! ```
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs, missing_debug_implementations)]
 
 mod adversary;
 mod comparison;
+mod complexity;
 mod convergence;
 mod credits;
 mod entropy;
 mod fenwick;
-mod hindsight;
-pub mod mru;
+mod lzw;
 mod working_set;
 
 pub use adversary::{run_lemma8, Lemma8Adversary, Lemma8Report};
 pub use comparison::{access_cost_differences, competitive_report, CompetitiveReport, Histogram};
+pub use complexity::{complexity_point, ComplexityPoint};
 pub use convergence::{
     frequency_displacement, mru_displacement, track_convergence, ConvergencePoint,
 };
@@ -47,7 +66,5 @@ pub use credits::{
 };
 pub use entropy::{entropy, entropy_static_lower_bound, static_optimal_expected_cost};
 pub use fenwick::FenwickTree;
-pub use hindsight::{
-    hindsight_report, static_hindsight_mean_cost, HindsightReport, HindsightWindow,
-};
+pub use lzw::{compress, compressed_size, decompress};
 pub use working_set::{working_set_bound, working_set_ranks, WorkingSetTracker};

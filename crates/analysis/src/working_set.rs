@@ -50,11 +50,6 @@ impl WorkingSetTracker {
         self.clock
     }
 
-    /// Number of distinct elements accessed so far.
-    pub fn distinct_accessed(&self) -> u64 {
-        self.distinct
-    }
-
     /// Returns the rank the element would have if it were accessed now,
     /// without recording an access.
     ///
@@ -194,7 +189,6 @@ mod tests {
         assert_eq!(before, tracker.rank(ElementId::new(1)));
         assert_eq!(before, 2);
         assert_eq!(tracker.rank(ElementId::new(5)), 3); // never accessed
-        assert_eq!(tracker.distinct_accessed(), 2);
         assert_eq!(tracker.requests(), 2);
     }
 

@@ -173,7 +173,7 @@ fn bench_q5_corpus(c: &mut Criterion) {
     group.bench_function("complexity-map", |b| {
         b.iter(|| {
             let mut rng = StdRng::seed_from_u64(7);
-            satn_compress::complexity_point(&trace, &mut rng)
+            satn_analysis::complexity_point(&trace, &mut rng)
         });
     });
     let levels = satn_workloads::fit_tree_levels(book.num_elements());

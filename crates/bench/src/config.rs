@@ -81,12 +81,6 @@ impl ExperimentConfig {
         levels
     }
 
-    /// Sets the output directory (builder style).
-    pub fn with_output_dir(mut self, dir: impl Into<PathBuf>) -> Self {
-        self.output_dir = Some(dir.into());
-        self
-    }
-
     /// Derives the seed of a given repetition.
     pub fn seed_for(&self, repetition: usize) -> u64 {
         self.seed
@@ -127,9 +121,7 @@ mod tests {
     }
 
     #[test]
-    fn builder_sets_output_dir() {
-        let config = ExperimentConfig::quick().with_output_dir("/tmp/results");
-        assert_eq!(config.output_dir, Some(PathBuf::from("/tmp/results")));
+    fn default_config_is_standard() {
         assert_eq!(ExperimentConfig::default(), ExperimentConfig::standard());
     }
 }

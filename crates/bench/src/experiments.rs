@@ -244,7 +244,7 @@ pub fn q5_complexity_map(config: &ExperimentConfig) -> FigureResult {
     for book in corpus_books(config) {
         let trace: Vec<u32> = book.requests().iter().map(|e| e.index()).collect();
         let mut rng = StdRng::seed_from_u64(config.seed ^ 0xC0FFEE);
-        let point = satn_compress::complexity_point(&trace, &mut rng).clamped(1.5);
+        let point = satn_analysis::complexity_point(&trace, &mut rng).clamped(1.5);
         table.push_row([
             book.name().to_owned(),
             book.len().to_string(),
@@ -546,27 +546,27 @@ mod tests {
     #[test]
     fn q2_table_has_one_row_per_p_value() {
         let figure = q2_temporal(&tiny_config());
-        assert_eq!(figure.table.num_rows(), TEMPORAL_P_VALUES.len());
+        assert_eq!(figure.table.rows().len(), TEMPORAL_P_VALUES.len());
         assert!(figure.render().contains("figure3"));
     }
 
     #[test]
     fn q3_table_has_one_row_per_a_value() {
         let figure = q3_spatial(&tiny_config());
-        assert_eq!(figure.table.num_rows(), ZIPF_A_VALUES.len());
+        assert_eq!(figure.table.rows().len(), ZIPF_A_VALUES.len());
     }
 
     #[test]
     fn q1_tables_cover_all_sizes_up_to_the_configured_maximum() {
         let figures = q1_size_sweep(&tiny_config());
         assert_eq!(figures.len(), 2);
-        assert_eq!(figures[0].table.num_rows(), 1); // only 255 <= 255
+        assert_eq!(figures[0].table.rows().len(), 1); // only 255 <= 255
     }
 
     #[test]
     fn q4_grid_is_five_by_five() {
         let figure = q4_combined_grid(&tiny_config());
-        assert_eq!(figure.table.num_rows(), Q4_P_VALUES.len());
+        assert_eq!(figure.table.rows().len(), Q4_P_VALUES.len());
         assert_eq!(figure.table.header().len(), 1 + ZIPF_A_VALUES.len());
     }
 
@@ -586,14 +586,14 @@ mod tests {
             corpus_scale: 0.002,
             ..tiny_config()
         };
-        assert_eq!(q5_complexity_map(&config).table.num_rows(), 5);
-        assert_eq!(q5_corpus(&config).table.num_rows(), 5);
+        assert_eq!(q5_complexity_map(&config).table.rows().len(), 5);
+        assert_eq!(q5_corpus(&config).table.rows().len(), 5);
     }
 
     #[test]
     fn audit_table_reports_both_algorithms() {
         let figure = audit_experiment(&tiny_config());
-        assert_eq!(figure.table.num_rows(), 6);
+        assert_eq!(figure.table.rows().len(), 6);
         for row in figure.table.rows() {
             if row[0] == "Rotor-Push" {
                 assert_eq!(row[2], "holds", "{row:?}");

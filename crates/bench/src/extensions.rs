@@ -216,7 +216,7 @@ mod tests {
     #[test]
     fn ablation_covers_every_variant_and_punishes_the_frozen_rotor_on_the_path() {
         let figure = ablation_experiment(&tiny_config());
-        assert_eq!(figure.table.num_rows(), RotorAblation::SWEEP.len());
+        assert_eq!(figure.table.rows().len(), RotorAblation::SWEEP.len());
         let column = figure.table.header().len() - 1; // round-robin path column
         let value = |label: &str| -> f64 {
             figure
@@ -234,7 +234,7 @@ mod tests {
     #[test]
     fn convergence_reports_monotone_checkpoints() {
         let figure = convergence_experiment(&tiny_config());
-        assert!(figure.table.num_rows() >= 2);
+        assert!(figure.table.rows().len() >= 2);
         let served: Vec<u64> = figure
             .table
             .rows()
@@ -262,7 +262,7 @@ mod tests {
     #[test]
     fn network_experiment_reports_every_algorithm_with_sane_degrees() {
         let figure = network_experiment(&tiny_config());
-        assert_eq!(figure.table.num_rows(), 5);
+        assert_eq!(figure.table.rows().len(), 5);
         for row in figure.table.rows() {
             let max_degree: u32 = row[4].parse().unwrap();
             assert!(max_degree >= 1);

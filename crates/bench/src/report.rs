@@ -35,11 +35,6 @@ impl TextTable {
         self.rows.push(cells);
     }
 
-    /// Number of data rows.
-    pub fn num_rows(&self) -> usize {
-        self.rows.len()
-    }
-
     /// The column headers.
     pub fn header(&self) -> &[String] {
         &self.header
@@ -157,7 +152,7 @@ mod tests {
         assert!(text.contains("rotor-push"));
         let lines: Vec<&str> = text.lines().collect();
         assert_eq!(lines.len(), 4);
-        assert_eq!(table.num_rows(), 2);
+        assert_eq!(table.rows().len(), 2);
         assert_eq!(table.header().len(), 2);
         assert_eq!(table.rows().len(), 2);
     }

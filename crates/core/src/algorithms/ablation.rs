@@ -24,7 +24,7 @@ use crate::traits::SelfAdjustingTree;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use satn_rotor::RotorState;
-use satn_tree::{Direction, ElementId, MarkedRound, Occupancy, ServeCost, TreeError};
+use satn_tree::{Direction, ElementId, MarkScratch, MarkedRound, Occupancy, ServeCost, TreeError};
 
 /// Rotor-Push with *lazy* pointer maintenance: the flip of the global-path
 /// pointers is executed only on every `period`-th request.
@@ -54,6 +54,9 @@ pub struct LazyRotorPush {
     rotors: RotorState,
     period: u64,
     served: u64,
+    /// Reused marking buffer, so the steady-state request path performs no
+    /// heap allocation.
+    scratch: MarkScratch,
 }
 
 impl LazyRotorPush {
@@ -72,6 +75,7 @@ impl LazyRotorPush {
             rotors,
             period,
             served: 0,
+            scratch: MarkScratch::new(),
         }
     }
 
@@ -104,7 +108,8 @@ impl SelfAdjustingTree for LazyRotorPush {
         self.occupancy.check_element(element)?;
         let u = self.occupancy.node_of(element);
         let level = u.level();
-        let mut round = MarkedRound::access(&mut self.occupancy, element)?;
+        let mut round =
+            MarkedRound::access_reusing(&mut self.occupancy, element, &mut self.scratch)?;
         if level > 0 {
             let v = self.rotors.global_path_node(level);
             augmented_push_down(&mut round, u, v)?;
@@ -146,6 +151,9 @@ pub struct ScrambledRotorPush<R = StdRng> {
     occupancy: Occupancy,
     rotors: RotorState,
     rng: R,
+    /// Reused marking buffer, so the steady-state request path performs no
+    /// heap allocation.
+    scratch: MarkScratch,
 }
 
 impl ScrambledRotorPush<StdRng> {
@@ -164,6 +172,7 @@ impl<R: Rng> ScrambledRotorPush<R> {
             occupancy,
             rotors,
             rng,
+            scratch: MarkScratch::new(),
         }
     }
 
@@ -187,7 +196,8 @@ impl<R: Rng> SelfAdjustingTree for ScrambledRotorPush<R> {
         self.occupancy.check_element(element)?;
         let u = self.occupancy.node_of(element);
         let level = u.level();
-        let mut round = MarkedRound::access(&mut self.occupancy, element)?;
+        let mut round =
+            MarkedRound::access_reusing(&mut self.occupancy, element, &mut self.scratch)?;
         if level > 0 {
             // Re-randomize the pointers along the path that will be used: walk
             // down from the root, drawing each direction uniformly. The node

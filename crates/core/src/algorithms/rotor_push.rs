@@ -92,11 +92,6 @@ impl RotorPush {
     pub fn rotor_state(&self) -> &RotorState {
         &self.rotors
     }
-
-    /// Returns `true` unless this instance is the frozen-rotor ablation.
-    pub fn is_flipping_enabled(&self) -> bool {
-        self.flipping_enabled
-    }
 }
 
 impl SelfAdjustingTree for RotorPush {
@@ -239,7 +234,6 @@ mod tests {
     #[test]
     fn frozen_rotor_never_flips() {
         let mut alg = RotorPush::without_flipping(identity(4));
-        assert!(!alg.is_flipping_enabled());
         assert_eq!(alg.name(), "rotor-push-frozen");
         let initial = alg.rotor_state().clone();
         for e in [7u32, 9, 13, 4] {

@@ -2,7 +2,8 @@
 
 use crate::traits::SelfAdjustingTree;
 use satn_tree::{
-    placement, CompleteTree, CostSummary, ElementId, MarkedRound, Occupancy, ServeCost, TreeError,
+    placement, CompleteTree, CostSummary, ElementId, MarkScratch, MarkedRound, Occupancy,
+    ServeCost, TreeError,
 };
 
 /// The demand-oblivious static baseline: the initial (typically random) tree,
@@ -10,12 +11,17 @@ use satn_tree::{
 #[derive(Debug, Clone)]
 pub struct StaticOblivious {
     occupancy: Occupancy,
+    /// Reused marking buffer, so `serve` performs no heap allocation.
+    scratch: MarkScratch,
 }
 
 impl StaticOblivious {
     /// Creates the baseline from the given (initial) occupancy.
     pub fn new(occupancy: Occupancy) -> Self {
-        StaticOblivious { occupancy }
+        StaticOblivious {
+            occupancy,
+            scratch: MarkScratch::new(),
+        }
     }
 }
 
@@ -33,7 +39,7 @@ impl SelfAdjustingTree for StaticOblivious {
     }
 
     fn serve(&mut self, element: ElementId) -> Result<ServeCost, TreeError> {
-        let round = MarkedRound::access(&mut self.occupancy, element)?;
+        let round = MarkedRound::access_reusing(&mut self.occupancy, element, &mut self.scratch)?;
         Ok(round.finish())
     }
 
@@ -46,10 +52,9 @@ impl SelfAdjustingTree for StaticOblivious {
     }
 }
 
-/// The allocation-free batched fast path shared by the static baselines: the
-/// tree never changes, so each request's cost is read straight off the
-/// occupancy without opening a [`MarkedRound`] (which allocates a marked-node
-/// bitmap per request).
+/// The batched fast path shared by the static baselines: the tree never
+/// changes, so each request's cost is read straight off the occupancy without
+/// opening a [`MarkedRound`] (which marks the access path in a bitmap).
 fn static_serve_batch(
     occupancy: &Occupancy,
     requests: &[ElementId],
@@ -74,6 +79,8 @@ fn static_serve_batch(
 #[derive(Debug, Clone)]
 pub struct StaticOpt {
     occupancy: Occupancy,
+    /// Reused marking buffer, so `serve` performs no heap allocation.
+    scratch: MarkScratch,
 }
 
 impl StaticOpt {
@@ -86,6 +93,7 @@ impl StaticOpt {
     pub fn from_weights(tree: CompleteTree, weights: &[f64]) -> Self {
         StaticOpt {
             occupancy: placement::frequency_occupancy(tree, weights),
+            scratch: MarkScratch::new(),
         }
     }
 
@@ -126,7 +134,7 @@ impl SelfAdjustingTree for StaticOpt {
     }
 
     fn serve(&mut self, element: ElementId) -> Result<ServeCost, TreeError> {
-        let round = MarkedRound::access(&mut self.occupancy, element)?;
+        let round = MarkedRound::access_reusing(&mut self.occupancy, element, &mut self.scratch)?;
         Ok(round.finish())
     }
 

@@ -86,17 +86,6 @@ impl RecencyTracker {
             .into_iter()
             .min_by_key(|e| (self.last_access(*e), e.index()))
     }
-
-    /// Returns the most recently used element among `candidates`, breaking
-    /// ties towards the smaller element id. Returns `None` for an empty set.
-    pub fn most_recently_used<I>(&self, candidates: I) -> Option<ElementId>
-    where
-        I: IntoIterator<Item = ElementId>,
-    {
-        candidates
-            .into_iter()
-            .max_by_key(|e| (self.last_access(*e), u32::MAX - e.index()))
-    }
 }
 
 #[cfg(test)]
@@ -141,21 +130,5 @@ mod tests {
             .unwrap();
         assert_eq!(lru, ElementId::new(0));
         assert_eq!(tracker.least_recently_used([]), None);
-    }
-
-    #[test]
-    fn mru_returns_latest_access() {
-        let mut tracker = RecencyTracker::new(4);
-        tracker.touch(ElementId::new(2));
-        tracker.touch(ElementId::new(1));
-        let mru = tracker
-            .most_recently_used((0..4).map(ElementId::new))
-            .unwrap();
-        assert_eq!(mru, ElementId::new(1));
-        // Ties among never-accessed elements break towards the smaller id.
-        let mru = tracker
-            .most_recently_used([ElementId::new(3), ElementId::new(0)])
-            .unwrap();
-        assert_eq!(mru, ElementId::new(0));
     }
 }

@@ -36,11 +36,6 @@ pub struct WarmState {
 }
 
 impl WarmState {
-    /// Whether this is the cold state (no component carried).
-    pub fn is_cold(&self) -> bool {
-        self.rotors.is_none() && self.recency.is_none() && self.rng.is_none()
-    }
-
     /// Carries this state across a reshard onto a shard's new topology.
     ///
     /// `remap[new_local]` names the element's local id *before* the
@@ -72,17 +67,6 @@ impl WarmState {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rand::SeedableRng;
-
-    #[test]
-    fn default_is_cold() {
-        assert!(WarmState::default().is_cold());
-        let warm = WarmState {
-            rng: Some(StdRng::seed_from_u64(1)),
-            ..WarmState::default()
-        };
-        assert!(!warm.is_cold());
-    }
 
     #[test]
     fn carried_recency_follows_the_remap() {

@@ -1,10 +1,11 @@
 //! Verifies the allocation-free serving criterion directly: **zero heap
 //! allocations per served request** on the steady-state path of every
 //! deterministic self-adjusting algorithm — Rotor-Push, Move-To-Front,
-//! Move-Half, and Max-Push — and of the seeded Random-Push, for both the
-//! per-request `serve` path (ancestor iteration + the reused `MarkScratch`,
-//! plus Max-Push's reused victim buffer) and the batched `serve_batch` fast
-//! path.
+//! Move-Half, and Max-Push — of the seeded Random-Push, of the lazy and
+//! scrambled Rotor-Push ablations, and of the two static baselines, for both
+//! the per-request `serve` path (ancestor iteration + the reused
+//! `MarkScratch`, plus Max-Push's reused victim buffer) and the batched
+//! `serve_batch` fast path.
 //!
 //! The test installs a counting global allocator and measures the exact
 //! number of allocations across thousands of steady-state requests. The
@@ -24,7 +25,11 @@
 // delegates to `System` after bumping a counter.
 #![allow(unsafe_code)]
 
-use satn_core::{MaxPush, MoveHalf, MoveToFront, RandomPush, RotorPush, SelfAdjustingTree};
+use satn_core::ablation::{LazyRotorPush, ScrambledRotorPush};
+use satn_core::{
+    MaxPush, MoveHalf, MoveToFront, RandomPush, RotorPush, SelfAdjustingTree, StaticOblivious,
+    StaticOpt,
+};
 use satn_tree::{CompleteTree, CostSummary, ElementId, Occupancy};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -215,6 +220,17 @@ fn self_adjusting_steady_state_serves_without_allocating() {
     assert_steady_state_alloc_free("move-to-front", MoveToFront::new);
     assert_steady_state_alloc_free("move-half", MoveHalf::new);
     assert_steady_state_alloc_free("max-push", MaxPush::new);
+    assert_steady_state_alloc_free("rotor-push-lazy", |occupancy| {
+        LazyRotorPush::new(occupancy, 3)
+    });
+    assert_steady_state_alloc_free("rotor-push-scrambled", |occupancy| {
+        ScrambledRotorPush::with_seed(occupancy, 7)
+    });
+    assert_steady_state_alloc_free("static-oblivious", StaticOblivious::new);
+    assert_steady_state_alloc_free("static-opt", |occupancy| {
+        let weights: Vec<f64> = (0..occupancy.num_elements()).map(f64::from).collect();
+        StaticOpt::from_weights(occupancy.tree(), &weights)
+    });
     // The same criterion with the metrics registry and tracer engaged: the
     // observability layer adds no allocation to the path it observes.
     assert_instrumented_serving_alloc_free();

@@ -148,11 +148,6 @@ impl EgoTree {
         self.algorithm.occupancy()
     }
 
-    /// The number of placeholder elements padding the tree (never requested).
-    pub fn num_placeholders(&self) -> u32 {
-        self.occupancy().num_elements() - (self.num_hosts - 1)
-    }
-
     /// Serves a request from the source to `destination`.
     ///
     /// # Errors
@@ -274,8 +269,6 @@ mod tests {
         let mut ego = EgoTree::new(Host::new(2), 20, AlgorithmKind::RotorPush, 0).unwrap();
         assert_eq!(ego.source(), Host::new(2));
         assert_eq!(ego.num_hosts(), 20);
-        // 19 destinations need 5 levels (31 nodes), so 12 placeholders.
-        assert_eq!(ego.num_placeholders(), 12);
         let destination = Host::new(17);
         let before = ego.depth_of(destination).unwrap();
         let cost = ego.serve(destination).unwrap();
@@ -328,8 +321,6 @@ mod tests {
     #[test]
     fn host_at_reports_placeholders_as_none() {
         let ego = EgoTree::new(Host::new(1), 4, AlgorithmKind::RotorPush, 0).unwrap();
-        // 3 destinations exactly fill a 2-level tree: no placeholders.
-        assert_eq!(ego.num_placeholders(), 0);
         let hosts: Vec<Option<Host>> = ego
             .occupancy()
             .tree()

@@ -57,14 +57,6 @@ impl HostPair {
         }
     }
 
-    /// Returns the pair with source and destination exchanged.
-    pub const fn reversed(self) -> Self {
-        HostPair {
-            source: self.destination,
-            destination: self.source,
-        }
-    }
-
     /// Whether source and destination coincide (such requests are rejected by
     /// the network).
     pub const fn is_self_loop(self) -> bool {
@@ -97,10 +89,9 @@ mod tests {
     }
 
     #[test]
-    fn pair_reversal_and_self_loop_detection() {
+    fn pair_display_and_self_loop_detection() {
         let pair = HostPair::from((3u32, 5u32));
         assert_eq!(pair.to_string(), "h3→h5");
-        assert_eq!(pair.reversed(), HostPair::from((5u32, 3u32)));
         assert!(!pair.is_self_loop());
         assert!(HostPair::from((4u32, 4u32)).is_self_loop());
     }

@@ -80,12 +80,13 @@ mod proptests {
                     SelfAdjustingNetwork::new(traffic.num_hosts(), kind, seed).unwrap();
                 let summary = network.serve_trace(traffic.pairs()).unwrap();
                 prop_assert_eq!(summary.requests(), traffic.len() as u64);
-                // Every ego-tree still holds a valid bijection.
-                for host in 0..traffic.num_hosts() {
-                    prop_assert!(network
-                        .ego_tree(Host::new(host))
-                        .occupancy()
-                        .is_consistent());
+                // Every ego-tree still stores every destination.
+                for source in 0..traffic.num_hosts() {
+                    for destination in (0..traffic.num_hosts()).filter(|&d| d != source) {
+                        prop_assert!(network
+                            .route_length(Host::new(source), Host::new(destination))
+                            .is_ok());
+                    }
                 }
             }
         }
@@ -96,11 +97,9 @@ mod proptests {
                 SelfAdjustingNetwork::new(traffic.num_hosts(), AlgorithmKind::RotorPush, seed)
                     .unwrap();
             network.serve_trace(traffic.pairs()).unwrap();
-            let depth = network
-                .ego_tree(Host::new(0))
-                .occupancy()
-                .tree()
-                .max_level() as u64;
+            // The deepest level of a complete tree holding the
+            // `num_hosts − 1` destinations of one source.
+            let depth = u64::from((traffic.num_hosts() - 1).ilog2());
             for source in 0..traffic.num_hosts() {
                 for destination in 0..traffic.num_hosts() {
                     if source == destination {

@@ -124,15 +124,6 @@ impl SelfAdjustingNetwork {
         self.kind
     }
 
-    /// The ego-tree of `source`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `source` is outside the network.
-    pub fn ego_tree(&self, source: Host) -> &EgoTree {
-        &self.egotrees[source.usize()]
-    }
-
     /// Serves one request from `source` to `destination`.
     ///
     /// # Errors

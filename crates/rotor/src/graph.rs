@@ -149,16 +149,6 @@ impl RotorGraph {
         &self.adjacency[vertex]
     }
 
-    /// The current rotor position of `vertex` (an index into its adjacency
-    /// list).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `vertex` is outside the graph.
-    pub fn rotor_position(&self, vertex: usize) -> usize {
-        self.pointer[vertex]
-    }
-
     /// Performs one rotor step out of `vertex`: returns the neighbour the
     /// rotor points at and advances the rotor.
     ///
@@ -260,12 +250,10 @@ mod tests {
     #[test]
     fn rotor_steps_cycle_through_the_neighbours_in_order() {
         let mut rotor = RotorGraph::new(vec![vec![1, 2, 3], vec![0], vec![0], vec![0]]).unwrap();
-        assert_eq!(rotor.rotor_position(0), 0);
         assert_eq!(rotor.step(0), 1);
         assert_eq!(rotor.step(0), 2);
         assert_eq!(rotor.step(0), 3);
         assert_eq!(rotor.step(0), 1);
-        assert_eq!(rotor.rotor_position(0), 1);
     }
 
     #[test]

@@ -31,7 +31,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs, missing_debug_implementations)]
 
-pub mod balance;
 mod fliprank;
 pub mod graph;
 mod pointers;

@@ -119,11 +119,6 @@ impl RotorState {
         path
     }
 
-    /// Returns `true` if `node` lies on the current global path.
-    pub fn on_global_path(&self, node: NodeId) -> bool {
-        self.global_path_node(node.level()) == node
-    }
-
     /// Performs the `flip(d)` operation of Definition 2: toggles the pointers
     /// of the global-path nodes at levels `0, …, d − 1`.
     ///
@@ -198,8 +193,6 @@ mod tests {
         );
         assert_eq!(s.global_path_node(0), NodeId::ROOT);
         assert_eq!(s.global_path_node(3), NodeId::new(7));
-        assert!(s.on_global_path(NodeId::new(3)));
-        assert!(!s.on_global_path(NodeId::new(4)));
     }
 
     #[test]

@@ -44,15 +44,6 @@ impl RotorWalk {
         }
     }
 
-    /// Creates a rotor walk continuing from an existing pointer state.
-    pub fn from_state(state: RotorState, target_level: u32) -> Self {
-        assert!(target_level <= state.tree().max_level());
-        RotorWalk {
-            state,
-            target_level,
-        }
-    }
-
     /// Returns a reference to the current pointer state.
     pub fn state(&self) -> &RotorState {
         &self.state
@@ -224,7 +215,7 @@ mod tests {
         // in the initial state (for k < 2^d).
         let t = tree(5);
         let initial = RotorState::new(t);
-        let mut walk = RotorWalk::from_state(initial.clone(), 4);
+        let mut walk = RotorWalk::new(t, 4);
         for k in 0..16u64 {
             let node = walk.dispatch();
             assert_eq!(initial.flip_rank(node), k, "dispatch {k}");

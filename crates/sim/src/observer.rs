@@ -243,11 +243,6 @@ impl SnapshotObserver {
     pub fn snapshots(&self) -> &[(u64, String)] {
         &self.snapshots
     }
-
-    /// Consumes the recorder, returning the snapshots.
-    pub fn into_snapshots(self) -> Vec<(u64, String)> {
-        self.snapshots
-    }
 }
 
 impl Observer for SnapshotObserver {
@@ -329,7 +324,7 @@ mod tests {
         observer.on_checkpoint(0, &network).unwrap();
         network.serve(ElementId::new(6)).unwrap();
         observer.on_checkpoint(1, &network).unwrap();
-        let snapshots = observer.into_snapshots();
+        let snapshots = observer.snapshots();
         assert_eq!(snapshots.len(), 2);
         assert_eq!(snapshots[0].0, 0);
         assert_ne!(snapshots[0].1, snapshots[1].1);

@@ -16,7 +16,7 @@ use std::fmt;
 ///
 /// Every generative variant builds on the streaming iterators of
 /// [`satn_workloads::stream`], so a scenario never materializes its request
-/// sequence unless a caller asks for it ([`WorkloadSpec::materialize`]).
+/// sequence.
 /// Pre-recorded sequences (corpus books, loaded traces) plug in through
 /// [`WorkloadSpec::Fixed`].
 #[derive(Debug, Clone, PartialEq)]
@@ -163,18 +163,6 @@ impl WorkloadSpec {
             )),
             WorkloadSpec::Fixed(workload) => Box::new(workload.iter().take(length)),
         }
-    }
-
-    /// Materializes the stream into a [`Workload`] (for statistics such as
-    /// empirical entropy that need the whole sequence). Exactly the
-    /// `collect` of [`WorkloadSpec::stream`] with the same arguments, so a
-    /// [`WorkloadSpec::Fixed`] longer than `length` is truncated here too.
-    pub fn materialize(&self, num_elements: u32, length: usize, seed: u64) -> Workload {
-        Workload::new(
-            self.label(),
-            num_elements,
-            self.stream(num_elements, length, seed).collect(),
-        )
     }
 
     /// The four stationary synthetic families of the paper's evaluation,
@@ -599,32 +587,11 @@ mod tests {
     }
 
     #[test]
-    fn materialized_spec_matches_its_stream() {
-        for spec in [
-            WorkloadSpec::Uniform,
-            WorkloadSpec::Zipf { a: 1.6 },
-            WorkloadSpec::Combined { a: 1.3, p: 0.5 },
-            WorkloadSpec::MarkovBursty {
-                hot_set_size: 4,
-                burst_entry: 0.1,
-                burst_persistence: 0.9,
-            },
-            WorkloadSpec::ShiftingHotspot { phases: 3, a: 2.0 },
-            WorkloadSpec::RoundRobinPath,
-        ] {
-            let streamed: Vec<ElementId> = spec.stream(63, 300, 9).collect();
-            let materialized = spec.materialize(63, 300, 9);
-            assert_eq!(streamed, materialized.requests(), "{spec}");
-        }
-    }
-
-    #[test]
     fn fixed_specs_replay_their_workload() {
         let workload = Workload::new("fixed", 7, vec![ElementId::new(3); 10]);
         let spec = WorkloadSpec::Fixed(workload.clone());
         let streamed: Vec<ElementId> = spec.stream(7, 10, 0).collect();
         assert_eq!(streamed, workload.requests());
-        assert_eq!(spec.materialize(7, 10, 0), workload);
         assert_eq!(spec.label(), "fixed");
     }
 

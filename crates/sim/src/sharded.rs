@@ -183,13 +183,6 @@ impl ShardedScenario {
         Partition::new(self.router, self.universe(), self.shards)
     }
 
-    /// The derived base seed of one shard in epoch 0: decorrelated per shard
-    /// so shard trees never share placement or algorithm randomness, yet
-    /// fully determined by the scenario seed.
-    pub fn shard_seed(&self, shard: u32) -> u64 {
-        self.shard_epoch_seed(shard, 0)
-    }
-
     /// The derived base seed of one `(shard, epoch)` pair — every epoch's
     /// fresh tree instances draw from their own seed, decorrelated across
     /// shards and epochs alike.
@@ -201,7 +194,7 @@ impl ShardedScenario {
     /// shard `s`'s scenario serves exactly the localized subsequence of the
     /// global stream that routes to `s` under the initial partition, on a
     /// tree sized by [`Partition::shard_levels`], seeded with
-    /// [`ShardedScenario::shard_seed`].
+    /// [`ShardedScenario::shard_epoch_seed`] at epoch 0.
     ///
     /// Running each of these through [`SimRunner`](crate::SimRunner) serially
     /// is the *reference replay* of a static (non-resharding) engine run:
@@ -581,14 +574,16 @@ mod tests {
     #[test]
     fn shard_seeds_are_distinct_and_deterministic() {
         let sharded = scenario(ShardRouter::Hash);
-        let seeds: Vec<u64> = (0..4).map(|s| sharded.shard_seed(s)).collect();
+        let seeds: Vec<u64> = (0..4).map(|s| sharded.shard_epoch_seed(s, 0)).collect();
         let mut deduped = seeds.clone();
         deduped.sort_unstable();
         deduped.dedup();
         assert_eq!(deduped.len(), 4);
         assert_eq!(
             seeds,
-            (0..4).map(|s| sharded.shard_seed(s)).collect::<Vec<_>>()
+            (0..4)
+                .map(|s| sharded.shard_epoch_seed(s, 0))
+                .collect::<Vec<_>>()
         );
     }
 

@@ -212,12 +212,6 @@ impl MigrationCost {
         self.delete + self.insert
     }
 
-    /// Whether the handover moved any element.
-    #[inline]
-    pub const fn is_zero(self) -> bool {
-        self.moved == 0
-    }
-
     /// Accumulates another handover's cost into this one.
     pub fn merge(&mut self, other: MigrationCost) {
         self.moved += other.moved;
@@ -555,7 +549,6 @@ mod tests {
     #[test]
     fn migration_cost_arithmetic_and_display() {
         let mut cost = MigrationCost::ZERO;
-        assert!(cost.is_zero());
         assert_eq!(cost.total(), 0);
         cost.merge(MigrationCost {
             moved: 2,
@@ -569,7 +562,6 @@ mod tests {
         });
         assert_eq!(cost.moved, 3);
         assert_eq!(cost.total(), 16);
-        assert!(!cost.is_zero());
         assert_eq!(cost.to_string(), "moved=3 delete=8 insert=8 total=16");
     }
 

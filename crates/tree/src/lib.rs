@@ -105,12 +105,6 @@ mod proptests {
         }
 
         #[test]
-        fn directions_roundtrip(index in 0u32..100_000) {
-            let node = NodeId::new(index);
-            prop_assert_eq!(NodeId::from_directions(&node.directions_from_root()), node);
-        }
-
-        #[test]
         fn ancestors_iterator_matches_reversed_root_path(index in 0u32..1_000_000) {
             let node = NodeId::new(index);
             let mut reversed_path = node.path_from_root();

@@ -112,19 +112,6 @@ impl NodeId {
         self.is_parent_of(other) || other.is_parent_of(self)
     }
 
-    /// Returns whether this node is the left or right child of its parent,
-    /// or `None` for the root.
-    #[inline]
-    pub const fn direction_from_parent(self) -> Option<Direction> {
-        if self.0 == 0 {
-            None
-        } else if self.0 % 2 == 1 {
-            Some(Direction::Left)
-        } else {
-            Some(Direction::Right)
-        }
-    }
-
     /// Returns the ancestor of this node at the given level.
     ///
     /// # Panics
@@ -185,25 +172,6 @@ impl NodeId {
     /// on hot paths — it performs the same walk without allocating.
     pub fn path_from_root(self) -> Vec<NodeId> {
         self.ancestors().rev().collect()
-    }
-
-    /// Returns the sequence of left/right directions taken from the root to
-    /// reach this node. The root yields an empty vector.
-    pub fn directions_from_root(self) -> Vec<Direction> {
-        let path = self.path_from_root();
-        path.iter()
-            .skip(1)
-            .map(|n| n.direction_from_parent().expect("non-root path node"))
-            .collect()
-    }
-
-    /// Builds the node reached from the root by following `directions`.
-    pub fn from_directions(directions: &[Direction]) -> NodeId {
-        let mut node = NodeId::ROOT;
-        for &d in directions {
-            node = node.child(d);
-        }
-        node
     }
 
     /// Returns the lowest common ancestor of two nodes.
@@ -411,7 +379,6 @@ mod tests {
         assert_eq!(NodeId::ROOT.level(), 0);
         assert!(NodeId::ROOT.is_root());
         assert_eq!(NodeId::ROOT.parent(), None);
-        assert_eq!(NodeId::ROOT.direction_from_parent(), None);
         assert_eq!(NodeId::ROOT.offset_in_level(), 0);
     }
 
@@ -440,14 +407,6 @@ mod tests {
             let n = NodeId::new(i);
             assert_eq!(n.left_child().parent(), Some(n));
             assert_eq!(n.right_child().parent(), Some(n));
-            assert_eq!(
-                n.left_child().direction_from_parent(),
-                Some(Direction::Left)
-            );
-            assert_eq!(
-                n.right_child().direction_from_parent(),
-                Some(Direction::Right)
-            );
         }
     }
 
@@ -541,16 +500,6 @@ mod tests {
         assert_eq!(iter.next_back(), None);
         assert_eq!(iter.next(), None); // fused
         assert_eq!(iter.len(), 0);
-    }
-
-    #[test]
-    fn directions_roundtrip() {
-        for i in 0..256u32 {
-            let n = NodeId::new(i);
-            let dirs = n.directions_from_root();
-            assert_eq!(NodeId::from_directions(&dirs), n);
-            assert_eq!(dirs.len() as u32, n.level());
-        }
     }
 
     #[test]

@@ -99,22 +99,11 @@ impl TreeSnapshot {
         self.level_of(element).map(|level| level as u64 + 1)
     }
 
-    /// The elements in heap (BFS) order, i.e. `el` as a vector.
-    pub fn placement_in_heap_order(&self) -> Vec<ElementId> {
-        self.element_of.to_vec()
-    }
-
     /// The captured placement's [`Fingerprint`] — equal to
     /// [`Occupancy::fingerprint`] of the occupancy the snapshot was captured
     /// from.
     pub fn fingerprint(&self) -> Fingerprint {
         Fingerprint::of_node_map(self.tree.num_nodes(), &self.node_of)
-    }
-
-    /// Rebuilds a mutable [`Occupancy`] equal to the captured state.
-    pub fn to_occupancy(&self) -> Occupancy {
-        Occupancy::from_placement(self.tree, self.placement_in_heap_order())
-            .expect("a snapshot is a frozen bijection")
     }
 }
 
@@ -298,7 +287,6 @@ mod tests {
         assert_eq!(snapshot.element_at(NodeId::new(31)), None);
         // The snapshot fingerprint is the occupancy's.
         assert_eq!(snapshot.fingerprint(), occupancy.fingerprint());
-        assert_eq!(snapshot.to_occupancy(), occupancy);
 
         // Mutating the live occupancy never changes the frozen view.
         let before = snapshot.clone();

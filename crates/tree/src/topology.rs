@@ -146,12 +146,6 @@ impl CompleteTree {
             })
         }
     }
-
-    /// The sum of `level(v) + 1` over all nodes — the total access cost of
-    /// touching every node exactly once. Useful as a normalisation constant.
-    pub fn total_depth_cost(&self) -> u64 {
-        (0..self.levels).map(|d| (d as u64 + 1) * (1u64 << d)).sum()
-    }
 }
 
 #[cfg(test)]
@@ -234,12 +228,5 @@ mod tests {
         assert!(t.check_node(NodeId::new(2)).is_ok());
         let err = t.check_node(NodeId::new(3)).unwrap_err();
         assert!(err.to_string().contains("out of range"));
-    }
-
-    #[test]
-    fn total_depth_cost_small() {
-        let t = CompleteTree::with_levels(3).unwrap();
-        // level 0: 1 node * 1, level 1: 2 * 2, level 2: 4 * 3 => 1 + 4 + 12
-        assert_eq!(t.total_depth_cost(), 17);
     }
 }

@@ -101,34 +101,20 @@ fn normalize(text: &str) -> String {
 /// (`th`, `he`, `er`, …) and realistic word lengths, which is enough to give
 /// the derived 3-gram request streams the skewed frequency profile and
 /// moderate temporal locality of natural text.
-#[derive(Debug, Clone)]
-pub struct MarkovTextGenerator {
-    mean_word_length: f64,
-}
+#[derive(Debug, Clone, Default)]
+pub struct MarkovTextGenerator;
+
+/// The mean word length in letters (roughly English).
+const MEAN_WORD_LENGTH: f64 = 4.7;
 
 const VOWELS: &[char] = &['a', 'e', 'i', 'o', 'u'];
 const COMMON_CONSONANTS: &[char] = &['t', 'n', 's', 'h', 'r', 'd', 'l', 'c', 'm'];
 const RARE_CONSONANTS: &[char] = &['w', 'f', 'g', 'y', 'p', 'b', 'v', 'k', 'j', 'x', 'q', 'z'];
 
 impl MarkovTextGenerator {
-    /// Creates a generator with the default mean word length of 4.7 letters
-    /// (roughly English).
+    /// Creates a generator with a mean word length of 4.7 letters.
     pub fn new() -> Self {
-        MarkovTextGenerator {
-            mean_word_length: 4.7,
-        }
-    }
-
-    /// Overrides the mean word length.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `mean` is not at least 1.
-    pub fn with_mean_word_length(mean: f64) -> Self {
-        assert!(mean >= 1.0, "mean word length must be at least 1");
-        MarkovTextGenerator {
-            mean_word_length: mean,
-        }
+        MarkovTextGenerator
     }
 
     fn next_letter<R: Rng + ?Sized>(&self, previous: Option<char>, rng: &mut R) -> char {
@@ -172,9 +158,9 @@ impl MarkovTextGenerator {
 
     /// Generates one word.
     pub fn word<R: Rng + ?Sized>(&self, rng: &mut R) -> String {
-        // Geometric-ish word length around the configured mean, at least 1.
+        // Geometric-ish word length around the mean, at least 1.
         let mut length = 1;
-        while length < 12 && rng.gen_bool(1.0 - 1.0 / self.mean_word_length) {
+        while length < 12 && rng.gen_bool(1.0 - 1.0 / MEAN_WORD_LENGTH) {
             length += 1;
         }
         let mut word = String::with_capacity(length);
@@ -197,12 +183,6 @@ impl MarkovTextGenerator {
             text.push_str(&self.word(rng));
         }
         text
-    }
-}
-
-impl Default for MarkovTextGenerator {
-    fn default() -> Self {
-        Self::new()
     }
 }
 
@@ -311,11 +291,5 @@ mod tests {
         let a = generator.text(100, &mut StdRng::seed_from_u64(5));
         let b = generator.text(100, &mut StdRng::seed_from_u64(5));
         assert_eq!(a, b);
-    }
-
-    #[test]
-    #[should_panic(expected = "at least 1")]
-    fn generator_rejects_tiny_word_length() {
-        MarkovTextGenerator::with_mean_word_length(0.2);
     }
 }

@@ -37,7 +37,6 @@
 #![warn(missing_docs, missing_debug_implementations)]
 
 pub mod corpus;
-pub mod lru_stack;
 pub mod nonstationary;
 pub mod shard;
 pub mod stream;
@@ -45,7 +44,6 @@ pub mod synthetic;
 pub mod trace;
 mod workload;
 
-pub use lru_stack::StackDistanceProfile;
 pub use shard::{
     carry_remap, derive_schedule, handover, shard_epoch_seed, EpochedPartition, Handover,
     Partition, PartitionEpoch, PolicyDriver, ReshardError, ReshardEvent, ReshardPlan,

@@ -88,13 +88,6 @@ impl ShardRouter {
             ShardRouter::SourceAffinity => element.index() % shards,
         }
     }
-
-    /// The shard a request from `source` is routed to under source-affinity
-    /// routing (the other policies ignore the source and this method).
-    pub fn shard_of_source(self, source: u32, shards: u32) -> u32 {
-        assert!(shards > 0, "a partition needs at least one shard");
-        source % shards
-    }
 }
 
 impl fmt::Display for ShardRouter {
@@ -333,16 +326,6 @@ impl Partition {
     pub fn localize(&self, element: ElementId) -> Option<(u32, ElementId)> {
         let shard = self.shard_of(element)?;
         Some((shard, ElementId::new(self.local_of[element.usize()])))
-    }
-
-    /// Translates `(shard, local id)` coordinates back into the global
-    /// element.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the shard or local id is out of range.
-    pub fn globalize(&self, shard: u32, local: ElementId) -> ElementId {
-        self.owned[shard as usize][local.usize()]
     }
 
     /// The global elements owned by `shard`, in increasing id order (= local
@@ -1095,7 +1078,7 @@ mod tests {
                 for global in (0..universe).map(ElementId::new) {
                     let (shard, local) = partition.localize(global).unwrap();
                     assert!(shard < shards);
-                    assert_eq!(partition.globalize(shard, local), global, "{router}");
+                    assert_eq!(partition.owned(shard)[local.usize()], global, "{router}");
                     assert_eq!(partition.shard_of(global), Some(shard));
                 }
             }
@@ -1122,7 +1105,6 @@ mod tests {
         for global in (0..12u32).map(ElementId::new) {
             assert_eq!(partition.shard_of(global), Some(global.index() % 3));
         }
-        assert_eq!(ShardRouter::SourceAffinity.shard_of_source(7, 3), 1);
     }
 
     #[test]
@@ -1164,7 +1146,7 @@ mod tests {
                 .collect();
             let globalized: Vec<ElementId> = split[shard as usize]
                 .iter()
-                .map(|&local| partition.globalize(shard, local))
+                .map(|&local| partition.owned(shard)[local.usize()])
                 .collect();
             assert_eq!(globalized, expected, "shard {shard}");
         }

@@ -18,42 +18,6 @@ pub fn uniform<R: Rng + ?Sized>(num_elements: u32, length: usize, rng: &mut R) -
     Workload::new(format!("uniform(n={num_elements})"), num_elements, requests)
 }
 
-/// Post-processes a sequence for temporal locality as in Section 6.1: for
-/// every position `i ≥ 1`, with probability `repeat_probability` the request
-/// is replaced by its predecessor.
-///
-/// Note: [`temporal`] and [`combined`] no longer go through this
-/// post-processing pass — they draw interleaved via the streaming generators
-/// — so `with_temporal_locality(&uniform(...))` and `temporal(...)` yield
-/// *different* sequences for the same generator state (the distribution is
-/// the same). This function remains for overlaying temporal locality onto
-/// arbitrary pre-recorded workloads (corpus books, loaded traces).
-///
-/// # Panics
-///
-/// Panics if `repeat_probability` is not in `[0, 1]`.
-pub fn with_temporal_locality<R: Rng + ?Sized>(
-    workload: &Workload,
-    repeat_probability: f64,
-    rng: &mut R,
-) -> Workload {
-    assert!(
-        (0.0..=1.0).contains(&repeat_probability),
-        "repeat probability must be within [0, 1]"
-    );
-    let mut requests = workload.requests().to_vec();
-    for i in 1..requests.len() {
-        if rng.gen_bool(repeat_probability) {
-            requests[i] = requests[i - 1];
-        }
-    }
-    Workload::new(
-        format!("{}+temporal(p={repeat_probability})", workload.name()),
-        workload.num_elements(),
-        requests,
-    )
-}
-
 /// Generates a sequence with temporal locality: each request after the first
 /// repeats its predecessor with probability `p` and otherwise draws a fresh
 /// uniform element (the paper's Q2 workload).
@@ -251,15 +215,6 @@ mod tests {
         // Entropy decreases only mildly (the paper reports 15.95 -> 15.16 for
         // depth-15 trees); for this size we only check the direction.
         assert!(p9.empirical_entropy() <= p0.empirical_entropy() + 0.05);
-    }
-
-    #[test]
-    fn with_temporal_locality_validates_probability() {
-        let base = uniform(8, 10, &mut rng(3));
-        let result = std::panic::catch_unwind(|| {
-            with_temporal_locality(&base, 1.5, &mut rng(3));
-        });
-        assert!(result.is_err());
     }
 
     #[test]

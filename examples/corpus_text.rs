@@ -12,7 +12,7 @@
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use satn::compress::complexity_point;
+use satn::analysis::complexity_point;
 use satn::workloads::corpus;
 use satn::{fit_tree_levels, AlgorithmKind, CompleteTree, SelfAdjustingTree};
 

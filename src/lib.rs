@@ -15,8 +15,7 @@
 //! | [`rotor`] | `satn-rotor` | rotor pointers, flips, flip-ranks, rotor-router walks |
 //! | [`core`] | `satn-core` | Rotor-Push, Random-Push, Move-Half, Max-Push, static baselines, Move-To-Front |
 //! | [`workloads`] | `satn-workloads` | uniform / temporal / Zipf / combined / corpus workload generators |
-//! | [`compress`] | `satn-compress` | LZW compressor and the trace complexity map |
-//! | [`analysis`] | `satn-analysis` | working-set bounds, MRU reference, credit audits, Lemma 8 adversary |
+//! | [`analysis`] | `satn-analysis` | working-set bounds, credit audits, Lemma 8 adversary, trace complexity map |
 //! | [`network`] | `satn-network` | multi-source datacenter networks composed of per-source ego-trees |
 //! | [`sim`] | `satn-sim` | scenario-simulation engine: declarative grids, batched serving, invariant hooks, replay |
 //! | [`exec`] | `satn-exec` | deterministic parallel execution layer: one scoped fan-out with an order-preserving merge |
@@ -49,7 +48,6 @@
 #![warn(missing_docs)]
 
 pub use satn_analysis as analysis;
-pub use satn_compress as compress;
 pub use satn_core as core;
 pub use satn_exec as exec;
 pub use satn_network as network;
