@@ -60,6 +60,19 @@ fn encode(trace: &[u32]) -> Vec<u8> {
 /// seed makes the measurement reproducible.
 ///
 /// Returns the neutral point (1, 1) for traces with fewer than two requests.
+///
+/// ```
+/// use satn_analysis::{complexity_point, compress, decompress};
+/// use rand::SeedableRng;
+///
+/// let data = b"self adjusting trees adjust to demand".repeat(20);
+/// assert_eq!(decompress(&compress(&data)), data);
+///
+/// let trace: Vec<u32> = (0..5000u32).map(|i| i % 7).collect();
+/// let mut rng = rand::rngs::StdRng::seed_from_u64(1);
+/// let point = complexity_point(&trace, &mut rng);
+/// assert!(point.temporal < 1.0); // a strictly periodic trace has temporal structure
+/// ```
 pub fn complexity_point<R: Rng + ?Sized>(trace: &[u32], rng: &mut R) -> ComplexityPoint {
     if trace.len() < 2 {
         return ComplexityPoint {

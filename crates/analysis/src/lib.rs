@@ -27,19 +27,6 @@
 //! let bound = working_set_bound(4, &requests);
 //! assert!(bound > 0.0);
 //! ```
-//!
-//! ```
-//! use satn_analysis::{complexity_point, compress, decompress};
-//! use rand::SeedableRng;
-//!
-//! let data = b"self adjusting trees adjust to demand".repeat(20);
-//! assert_eq!(decompress(&compress(&data)), data);
-//!
-//! let trace: Vec<u32> = (0..5000u32).map(|i| i % 7).collect();
-//! let mut rng = rand::rngs::StdRng::seed_from_u64(1);
-//! let point = complexity_point(&trace, &mut rng);
-//! assert!(point.temporal < 1.0); // a strictly periodic trace has temporal structure
-//! ```
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs, missing_debug_implementations)]
