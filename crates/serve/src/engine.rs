@@ -13,8 +13,8 @@ use satn_tree::{
     ShardedCostSummary, TreeSnapshot,
 };
 use satn_workloads::shard::{
-    algorithm_seed, carry_remap, handover, shard_epoch_seed, EpochedPartition, Partition,
-    PolicyDriver, ReshardEvent, ReshardPlan,
+    algorithm_seed, carry_remap, handover, shard_epoch_seed, Partition, PolicyDriver, ReshardEvent,
+    ReshardPlan,
 };
 use std::collections::VecDeque;
 use std::fmt;
@@ -84,9 +84,14 @@ enum OnlineSchedule {
 ///    ([`satn_workloads::shard::handover`]), each paying its access cost,
 ///    and the touched shards' trees are rebuilt warm from the post-handover
 ///    placement while untouched shards keep their live trees;
-/// 3. **epoch bump** — the [`EpochedPartition`] log grows by the
-///    plan-patched partition, and the accounting opens a new epoch
-///    sub-summary carrying the migration cost.
+/// 3. **epoch bump** — the plan-patched partition replaces the closing
+///    one, and the accounting opens a new epoch sub-summary carrying the
+///    migration cost.
+///
+/// The engine keeps only the live partition: a closing epoch's partition is
+/// freed once no published snapshot holds it. Nothing needs an older one —
+/// the future of the run depends only on the live placements and the
+/// rotor/recency state the trees carry.
 ///
 /// Everything is read off the plan: the moved elements, the touched
 /// shards, the rebuilds, and the partition update cost work in proportion
@@ -116,7 +121,11 @@ enum OnlineSchedule {
 /// and shares every other shard's [`TreeSnapshot`] `Arc` with the previous
 /// publication. Only the first publication captures every shard.
 pub struct ShardedEngine {
-    log: EpochedPartition,
+    /// The live epoch's partition, shared with the snapshots published in
+    /// that epoch.
+    partition: Arc<Partition>,
+    /// The live epoch index (0 = the initial assignment).
+    epoch: u32,
     shards: Vec<Shard>,
     accounting: ShardedCostSummary,
     parallelism: Parallelism,
@@ -145,33 +154,15 @@ pub struct ShardedEngine {
 }
 
 impl ShardedEngine {
-    /// The non-panicking constructor behind
-    /// [`ShardedEngineConfig::from_parts`](crate::ShardedEngineConfig::from_parts):
-    /// a **static** engine from a partition and one pre-built tree per shard
-    /// (shard `s`'s tree serves local ids `0..` of `partition.owned(s)`, so
-    /// it needs at least that many nodes). Built this way the engine cannot
-    /// reshard — arbitrary pre-built trees carry no rebuild recipe.
+    /// An engine over a partition and one tree per shard (shard `s`'s tree
+    /// serves local ids `0..` of `partition.owned(s)`). It has no rebuild
+    /// recipe and no reshard schedule until
+    /// [`ShardedEngine::build_from_scenario`] sets them.
     pub(crate) fn assemble(
         partition: Partition,
         trees: Vec<Box<dyn SelfAdjustingTree + Send>>,
         parallelism: Parallelism,
-    ) -> Result<Self, ServeError> {
-        if trees.len() as u32 != partition.shards() {
-            return Err(ServeError::InvalidConfig(format!(
-                "one tree per shard is required ({} trees for {} shards)",
-                trees.len(),
-                partition.shards()
-            )));
-        }
-        for (shard, tree) in (0..).zip(&trees) {
-            let nodes = tree.occupancy().num_elements() as usize;
-            let owned = partition.owned(shard).len();
-            if nodes < owned {
-                return Err(ServeError::InvalidConfig(format!(
-                    "shard {shard}'s tree has {nodes} nodes for {owned} owned elements"
-                )));
-            }
-        }
+    ) -> Self {
         let shards: Vec<Shard> = trees
             .into_iter()
             .map(|tree| Shard {
@@ -182,8 +173,9 @@ impl ShardedEngine {
             .collect();
         let accounting = ShardedCostSummary::new(partition.shards());
         let metrics = Arc::new(EngineMetrics::new(partition.shards()));
-        Ok(ShardedEngine {
-            log: EpochedPartition::from_partition(partition),
+        ShardedEngine {
+            partition: Arc::new(partition),
+            epoch: 0,
             shards,
             accounting,
             parallelism,
@@ -196,7 +188,7 @@ impl ShardedEngine {
             published: Vec::new(),
             metrics,
             tracer: Arc::new(TraceRing::with_default_capacity()),
-        })
+        }
     }
 
     /// The construction behind
@@ -207,8 +199,8 @@ impl ShardedEngine {
     /// — that is what makes the serial replay a byte-exact oracle). The
     /// scenario's [`ReshardSchedule`] is applied online: manual events fire
     /// at their stream positions, a policy observes the routed stream at its
-    /// cadence — both reproducing the schedule
-    /// [`ShardedScenario::epoch_log`] derives offline.
+    /// cadence — both reproducing the events
+    /// [`ShardedScenario::reshard_events`] derives offline.
     pub(crate) fn build_from_scenario(
         scenario: &ShardedScenario,
         parallelism: Parallelism,
@@ -241,29 +233,10 @@ impl ShardedEngine {
                 })?;
             trees.push(tree);
         }
-        let mut engine = ShardedEngine::assemble(partition, trees, parallelism)?;
+        let mut engine = ShardedEngine::assemble(partition, trees, parallelism);
         engine.rebuild = (!offline).then_some((scenario.algorithm, scenario.seed));
         engine.schedule = schedule;
         Ok(engine)
-    }
-
-    /// The validated setter behind
-    /// [`ShardedEngineConfig::resharding`](crate::ShardedEngineConfig::resharding):
-    /// the rebuild recipe a raw-tree engine needs to reshard — the algorithm
-    /// every post-handover tree is re-instantiated with, and the base seed
-    /// of the per-`(shard, epoch)` derived seeds.
-    pub(crate) fn set_resharding(
-        &mut self,
-        algorithm: AlgorithmKind,
-        seed: u64,
-    ) -> Result<(), ServeError> {
-        if algorithm == AlgorithmKind::StaticOpt {
-            return Err(ServeError::InvalidConfig(
-                "offline algorithms cannot be rebuilt mid-stream".to_owned(),
-            ));
-        }
-        self.rebuild = Some((algorithm, seed));
-        Ok(())
     }
 
     /// The validated setter behind
@@ -282,17 +255,12 @@ impl ShardedEngine {
 
     /// The engine's current element-to-shard assignment.
     pub fn partition(&self) -> &Partition {
-        self.log.current()
-    }
-
-    /// The full epoch log (epoch 0 = the initial assignment).
-    pub fn epoch_log(&self) -> &EpochedPartition {
-        &self.log
+        &self.partition
     }
 
     /// The current epoch index.
     pub fn epoch(&self) -> u32 {
-        self.log.current_epoch()
+        self.epoch
     }
 
     /// Number of shards.
@@ -358,7 +326,7 @@ impl ShardedEngine {
     /// Freezes the engine's current served state (the most recent drain
     /// boundary: trees only change inside drains and handovers, so capturing
     /// between them is always consistent with the accounting). The snapshot
-    /// shares the epoch log's own partition allocation, and every shard that
+    /// shares the engine's own partition allocation, and every shard that
     /// was neither served nor rebuilt since the last publication shares that
     /// publication's [`TreeSnapshot`]: only the changed shards are captured,
     /// except on the first call, which captures them all.
@@ -381,12 +349,10 @@ impl ShardedEngine {
             captures
         };
         self.metrics.snapshot_shard_captures.add(captures as u64);
-        let epoch = self.log.current_epoch();
-        let partition = Arc::clone(self.log.current_shared());
         EngineSnapshot::assemble(
-            epoch,
+            self.epoch,
             self.accounting.requests(),
-            partition,
+            Arc::clone(&self.partition),
             self.published.clone(),
         )
     }
@@ -405,7 +371,7 @@ impl ShardedEngine {
         self.metrics.snapshot_version.set(version);
         self.tracer.record(TraceStamp {
             kind: TraceKind::SnapshotPublish,
-            epoch: self.log.current_epoch(),
+            epoch: self.epoch,
             served,
             detail: version,
         });
@@ -422,18 +388,17 @@ impl ShardedEngine {
     pub fn submit(&mut self, element: ElementId) -> Result<(), ServeError> {
         self.fire_due_manual_events(false)?;
         let (shard, local) =
-            self.log
-                .current()
+            self.partition
                 .localize(element)
                 .ok_or_else(|| ServeError::OutOfUniverse {
                     element,
-                    universe: self.log.current().universe(),
+                    universe: self.partition.universe(),
                 })?;
         self.shards[shard as usize].pending.push(local);
         self.metrics.shard_buffered[shard as usize].inc();
         let should_drain = self.control.note_submitted();
         if let OnlineSchedule::Policy(driver) = &mut self.schedule {
-            let plan = driver.observe(element, self.log.current());
+            let plan = driver.observe(element, &self.partition);
             if let Some(plan) = plan {
                 // The reshard's drain fence also covers the threshold.
                 return self.reshard(plan);
@@ -518,7 +483,7 @@ impl ShardedEngine {
         let served = self.accounting.requests();
         self.tracer.record(TraceStamp {
             kind: TraceKind::Drain,
-            epoch: self.log.current_epoch(),
+            epoch: self.epoch,
             served,
             detail: served - before,
         });
@@ -537,7 +502,7 @@ impl ShardedEngine {
     /// the closing epoch's fingerprints are recorded), element migration via
     /// the canonical delete/re-insert order of
     /// [`satn_workloads::shard::handover`], and the epoch bump (partition
-    /// log + accounting).
+    /// and accounting).
     ///
     /// Only the shards the plan touches (move sources and destinations) are
     /// rebuilt — each re-instantiated warm, carrying its predecessor's
@@ -551,15 +516,15 @@ impl ShardedEngine {
     ///
     /// # Errors
     ///
-    /// [`ServeError::ReshardUnsupported`] if the engine has no rebuild
-    /// recipe, [`ServeError::Reshard`] if the plan does not fit the
+    /// [`ServeError::ReshardUnsupported`] if the engine's algorithm is
+    /// offline, [`ServeError::Reshard`] if the plan does not fit the
     /// partition (the engine is unchanged beyond the drain fence),
     /// [`ServeError::Handover`] if the handover produced a placement no
     /// shard tree can be rebuilt from, or a drain/rebuild error.
     pub fn reshard(&mut self, plan: ReshardPlan) -> Result<(), ServeError> {
         let Some((kind, base_seed)) = self.rebuild else {
             return Err(ServeError::ReshardUnsupported {
-                reason: "the engine was built from raw trees without a rebuild recipe",
+                reason: "offline algorithms cannot be rebuilt mid-stream",
             });
         };
         let planned_moves = plan.moves().len() as u64;
@@ -568,14 +533,11 @@ impl ShardedEngine {
         // The handover clock starts after the fence: it measures the
         // migration and rebuild work itself, not the backlog drained first.
         let started = Instant::now();
-        let closing_epoch = self.log.current_epoch();
-        let old = Arc::clone(self.log.current_shared());
-        let epoch = self
-            .log
-            .apply(plan.clone())
-            .map_err(ServeError::Reshard)?
-            .epoch();
-        let new = Arc::clone(self.log.current_shared());
+        let closing_epoch = self.epoch;
+        let new = Arc::new(self.partition.apply(&plan).map_err(ServeError::Reshard)?);
+        let old = std::mem::replace(&mut self.partition, Arc::clone(&new));
+        self.epoch += 1;
+        let epoch = self.epoch;
         let served = self.accounting.requests();
         self.tracer.record(TraceStamp {
             kind: TraceKind::ReshardFence,
@@ -736,7 +698,7 @@ impl ShardedEngine {
             .enumerate()
             .map(|(index, shard)| ShardReport {
                 shard: index as u32,
-                elements: self.log.current().owned(index as u32).len() as u32,
+                elements: self.partition.owned(index as u32).len() as u32,
                 summary: *self.accounting.shard(index as u32),
                 fingerprint: shard.tree.occupancy().fingerprint(),
             })
@@ -758,8 +720,8 @@ impl fmt::Debug for ShardedEngine {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("ShardedEngine")
             .field("shards", &self.shards())
-            .field("universe", &self.log.current().universe())
-            .field("router", &self.log.current().router())
+            .field("universe", &self.partition.universe())
+            .field("router", &self.partition.router())
             .field("epoch", &self.epoch())
             .field("parallelism", &self.parallelism)
             .field("submitted", &self.submitted())
@@ -1075,11 +1037,8 @@ mod tests {
                     None => inner,
                 });
             }
-            let mut engine = ShardedEngineConfig::from_parts(partition.clone(), trees)
-                .parallelism(parallelism)
-                .drain_threshold(1_000_000)
-                .build()
-                .unwrap();
+            let mut engine = ShardedEngine::assemble(partition.clone(), trees, parallelism);
+            engine.set_drain_threshold(1_000_000).unwrap();
             for element in sharded.stream() {
                 engine.submit(element).unwrap();
             }
@@ -1106,49 +1065,6 @@ mod tests {
         let report = engine.finish().unwrap();
         assert_eq!(report.requests, 0);
         assert_eq!(report.drains, 0);
-    }
-
-    #[test]
-    fn raw_tree_engines_cannot_reshard_without_a_recipe() {
-        let sharded = scenario(AlgorithmKind::RotorPush, ShardRouter::Hash);
-        let partition = sharded.partition();
-        let trees: Vec<_> = sharded
-            .shard_scenarios()
-            .iter()
-            .map(|s| s.instantiate().unwrap())
-            .collect();
-        let mut engine = ShardedEngineConfig::from_parts(partition, trees)
-            .parallelism(Parallelism::Serial)
-            .build()
-            .unwrap();
-        let err = engine
-            .reshard(ReshardPlan::new([(ElementId::new(0), 1)]))
-            .unwrap_err();
-        assert!(matches!(err, ServeError::ReshardUnsupported { .. }));
-        assert!(err.to_string().contains("cannot reshard"));
-        assert_eq!(engine.epoch(), 0);
-    }
-
-    #[test]
-    fn raw_tree_engines_reshard_with_a_recipe() {
-        let sharded = scenario(AlgorithmKind::RotorPush, ShardRouter::Hash);
-        let partition = sharded.partition();
-        let trees: Vec<_> = sharded
-            .shard_scenarios()
-            .iter()
-            .map(|s| s.instantiate().unwrap())
-            .collect();
-        let mut engine = ShardedEngineConfig::from_parts(partition, trees)
-            .parallelism(Parallelism::Serial)
-            .resharding(AlgorithmKind::RotorPush, sharded.seed)
-            .build()
-            .unwrap();
-        engine
-            .reshard(ReshardPlan::new([(ElementId::new(0), 1)]))
-            .unwrap();
-        assert_eq!(engine.epoch(), 1);
-        assert_eq!(engine.partition().shard_of(ElementId::new(0)), Some(1));
-        assert_eq!(engine.accounting().migration_total().moved, 1);
     }
 
     #[test]
@@ -1277,6 +1193,18 @@ mod tests {
             .map(|_| ())
             .unwrap_err();
         assert!(matches!(err, ServeError::ReshardUnsupported { .. }));
+
+        // A static offline engine builds, but refuses an explicit reshard
+        // before its drain fence.
+        sharded.reshard = satn_sim::ReshardSchedule::Static;
+        let mut engine = engine(&sharded, Parallelism::Serial);
+        engine.submit(ElementId::new(0)).unwrap();
+        let err = engine
+            .reshard(ReshardPlan::new([(ElementId::new(0), 1)]))
+            .unwrap_err();
+        assert!(matches!(err, ServeError::ReshardUnsupported { .. }));
+        assert!(err.to_string().contains("offline"), "{err}");
+        assert_eq!((engine.epoch(), engine.drains()), (0, 0));
     }
 
     #[test]
@@ -1346,6 +1274,7 @@ mod tests {
             .build()
             .unwrap();
         let mut reader = engine.snapshots();
+        let mut previous = Arc::clone(reader.snapshot());
         let (mut handovers, mut moved) = (0, 0);
         for element in sharded.stream() {
             let epoch = engine.epoch();
@@ -1356,6 +1285,7 @@ mod tests {
             handovers += 1;
             let snapshot = Arc::clone(reader.snapshot());
             assert_eq!(snapshot.epoch(), engine.epoch());
+            assert_eq!(previous.epoch() + 1, engine.epoch());
             for shard in 0..engine.shards() {
                 assert_eq!(
                     snapshot.fingerprint(shard),
@@ -1364,7 +1294,7 @@ mod tests {
                     engine.epoch()
                 );
             }
-            for &(element, to) in engine.epoch_log().epoch(engine.epoch()).plan().moves() {
+            for (element, _, to) in previous.partition().diff(engine.partition()) {
                 let (shard, local) = engine.partition().localize(element).unwrap();
                 assert_eq!(shard, to);
                 let live = engine.shards[shard as usize]
@@ -1379,6 +1309,7 @@ mod tests {
                 );
                 moved += 1;
             }
+            previous = snapshot;
         }
         assert!(handovers >= 5, "only {handovers} handovers fired");
         assert!(moved > 0);

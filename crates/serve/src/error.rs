@@ -40,10 +40,9 @@ pub enum ServeError {
         /// What was wrong with the placement.
         reason: String,
     },
-    /// The engine cannot reshard: it was assembled without rebuild
-    /// information (raw trees instead of a scenario) or its algorithm is
-    /// offline (Static-Opt computes its layout from the whole future
-    /// subsequence, which no online handover can know).
+    /// The engine cannot reshard: its algorithm is offline (Static-Opt
+    /// computes its layout from the whole future subsequence, which no
+    /// online handover can know).
     ReshardUnsupported {
         /// Why resharding is unavailable.
         reason: &'static str,

@@ -20,9 +20,9 @@
 //!
 //! * [`ShardedEngine`] — `S` per-shard trees (any
 //!   [`AlgorithmKind`](satn_sim::AlgorithmKind)) partitioning the element
-//!   universe via an **epoch-versioned** [`Partition`]
-//!   ([`EpochedPartition`] log) built from a pluggable [`ShardRouter`]
-//!   policy; requests buffer per shard and drain concurrently through the
+//!   universe via an **epoch-versioned** [`Partition`] built from a
+//!   pluggable [`ShardRouter`] policy (the engine keeps only the live
+//!   epoch's partition); requests buffer per shard and drain concurrently through the
 //!   allocation-free `serve_batch` fast path, one `satn-exec` work item
 //!   per shard batch,
 //! * [`ShardedEngine::reshard`] — the deterministic handover: **drain
@@ -31,8 +31,9 @@
 //!   their source trees and re-inserted at their destinations in canonical
 //!   element order, each paying its access cost; the touched shards'
 //!   trees are rebuilt carrying their rotor/recency/RNG state, the others
-//!   keep their live trees) → **epoch bump** (log + ledger). Also reachable as a [`ReshardPlan`] control frame through the
-//!   ingest queue, or automatically via a load-adaptive [`ReshardPolicy`],
+//!   keep their live trees) → **epoch bump** (partition + ledger). Also
+//!   reachable as a [`ReshardPlan`] control frame through the ingest
+//!   queue, or automatically via a load-adaptive [`ReshardPolicy`],
 //! * [`Ingest`] — the transport-agnostic ingestion trait (`send`,
 //!   `send_burst`, `flush`, `reshard`, `lookup`), implemented by both the
 //!   in-process [`IngestSender`] and the TCP client [`TcpIngest`]; code
@@ -134,8 +135,7 @@ pub use satn_obs::{EngineMetrics, MetricsSnapshot, TraceEvent, TraceKind, TraceR
 pub use satn_sim::{HandoverMode, ReshardSchedule, ShardedReplay, ShardedScenario};
 pub use satn_tree::{EpochCostSummary, Fingerprint, MigrationCost, ShardedCostSummary};
 pub use satn_workloads::shard::{
-    EpochedPartition, Partition, ReshardError, ReshardEvent, ReshardPlan, ReshardPolicy,
-    ShardRouter,
+    Partition, ReshardError, ReshardEvent, ReshardPlan, ReshardPolicy, ShardRouter,
 };
 
 // Engines cross thread boundaries wholesale in server settings (built on one

@@ -99,7 +99,7 @@ pub struct EngineSnapshot {
 }
 
 impl EngineSnapshot {
-    /// Assembles a snapshot. `partition` is the epoch log's own shared
+    /// Assembles a snapshot. `partition` is the engine's own shared
     /// allocation: it only changes at epoch boundaries while snapshots are
     /// published at every drain. `shards` shares the unchanged shards'
     /// trees with the previous publication.
@@ -137,7 +137,7 @@ impl EngineSnapshot {
     }
 
     /// The same partition as its shared allocation — the very `Arc` the
-    /// engine's epoch log holds for the snapshot's epoch.
+    /// engine held while the snapshot's epoch was live.
     #[inline]
     pub fn shared_partition(&self) -> &Arc<Partition> {
         &self.partition

@@ -20,7 +20,7 @@
 //! are held to the same oracle, proving the read phase never observes a
 //! half-published state.
 
-use satn_serve::{EngineSnapshot, Parallelism, ShardedEngineConfig};
+use satn_serve::{EngineSnapshot, Parallelism, ReshardPlan, ShardedEngineConfig};
 use satn_sim::{AlgorithmKind, ShardedScenario, SimRunner, WorkloadSpec};
 use satn_tree::ElementId;
 use std::collections::{BTreeMap, BTreeSet};
@@ -160,10 +160,12 @@ fn snapshots_match_prefix_replay(
     }
 }
 
-/// Regression for the partition-publication cost: every published snapshot
-/// holds the epoch log's **own** partition allocation for its epoch (one
-/// `Arc` clone per publication, never a copy), so all snapshots of one epoch
-/// share it, and a reshard's epoch bump switches to the new log entry.
+/// Regression for the partition-publication cost and for bounded memory:
+/// every published snapshot holds the engine's **own** partition allocation
+/// for its epoch (one `Arc` clone per publication, never a copy), so all
+/// snapshots of one epoch share it, a reshard's epoch bump switches to the
+/// new allocation, and a closing epoch's partition is freed once no
+/// snapshot holds it.
 #[test]
 fn snapshots_share_one_partition_allocation_per_epoch() {
     let scenario = scenario();
@@ -186,29 +188,30 @@ fn snapshots_share_one_partition_allocation_per_epoch() {
         epoch0.len() >= 4,
         "the stream must cross several drain boundaries for the property to bite"
     );
+    assert!(
+        std::ptr::eq(epoch0[0].partition(), engine.partition()),
+        "an epoch-0 snapshot copied the engine's partition instead of sharing it"
+    );
     for snapshot in &epoch0 {
         assert_eq!(snapshot.epoch(), 0);
         assert!(
-            Arc::ptr_eq(
-                snapshot.shared_partition(),
-                engine.epoch_log().epoch(0).shared_partition()
-            ),
-            "an epoch-0 snapshot copied the partition instead of sharing the log's"
+            Arc::ptr_eq(snapshot.shared_partition(), epoch0[0].shared_partition()),
+            "two epoch-0 snapshots hold different partition allocations"
         );
     }
+    let retired = Arc::downgrade(epoch0[0].shared_partition());
+    drop(epoch0);
 
-    // The reshard bumps the epoch: its publication carries the new log
-    // entry's allocation, which every later epoch-1 snapshot shares in turn.
+    // The reshard bumps the epoch: its publication carries the new
+    // partition's allocation, which every later epoch-1 snapshot shares in
+    // turn.
     engine
-        .reshard(satn_workloads::shard::ReshardPlan::new([(
-            ElementId::new(0),
-            1,
-        )]))
+        .reshard(ReshardPlan::new([(ElementId::new(0), 1)]))
         .unwrap();
     let bumped = Arc::clone(reader.snapshot());
     assert_eq!(bumped.epoch(), 1);
     assert!(
-        !Arc::ptr_eq(bumped.shared_partition(), epoch0[0].shared_partition()),
+        !std::ptr::eq(Arc::as_ptr(bumped.shared_partition()), retired.as_ptr()),
         "the epoch bump must publish the new epoch's partition"
     );
     let mut epoch1 = vec![bumped];
@@ -219,17 +222,27 @@ fn snapshots_share_one_partition_allocation_per_epoch() {
             epoch1.push(Arc::clone(snapshot));
         }
     }
-    let log_entry = Arc::clone(engine.epoch_log().epoch(1).shared_partition());
-    engine.finish().unwrap();
-    epoch1.push(Arc::clone(reader.snapshot()));
     assert!(epoch1.len() >= 4);
+    assert!(std::ptr::eq(epoch1[0].partition(), engine.partition()));
     for snapshot in &epoch1 {
         assert_eq!(snapshot.epoch(), 1);
         assert!(
-            Arc::ptr_eq(snapshot.shared_partition(), &log_entry),
-            "an epoch-1 snapshot copied the partition instead of sharing the log's"
+            Arc::ptr_eq(snapshot.shared_partition(), epoch1[0].shared_partition()),
+            "two epoch-1 snapshots hold different partition allocations"
         );
     }
+
+    // Once no snapshot holds it, no epoch's partition outlives the epoch:
+    // the engine keeps only the live one.
+    engine
+        .reshard(ReshardPlan::new([(ElementId::new(1), 2)]))
+        .unwrap();
+    assert_eq!(reader.snapshot().epoch(), 2);
+    assert!(
+        retired.upgrade().is_none(),
+        "the epoch-0 partition outlived its epoch and every snapshot of it"
+    );
+    engine.finish().unwrap();
 }
 
 #[test]

@@ -73,9 +73,7 @@ pub use sharded::{HandoverMode, ReshardSchedule, ShardedReplay, ShardedScenario}
 
 // Re-exported so sharded scenarios can be configured without a direct
 // `satn-workloads` dependency.
-pub use satn_workloads::shard::{
-    EpochedPartition, PartitionEpoch, ReshardEvent, ReshardPlan, ReshardPolicy, ShardRouter,
-};
+pub use satn_workloads::shard::{ReshardEvent, ReshardPlan, ReshardPolicy, ShardRouter};
 
 // Re-exported so scenario construction needs no extra imports.
 pub use satn_core::AlgorithmKind;

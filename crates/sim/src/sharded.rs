@@ -17,8 +17,8 @@ use crate::scenario::{Checkpoints, InitialPlacement, Scenario, WorkloadSpec};
 use satn_core::{AlgorithmKind, WarmState};
 use satn_tree::{CompleteTree, ElementId, Fingerprint, Occupancy, ShardedCostSummary};
 use satn_workloads::shard::{
-    carry_remap, derive_schedule, handover, shard_epoch_seed, EpochedPartition, Partition,
-    ReshardEvent, ReshardPolicy, ShardRouter,
+    carry_remap, derive_schedule, handover, shard_epoch_seed, Partition, ReshardEvent,
+    ReshardPolicy, ShardRouter,
 };
 use satn_workloads::Workload;
 
@@ -210,38 +210,31 @@ impl ShardedScenario {
         self.epoch_scenarios(0, &partition, split, None)
     }
 
-    /// The epoch log and boundary positions of this scenario's reshard
-    /// schedule — derived purely from the scenario value (for
+    /// The reshard events of this scenario's schedule, in stream order —
+    /// derived purely from the scenario value (for
     /// [`ReshardSchedule::Policy`], by running the policy over the stream).
+    /// A manual event scheduled at or past the stream end fires at the end
+    /// of the run (the engine does the same), so its `at` is clamped to the
+    /// stream length.
     ///
     /// # Panics
     ///
-    /// Panics if a manual schedule's plans do not fit the partition or its
-    /// positions are not strictly increasing.
-    pub fn epoch_log(&self) -> (EpochedPartition, Vec<usize>) {
+    /// Panics if a manual schedule's positions are not strictly increasing.
+    pub fn reshard_events(&self) -> Vec<ReshardEvent> {
         match &self.reshard {
-            ReshardSchedule::Static => (
-                EpochedPartition::from_partition(self.partition()),
-                Vec::new(),
-            ),
+            ReshardSchedule::Static => Vec::new(),
             ReshardSchedule::Manual(events) => {
-                let mut log = EpochedPartition::from_partition(self.partition());
-                let mut boundaries = Vec::with_capacity(events.len());
-                let mut previous = None;
-                for event in events {
-                    assert!(
-                        previous.is_none_or(|last| event.at > last),
-                        "manual reshard positions must be strictly increasing"
-                    );
-                    previous = Some(event.at);
-                    log.apply(event.plan.clone())
-                        .expect("manual reshard plans must fit the partition");
-                    // An event scheduled at or past the stream end fires at
-                    // the end of the run (the engine does the same), so its
-                    // effective boundary is the stream length.
-                    boundaries.push(event.at.min(self.requests));
-                }
-                (log, boundaries)
+                assert!(
+                    events.windows(2).all(|pair| pair[0].at < pair[1].at),
+                    "manual reshard positions must be strictly increasing"
+                );
+                events
+                    .iter()
+                    .map(|event| ReshardEvent {
+                        at: event.at.min(self.requests),
+                        plan: event.plan.clone(),
+                    })
+                    .collect()
             }
             ReshardSchedule::Policy(policy) => {
                 derive_schedule(policy, self.partition(), self.stream())
@@ -299,15 +292,17 @@ impl ShardedScenario {
     /// The epoch-segmented serial reference replay — the byte-exact oracle
     /// of a resharding engine run.
     ///
-    /// Derives the epoch log, splits the global stream into per-epoch
-    /// per-shard subsequences, and runs every epoch's standalone per-shard
-    /// [`Scenario`]s through `runner` in epoch-major shard order. At each
-    /// boundary the deterministic [`handover`] is recomputed from the
-    /// replayed occupancies — never taken from an engine — so the next
-    /// epoch's `InitialPlacement::Fixed` scenarios, the migration costs, and
-    /// every fingerprint are *derived*, not hand-kept. An engine run matches
-    /// this replay at every thread count, drain cadence, and ingestion
-    /// framing, or it has a bug.
+    /// Walks the global stream once, epoch by epoch: each epoch's segment
+    /// is split into per-shard subsequences under that epoch's partition,
+    /// and every epoch's standalone per-shard [`Scenario`]s run through
+    /// `runner` in epoch-major shard order. At each boundary the event's
+    /// plan is applied to the closing partition and the deterministic
+    /// [`handover`] is recomputed from the replayed occupancies — never
+    /// taken from an engine — so the next epoch's `InitialPlacement::Fixed`
+    /// scenarios, the migration costs, and every fingerprint are *derived*,
+    /// not hand-kept. At most two partitions are alive at once. An engine
+    /// run matches this replay at every thread count, drain cadence, and
+    /// ingestion framing, or it has a bug.
     ///
     /// # Errors
     ///
@@ -321,24 +316,29 @@ impl ShardedScenario {
     /// which no online handover can know), or if a manual schedule is
     /// invalid.
     pub fn epoch_replay(&self, runner: &SimRunner) -> Result<ShardedReplay, SimError> {
-        let (log, boundaries) = self.epoch_log();
+        let events = self.reshard_events();
         assert!(
-            log.len() == 1 || self.algorithm != AlgorithmKind::StaticOpt,
+            events.is_empty() || self.algorithm != AlgorithmKind::StaticOpt,
             "resharding is not supported for offline algorithms"
         );
-        let splits = log.split_stream_epochs(&boundaries, self.stream());
+        let epochs = events.len() + 1;
         let mut accounting = ShardedCostSummary::new(self.shards);
-        let mut scenarios = Vec::with_capacity(log.len());
-        let mut results: Vec<Vec<ScenarioResult>> = Vec::with_capacity(log.len());
-        let mut fingerprints: Vec<Vec<Fingerprint>> = Vec::with_capacity(log.len());
+        let mut scenarios = Vec::with_capacity(epochs);
+        let mut results: Vec<Vec<ScenarioResult>> = Vec::with_capacity(epochs);
+        let mut fingerprints: Vec<Vec<Fingerprint>> = Vec::with_capacity(epochs);
         let mut occupancies: Vec<Occupancy> = Vec::new();
         let mut warm_states: Vec<WarmState> = Vec::new();
-        for (split, epoch) in splits.into_iter().zip(log.epochs()) {
-            let partition = epoch.partition();
-            let carried = (epoch.epoch() > 0).then(|| {
-                let previous = log.epoch(epoch.epoch() - 1).partition();
+        let mut partition = self.partition();
+        let mut stream = self.stream();
+        let mut served = 0;
+        for epoch in 0..epochs as u32 {
+            let carried = epoch.checked_sub(1).map(|previous| {
+                let plan = &events[previous as usize].plan;
+                let next = partition
+                    .apply(plan)
+                    .expect("manual reshard plans must fit the partition");
                 let refs: Vec<&Occupancy> = occupancies.iter().collect();
-                let outcome = handover(previous, partition, epoch.plan(), &refs);
+                let outcome = handover(&partition, &next, plan, &refs);
                 accounting.begin_epoch(outcome.migration);
                 // An untouched shard keeps its live tree verbatim — including
                 // padding elements wherever push-downs drifted them — because
@@ -357,15 +357,23 @@ impl ShardedScenario {
                 // shards carry under the identity remap, i.e. verbatim.
                 let warm = (0..self.shards)
                     .map(|shard| {
-                        let remap = carry_remap(previous, partition, shard);
-                        let tree = CompleteTree::with_levels(partition.shard_levels(shard))
+                        let remap = carry_remap(&partition, &next, shard);
+                        let tree = CompleteTree::with_levels(next.shard_levels(shard))
                             .expect("partitions produce valid shard depths");
                         warm_states[shard as usize].carried_into(tree, &remap)
                     })
                     .collect();
+                partition = next;
                 (placements, warm)
             });
-            let epoch_scenarios = self.epoch_scenarios(epoch.epoch(), partition, split, carried);
+            // The epoch serves the requests up to the next event's boundary;
+            // the last one serves the rest of the stream.
+            let end = events
+                .get(epoch as usize)
+                .map_or(usize::MAX, |event| event.at);
+            let split = partition.split_stream(stream.by_ref().take(end - served));
+            served = end;
+            let epoch_scenarios = self.epoch_scenarios(epoch, &partition, split, carried);
             let mut epoch_results = Vec::with_capacity(epoch_scenarios.len());
             occupancies.clear();
             warm_states.clear();
@@ -385,8 +393,7 @@ impl ShardedScenario {
             results,
             fingerprints,
             accounting,
-            boundaries,
-            log,
+            boundaries: events.into_iter().map(|event| event.at).collect(),
         })
     }
 
@@ -469,8 +476,6 @@ pub struct ShardedReplay {
     pub accounting: ShardedCostSummary,
     /// `boundaries[k]` = global requests served before epoch `k + 1` began.
     pub boundaries: Vec<usize>,
-    /// The epoch log the replay segmented the stream with.
-    pub log: EpochedPartition,
 }
 
 impl ShardedReplay {
@@ -678,6 +683,43 @@ mod tests {
         for reference in &replay.scenarios[1] {
             assert!(matches!(reference.initial, InitialPlacement::Fixed(_)));
         }
+    }
+
+    #[test]
+    fn each_epoch_is_localized_under_its_own_partition() {
+        // Range over 2 shards of 3 elements: 0-2 | 3-5. Element 0 moves to
+        // shard 1 after 4 requests.
+        let stream = [0u32, 3, 0, 4, 0, 3, 5, 1].map(ElementId::new).to_vec();
+        let mut sharded = ShardedScenario::new(
+            AlgorithmKind::RotorPush,
+            WorkloadSpec::Fixed(Workload::new("fixed", 6, stream)),
+            2,
+            2,
+            8,
+            5,
+        );
+        sharded.router = ShardRouter::Range;
+        sharded.reshard = ReshardSchedule::Manual(vec![ReshardEvent {
+            at: 4,
+            plan: ReshardPlan::new([(ElementId::new(0), 1)]),
+        }]);
+        let replay = sharded.epoch_replay(&SimRunner::new()).unwrap();
+        assert_eq!(replay.boundaries, vec![4]);
+        let locals = |epoch: usize, shard: usize| -> Vec<u32> {
+            match &replay.scenarios[epoch][shard].workload {
+                WorkloadSpec::Fixed(workload) => {
+                    workload.requests().iter().map(|e| e.index()).collect()
+                }
+                other => panic!("epoch scenarios carry fixed workloads, not {other:?}"),
+            }
+        };
+        // Epoch 0: shard 0 sees globals {0, 0}, shard 1 globals {3, 4}.
+        assert_eq!(locals(0, 0), vec![0, 0]);
+        assert_eq!(locals(0, 1), vec![0, 1]);
+        // Epoch 1: shard 0 owns {1, 2}, so global 1 is local 0; shard 1
+        // owns {0, 3, 4, 5}, so globals 0, 3, 5 are locals 0, 1, 3.
+        assert_eq!(locals(1, 0), vec![0]);
+        assert_eq!(locals(1, 1), vec![0, 1, 3]);
     }
 
     #[test]

@@ -45,9 +45,8 @@ pub mod trace;
 mod workload;
 
 pub use shard::{
-    carry_remap, derive_schedule, handover, shard_epoch_seed, EpochedPartition, Handover,
-    Partition, PartitionEpoch, PolicyDriver, ReshardError, ReshardEvent, ReshardPlan,
-    ReshardPolicy, ShardRouter,
+    carry_remap, derive_schedule, handover, shard_epoch_seed, Handover, Partition, PolicyDriver,
+    ReshardError, ReshardEvent, ReshardPlan, ReshardPolicy, ShardRouter,
 };
 pub use stream::{
     CombinedStream, HotBlockStream, MarkovBurstyStream, RoundRobinPathStream,

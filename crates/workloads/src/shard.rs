@@ -14,7 +14,6 @@ use satn_tree::{ElementId, MigrationCost, NodeId, Occupancy};
 use std::collections::BTreeMap;
 use std::fmt;
 use std::str::FromStr;
-use std::sync::Arc;
 
 /// How requests (and hence elements) are assigned to shards.
 ///
@@ -530,183 +529,6 @@ pub struct ReshardEvent {
     pub plan: ReshardPlan,
 }
 
-/// One entry of the epoch log: an epoch index, the partition current during
-/// that epoch, and the plan whose handover entered it. The partition is
-/// shared: cloning an entry (or handing its partition to a published
-/// snapshot) never copies it.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct PartitionEpoch {
-    epoch: u32,
-    partition: Arc<Partition>,
-    plan: ReshardPlan,
-}
-
-impl PartitionEpoch {
-    /// The epoch index (0 = the initial assignment).
-    pub fn epoch(&self) -> u32 {
-        self.epoch
-    }
-
-    /// The element-to-shard assignment current during this epoch.
-    pub fn partition(&self) -> &Partition {
-        &self.partition
-    }
-
-    /// The same partition as its shared allocation, for holders that
-    /// outlive a borrow of the log.
-    pub fn shared_partition(&self) -> &Arc<Partition> {
-        &self.partition
-    }
-
-    /// The plan whose handover entered this epoch (empty for epoch 0).
-    pub fn plan(&self) -> &ReshardPlan {
-        &self.plan
-    }
-}
-
-/// The epoch-versioned partition: an append-only log of [`PartitionEpoch`]s.
-/// Epoch 0 is the initial assignment of a routing policy; every later epoch
-/// is produced by applying a deterministic [`ReshardPlan`] to its
-/// predecessor. The log is the single source of truth for "which shard owned
-/// element `e` during epoch `k`" — the serving engine and the reference
-/// replay both read the same log, which is what keeps a resharded run
-/// byte-for-byte replayable.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct EpochedPartition {
-    epochs: Vec<PartitionEpoch>,
-}
-
-impl EpochedPartition {
-    /// Starts a log at epoch 0 with the materialized assignment of `router`.
-    ///
-    /// # Panics
-    ///
-    /// Panics under the conditions of [`Partition::new`].
-    pub fn new(router: ShardRouter, universe: u32, shards: u32) -> Self {
-        EpochedPartition::from_partition(Partition::new(router, universe, shards))
-    }
-
-    /// Starts a log at epoch 0 from an already-materialized partition.
-    pub fn from_partition(initial: Partition) -> Self {
-        EpochedPartition {
-            epochs: vec![PartitionEpoch {
-                epoch: 0,
-                partition: Arc::new(initial),
-                plan: ReshardPlan::empty(),
-            }],
-        }
-    }
-
-    /// Applies a plan to the current partition, appending (and returning)
-    /// the next epoch.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ReshardError`] if the plan does not fit the partition; the
-    /// log is not changed.
-    pub fn apply(&mut self, plan: ReshardPlan) -> Result<&PartitionEpoch, ReshardError> {
-        let partition = Arc::new(self.current().apply(&plan)?);
-        let epoch = self.epochs.len() as u32;
-        self.epochs.push(PartitionEpoch {
-            epoch,
-            partition,
-            plan,
-        });
-        Ok(self.epochs.last().expect("just pushed"))
-    }
-
-    /// The partition of the latest epoch.
-    pub fn current(&self) -> &Partition {
-        self.current_shared()
-    }
-
-    /// The partition of the latest epoch, as its shared allocation.
-    pub fn current_shared(&self) -> &Arc<Partition> {
-        &self
-            .epochs
-            .last()
-            .expect("the log is never empty")
-            .partition
-    }
-
-    /// The latest epoch index.
-    pub fn current_epoch(&self) -> u32 {
-        (self.epochs.len() - 1) as u32
-    }
-
-    /// Every epoch, oldest first (never empty).
-    pub fn epochs(&self) -> &[PartitionEpoch] {
-        &self.epochs
-    }
-
-    /// One epoch of the log.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the epoch is out of range.
-    pub fn epoch(&self, epoch: u32) -> &PartitionEpoch {
-        &self.epochs[epoch as usize]
-    }
-
-    /// Number of epochs in the log.
-    pub fn len(&self) -> usize {
-        self.epochs.len()
-    }
-
-    /// Always `false`: the log holds at least epoch 0.
-    pub fn is_empty(&self) -> bool {
-        false
-    }
-
-    /// Epoch-aware stream splitting: routes a global request stream through
-    /// the log, localizing each request under the partition of the epoch it
-    /// falls in. `boundaries[k]` is the number of global requests served
-    /// before epoch `k + 1` begins (one entry per epoch after the first,
-    /// nondecreasing). Returns per-epoch, per-shard subsequences of local
-    /// ids — exactly the sequences the per-epoch standalone reference trees
-    /// serve.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the boundary count does not match the log, boundaries
-    /// decrease, or a request falls outside the universe.
-    pub fn split_stream_epochs<I>(
-        &self,
-        boundaries: &[usize],
-        stream: I,
-    ) -> Vec<Vec<Vec<ElementId>>>
-    where
-        I: Iterator<Item = ElementId>,
-    {
-        assert_eq!(
-            boundaries.len() + 1,
-            self.epochs.len(),
-            "one boundary per epoch after the first is required"
-        );
-        assert!(
-            boundaries.windows(2).all(|pair| pair[0] <= pair[1]),
-            "epoch boundaries must be nondecreasing"
-        );
-        let shards = self.current().shards() as usize;
-        let mut split: Vec<Vec<Vec<ElementId>>> = vec![vec![Vec::new(); shards]; self.epochs.len()];
-        let mut epoch = 0usize;
-        for (position, element) in stream.enumerate() {
-            while epoch < boundaries.len() && position >= boundaries[epoch] {
-                epoch += 1;
-            }
-            let partition = &self.epochs[epoch].partition;
-            let (shard, local) = partition.localize(element).unwrap_or_else(|| {
-                panic!(
-                    "request {element} outside the {}-element universe",
-                    partition.universe()
-                )
-            });
-            split[epoch][shard as usize].push(local);
-        }
-        split
-    }
-}
-
 /// The warm-state element remap of one shard across a handover:
 /// `remap[new_local]` is the element's local id *before* the handover, or
 /// `None` for elements that just arrived and for padding ids. The vector
@@ -1037,28 +859,32 @@ impl PolicyDriver {
     }
 }
 
-/// Derives the full epoch log and boundary positions a policy produces over
-/// a stream — the pure offline counterpart of the serving engine's online
-/// policy application, and the input of the epoch-segmented reference
-/// replay.
+/// Derives the reshard events a policy fires over a stream — the pure
+/// offline counterpart of the serving engine's online policy application,
+/// and the schedule of the epoch-segmented reference replay. Each event's
+/// `at` is the number of requests observed when the policy fired. Only the
+/// current partition is kept.
 pub fn derive_schedule<I>(
     policy: &ReshardPolicy,
     initial: Partition,
     stream: I,
-) -> (EpochedPartition, Vec<usize>)
+) -> Vec<ReshardEvent>
 where
     I: Iterator<Item = ElementId>,
 {
-    let mut log = EpochedPartition::from_partition(initial);
-    let mut driver = PolicyDriver::new(policy.clone(), log.current().universe());
-    let mut boundaries = Vec::new();
+    let mut partition = initial;
+    let mut driver = PolicyDriver::new(policy.clone(), partition.universe());
+    let mut events = Vec::new();
     for (position, element) in stream.enumerate() {
-        if let Some(plan) = driver.observe(element, log.current()) {
-            log.apply(plan).expect("policy plans always fit");
-            boundaries.push(position + 1);
+        if let Some(plan) = driver.observe(element, &partition) {
+            partition = partition.apply(&plan).expect("policy plans always fit");
+            events.push(ReshardEvent {
+                at: position + 1,
+                plan,
+            });
         }
     }
-    (log, boundaries)
+    events
 }
 
 #[cfg(test)]
@@ -1271,50 +1097,6 @@ mod tests {
     }
 
     #[test]
-    fn epoch_log_grows_and_splits_streams_per_epoch() {
-        let mut log = EpochedPartition::new(ShardRouter::Range, 8, 2); // 0-3 | 4-7
-        assert_eq!(log.current_epoch(), 0);
-        assert!(!log.is_empty());
-        log.apply(ReshardPlan::new([(ElementId::new(0), 1)]))
-            .unwrap();
-        assert_eq!(log.current_epoch(), 1);
-        assert_eq!(log.len(), 2);
-        assert_eq!(log.epoch(1).plan().len(), 1);
-        assert_eq!(
-            log.epoch(0).partition().shard_of(ElementId::new(0)),
-            Some(0)
-        );
-        assert_eq!(log.current().shard_of(ElementId::new(0)), Some(1));
-        // Entries share their partitions: cloning the log copies none.
-        let copy = log.clone();
-        for (entry, copied) in log.epochs().iter().zip(copy.epochs()) {
-            assert!(Arc::ptr_eq(
-                entry.shared_partition(),
-                copied.shared_partition()
-            ));
-        }
-        assert!(Arc::ptr_eq(
-            log.current_shared(),
-            log.epoch(1).shared_partition()
-        ));
-
-        // Requests 0..4 fall in epoch 0, requests 4.. in epoch 1.
-        let stream = [0u32, 4, 0, 5, 0, 4, 6, 1].map(ElementId::new);
-        let split = log.split_stream_epochs(&[4], stream.iter().copied());
-        assert_eq!(split.len(), 2);
-        // Epoch 0: shard 0 sees locals of globals {0, 0}, shard 1 {4, 5}.
-        assert_eq!(split[0][0], vec![ElementId::new(0), ElementId::new(0)]);
-        assert_eq!(split[0][1], vec![ElementId::new(0), ElementId::new(1)]);
-        // Epoch 1: global 0 now lives on shard 1 with local id 0 (owned set
-        // of shard 1 is {0, 4, 5, 6, 7} in id order).
-        assert_eq!(split[1][0], vec![ElementId::new(0)]); // global 1, local 0
-        assert_eq!(
-            split[1][1],
-            vec![ElementId::new(0), ElementId::new(1), ElementId::new(3)]
-        );
-    }
-
-    #[test]
     fn handover_preserves_untouched_shards_and_prices_moves() {
         use satn_tree::CompleteTree;
 
@@ -1475,23 +1257,25 @@ mod tests {
         let stream: Vec<ElementId> = (0..16).map(|i| ElementId::new(i % 3)).collect();
 
         let mut driver = PolicyDriver::new(policy.clone(), 8);
-        let mut log = EpochedPartition::from_partition(partition.clone());
-        let mut boundaries = Vec::new();
+        let mut current = partition.clone();
+        let mut fired = Vec::new();
         for (position, &element) in stream.iter().enumerate() {
-            if let Some(plan) = driver.observe(element, log.current()) {
-                log.apply(plan).unwrap();
-                boundaries.push(position + 1);
+            if let Some(plan) = driver.observe(element, &current) {
+                current = current.apply(&plan).unwrap();
+                fired.push((position + 1, plan));
             }
         }
-        assert!(!boundaries.is_empty());
-        for boundary in &boundaries {
+        assert!(!fired.is_empty());
+        for (boundary, _) in &fired {
             assert_eq!(boundary % 4, 0, "fires only at the cadence");
         }
 
-        let (derived_log, derived_boundaries) =
-            derive_schedule(&policy, partition, stream.iter().copied());
-        assert_eq!(derived_log, log);
-        assert_eq!(derived_boundaries, boundaries);
+        let derived: Vec<(usize, ReshardPlan)> =
+            derive_schedule(&policy, partition, stream.iter().copied())
+                .into_iter()
+                .map(|event| (event.at, event.plan))
+                .collect();
+        assert_eq!(derived, fired);
     }
 
     #[test]
