@@ -75,7 +75,9 @@ impl ShardedEngineConfig {
     ///
     /// # Errors
     ///
-    /// [`ServeError::InvalidConfig`] for a zero drain threshold;
+    /// [`ServeError::InvalidConfig`] for a zero drain threshold, a manual
+    /// reshard schedule whose positions are not strictly increasing, or a
+    /// zero policy cadence;
     /// [`ServeError::Tree`] if a shard's algorithm cannot be instantiated;
     /// [`ServeError::ReshardUnsupported`] for a scenario pairing a reshard
     /// schedule with an offline algorithm.
@@ -104,7 +106,10 @@ impl fmt::Debug for ShardedEngineConfig {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use satn_sim::{AlgorithmKind, WorkloadSpec};
+    use satn_sim::{
+        AlgorithmKind, ReshardEvent, ReshardPlan, ReshardPolicy, ReshardSchedule, WorkloadSpec,
+    };
+    use satn_tree::ElementId;
 
     fn scenario() -> ShardedScenario {
         ShardedScenario::new(
@@ -125,6 +130,41 @@ mod tests {
             .unwrap_err();
         assert!(matches!(err, ServeError::InvalidConfig(_)));
         assert!(err.to_string().contains("must be positive"));
+    }
+
+    #[test]
+    fn schedules_the_driver_rejects_are_invalid_config() {
+        let manual = |positions: [usize; 2]| {
+            ReshardSchedule::Manual(
+                positions
+                    .map(|at| ReshardEvent {
+                        at,
+                        plan: ReshardPlan::new([(ElementId::new(0), 1)]),
+                    })
+                    .to_vec(),
+            )
+        };
+        let zero_cadence = ReshardPolicy::MoveHottest {
+            every: 0,
+            max_moves: 4,
+        };
+        for (schedule, reason) in [
+            (manual([300, 300]), "strictly increasing"),
+            (manual([300, 200]), "strictly increasing"),
+            (
+                ReshardSchedule::Policy(zero_cadence),
+                "cadence must be positive",
+            ),
+        ] {
+            let mut scenario = scenario();
+            scenario.reshard = schedule;
+            let err = ShardedEngineConfig::from_scenario(&scenario)
+                .build()
+                .map(|_| ())
+                .unwrap_err();
+            assert!(matches!(err, ServeError::InvalidConfig(_)), "{err}");
+            assert!(err.to_string().contains(reason), "{err}");
+        }
     }
 
     #[test]

@@ -7,16 +7,14 @@ use crate::snapshot::{EngineSnapshot, SnapshotHub, SnapshotReader};
 use satn_core::{AlgorithmKind, SelfAdjustingTree};
 use satn_exec::{ordered_map, Parallelism};
 use satn_obs::{EngineMetrics, TraceKind, TraceRing, TraceStamp};
-use satn_sim::{ReshardSchedule, ShardedScenario};
+use satn_sim::{ReshardDriver, ReshardSchedule, ShardedScenario};
 use satn_tree::{
     CompleteTree, CostSummary, ElementId, Fingerprint, MigrationCost, Occupancy,
     ShardedCostSummary, TreeSnapshot,
 };
 use satn_workloads::shard::{
-    algorithm_seed, carry_remap, handover, shard_epoch_seed, Partition, PolicyDriver, ReshardEvent,
-    ReshardPlan,
+    algorithm_seed, carry_remap, handover, shard_epoch_seed, Partition, ReshardPlan,
 };
-use std::collections::VecDeque;
 use std::fmt;
 use std::sync::Arc;
 use std::time::Instant;
@@ -43,18 +41,6 @@ fn mirror_drain(metrics: &EngineMetrics, drained: &CostSummary) {
     metrics.requests_served.add(drained.requests());
     metrics.access_cost.add(drained.total().access);
     metrics.adjustment_cost.add(drained.total().adjustment);
-}
-
-/// How the engine reshards on its own, mirroring
-/// [`satn_sim::ReshardSchedule`] online.
-enum OnlineSchedule {
-    /// Only explicit [`ShardedEngine::reshard`] calls (or `Reshard` ingest
-    /// frames) change the partition.
-    External,
-    /// Fire each event's plan at its stream position.
-    Manual(VecDeque<ReshardEvent>),
-    /// Let the policy observe the routed stream and fire at its cadence.
-    Policy(PolicyDriver),
 }
 
 /// The sharded serving engine: `S` independent per-shard trees partitioning
@@ -131,7 +117,9 @@ pub struct ShardedEngine {
     parallelism: Parallelism,
     control: DrainControl,
     rebuild: Option<(AlgorithmKind, u64)>,
-    schedule: OnlineSchedule,
+    /// Fires the scenario's reshard schedule; explicit
+    /// [`ShardedEngine::reshard`] calls and `Reshard` ingest frames bypass it.
+    schedule: ReshardDriver,
     /// Per completed epoch, the per-shard fingerprints at its closing drain
     /// fence (the final epoch's fingerprints are appended by `finish`).
     epoch_fingerprints: Vec<Vec<Fingerprint>>,
@@ -181,7 +169,7 @@ impl ShardedEngine {
             parallelism,
             control: DrainControl::new(DEFAULT_DRAIN_THRESHOLD),
             rebuild: None,
-            schedule: OnlineSchedule::External,
+            schedule: ReshardDriver::default(),
             epoch_fingerprints: Vec::new(),
             boundaries: Vec::new(),
             hub: None,
@@ -197,29 +185,22 @@ impl ShardedEngine {
     /// exactly as the scenario's standalone per-shard reference scenarios
     /// build theirs (same levels, same derived seeds, same initial placement
     /// — that is what makes the serial replay a byte-exact oracle). The
-    /// scenario's [`ReshardSchedule`] is applied online: manual events fire
-    /// at their stream positions, a policy observes the routed stream at its
-    /// cadence — both reproducing the events
-    /// [`ShardedScenario::reshard_events`] derives offline.
+    /// scenario's [`ReshardSchedule`] runs through its [`ReshardDriver`],
+    /// the same driver [`ShardedScenario::epoch_replay`] walks.
     pub(crate) fn build_from_scenario(
         scenario: &ShardedScenario,
         parallelism: Parallelism,
     ) -> Result<Self, ServeError> {
         let offline = scenario.algorithm == AlgorithmKind::StaticOpt;
-        let schedule = match &scenario.reshard {
-            ReshardSchedule::Static => OnlineSchedule::External,
-            _ if offline => {
-                return Err(ServeError::ReshardUnsupported {
-                    reason: "offline algorithms cannot be rebuilt mid-stream",
-                })
-            }
-            ReshardSchedule::Manual(events) => {
-                OnlineSchedule::Manual(events.iter().cloned().collect())
-            }
-            ReshardSchedule::Policy(policy) => {
-                OnlineSchedule::Policy(PolicyDriver::new(policy.clone(), scenario.universe()))
-            }
-        };
+        if offline && scenario.reshard != ReshardSchedule::Static {
+            return Err(ServeError::ReshardUnsupported {
+                reason: "offline algorithms cannot be rebuilt mid-stream",
+            });
+        }
+        let schedule = scenario
+            .reshard
+            .driver(scenario.universe())
+            .map_err(|reason| ServeError::InvalidConfig(reason.to_owned()))?;
         let partition = scenario.partition();
         let mut trees = Vec::with_capacity(partition.shards() as usize);
         for (shard, shard_scenario) in scenario.shard_scenarios().iter().enumerate() {
@@ -386,7 +367,9 @@ impl ShardedEngine {
     /// [`ServeError::OutOfUniverse`] for foreign elements (nothing is
     /// enqueued), or a drain or reshard error.
     pub fn submit(&mut self, element: ElementId) -> Result<(), ServeError> {
-        self.fire_due_manual_events(false)?;
+        while let Some(plan) = self.schedule.due(self.control.submitted() as usize) {
+            self.reshard(plan)?;
+        }
         let (shard, local) =
             self.partition
                 .localize(element)
@@ -397,12 +380,9 @@ impl ShardedEngine {
         self.shards[shard as usize].pending.push(local);
         self.metrics.shard_buffered[shard as usize].inc();
         let should_drain = self.control.note_submitted();
-        if let OnlineSchedule::Policy(driver) = &mut self.schedule {
-            let plan = driver.observe(element, &self.partition);
-            if let Some(plan) = plan {
-                // The reshard's drain fence also covers the threshold.
-                return self.reshard(plan);
-            }
+        if let Some(plan) = self.schedule.observe(element, &self.partition) {
+            // The reshard's drain fence also covers the threshold.
+            return self.reshard(plan);
         }
         if should_drain {
             self.drain()?;
@@ -622,24 +602,6 @@ impl ShardedEngine {
         Ok(())
     }
 
-    /// Fires every manual event that is due at the current stream position
-    /// (all remaining ones when `all` is set, at the end of a run).
-    fn fire_due_manual_events(&mut self, all: bool) -> Result<(), ServeError> {
-        loop {
-            let OnlineSchedule::Manual(events) = &mut self.schedule else {
-                return Ok(());
-            };
-            let due = events
-                .front()
-                .is_some_and(|event| all || event.at as u64 <= self.control.submitted());
-            if !due {
-                return Ok(());
-            }
-            let plan = events.pop_front().expect("front checked").plan;
-            self.reshard(plan)?;
-        }
-    }
-
     /// Consumes an ingestion queue to completion: bursts are submitted in
     /// arrival order (auto-draining at the threshold), flush messages force
     /// a drain, reshard frames run the full handover protocol, and sender
@@ -688,7 +650,9 @@ impl ShardedEngine {
     /// Propagates the final drain's (or reshard's) error.
     pub fn finish(mut self) -> Result<EngineReport, ServeError> {
         self.drain()?;
-        self.fire_due_manual_events(true)?;
+        while let Some(plan) = self.schedule.due(usize::MAX) {
+            self.reshard(plan)?;
+        }
         // Readers outlive the engine: leave them the final state.
         self.publish_snapshot();
         self.capture_boundary_fingerprints();
@@ -817,7 +781,7 @@ mod tests {
     use crate::config::ShardedEngineConfig;
     use crate::ingest::ingest_channel;
     use satn_sim::{AlgorithmKind, ShardRouter, SimRunner, WorkloadSpec};
-    use satn_workloads::shard::ReshardPolicy;
+    use satn_workloads::shard::{ReshardEvent, ReshardPolicy};
 
     fn scenario(algorithm: AlgorithmKind, router: ShardRouter) -> ShardedScenario {
         let mut s = ShardedScenario::new(

@@ -224,9 +224,10 @@ fn reshard_frames_interleaved_with_bursts_match_the_manual_schedule() {
 
 /// A manual event scheduled past the stream end fires at the end of the
 /// run on both sides: the engine closes the final epoch empty at `finish`,
-/// and the oracle clamps the boundary to the stream length — the two must
-/// still agree byte for byte (regression: the engine used to record the
-/// submitted count while the oracle recorded the literal event position).
+/// and the oracle at the end of its walk, both at the stream length — the
+/// two must still agree byte for byte (regression: the engine used to
+/// record the submitted count while the oracle recorded the literal event
+/// position).
 #[test]
 fn manual_events_past_the_stream_end_fire_at_finish() {
     let mut scenario = ShardedScenario::new(
@@ -253,6 +254,37 @@ fn manual_events_past_the_stream_end_fire_at_finish() {
     // The past-end epoch served nothing but still paid its migration.
     assert_eq!(report.accounting.epoch(2).requests(), 0);
     assert_eq!(report.accounting.epoch(2).migration().moved, 1);
+}
+
+/// Manual events at position 0 and at exactly the stream length close an
+/// empty first epoch and an empty last epoch, on the engine and the oracle
+/// alike.
+#[test]
+fn manual_events_at_both_stream_ends_close_empty_epochs() {
+    let mut scenario = ShardedScenario::new(
+        AlgorithmKind::RotorPush,
+        WorkloadSpec::Zipf { a: 1.5 },
+        3,
+        4,
+        1_000,
+        5,
+    );
+    scenario.reshard = ReshardSchedule::Manual(vec![
+        ReshardEvent {
+            at: 0,
+            plan: ReshardPlan::new([(ElementId::new(1), 2)]),
+        },
+        ReshardEvent {
+            at: 1_000,
+            plan: ReshardPlan::new([(ElementId::new(1), 0)]),
+        },
+    ]);
+    let report = assert_matches_epoch_replay(&scenario, Parallelism::Threads(2), 97, true);
+    assert_eq!(report.boundaries, vec![0, 1_000]);
+    let served: Vec<u64> = (0..3)
+        .map(|epoch| report.accounting.epoch(epoch).requests())
+        .collect();
+    assert_eq!(served, vec![0, 1_000, 0]);
 }
 
 /// Every online algorithm survives a mid-stream reshard and still matches

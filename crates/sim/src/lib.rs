@@ -69,7 +69,7 @@ pub use runner::{ScenarioResult, SimError, SimRunner, DEFAULT_BATCH_SIZE};
 pub use scenario::{
     Checkpoints, InitialPlacement, ParseWorkloadError, Scenario, ScenarioGrid, WorkloadSpec,
 };
-pub use sharded::{HandoverMode, ReshardSchedule, ShardedReplay, ShardedScenario};
+pub use sharded::{HandoverMode, ReshardDriver, ReshardSchedule, ShardedReplay, ShardedScenario};
 
 // Re-exported so sharded scenarios can be configured without a direct
 // `satn-workloads` dependency.

@@ -17,15 +17,15 @@ use crate::scenario::{Checkpoints, InitialPlacement, Scenario, WorkloadSpec};
 use satn_core::{AlgorithmKind, WarmState};
 use satn_tree::{CompleteTree, ElementId, Fingerprint, Occupancy, ShardedCostSummary};
 use satn_workloads::shard::{
-    carry_remap, derive_schedule, handover, shard_epoch_seed, Partition, ReshardEvent,
-    ReshardPolicy, ShardRouter,
+    carry_remap, handover, shard_epoch_seed, Partition, ReshardEvent, ReshardPlan, ReshardPolicy,
+    ShardRouter,
 };
 use satn_workloads::Workload;
+use std::collections::VecDeque;
 
-/// When (and how) a sharded scenario reshards mid-stream.
-///
-/// (Deliberately exhaustive: the serving engine mirrors every variant
-/// online, so a new schedule kind must be handled there too.)
+/// When (and how) a sharded scenario reshards mid-stream. Both the serving
+/// engine and [`ShardedScenario::epoch_replay`] run it through the one
+/// [`ReshardDriver`] that [`ReshardSchedule::driver`] builds.
 #[derive(Debug, Clone, PartialEq, Default)]
 pub enum ReshardSchedule {
     /// Never reshard: the epoch-0 partition serves the whole stream (the
@@ -33,13 +33,96 @@ pub enum ReshardSchedule {
     #[default]
     Static,
     /// Explicit handovers: apply each event's plan after its `at`-th global
-    /// request. Positions must be strictly increasing.
+    /// request; an event at or past the stream end fires at the end of the
+    /// run. Positions must be strictly increasing.
     Manual(Vec<ReshardEvent>),
     /// Load-adaptive handovers: the policy observes the routed stream and
     /// fires at its cadence. The schedule is a pure function of the stream,
-    /// so the engine (applying it online) and the reference replay (deriving
-    /// it offline) always agree on every epoch.
+    /// so the engine and the reference replay, feeding the same driver the
+    /// same requests, always agree on every epoch.
     Policy(ReshardPolicy),
+}
+
+impl ReshardSchedule {
+    /// The driver that fires this schedule over a `universe`-element
+    /// stream.
+    ///
+    /// # Errors
+    ///
+    /// Describes the fault if a manual schedule's positions are not
+    /// strictly increasing or a policy's cadence is zero.
+    pub fn driver(&self, universe: u32) -> Result<ReshardDriver, &'static str> {
+        let mut driver = ReshardDriver::default();
+        match self {
+            ReshardSchedule::Static => {}
+            ReshardSchedule::Manual(events) => {
+                if !events.windows(2).all(|pair| pair[0].at < pair[1].at) {
+                    return Err("manual reshard positions must be strictly increasing");
+                }
+                driver.manual = events.iter().cloned().collect();
+            }
+            ReshardSchedule::Policy(policy) => {
+                if policy.every() == 0 {
+                    return Err("the reshard cadence must be positive");
+                }
+                driver.policy = Some(policy.clone());
+                driver.window = vec![0; universe as usize];
+            }
+        }
+        Ok(driver)
+    }
+}
+
+/// Decides when a [`ReshardSchedule`] fires, for the serving engine and
+/// [`ShardedScenario::epoch_replay`] alike. Both call it at the same two
+/// points of every request — [`ReshardDriver::due`] before routing it,
+/// [`ReshardDriver::observe`] after — and `due(usize::MAX)` once the stream
+/// ends, so they close the same epochs with the same plans.
+#[derive(Debug, Clone, Default)]
+pub struct ReshardDriver {
+    /// The manual events still to fire, in stream order.
+    manual: VecDeque<ReshardEvent>,
+    /// The load-adaptive policy, if the schedule has one.
+    policy: Option<ReshardPolicy>,
+    /// Requests per element since the policy last ran.
+    window: Vec<u64>,
+    /// Requests observed since the policy last ran.
+    since: usize,
+}
+
+impl ReshardDriver {
+    /// Pops the next manual event if it is due after `submitted` requests,
+    /// returning its plan. Pass `usize::MAX` at the end of the stream to
+    /// fire the events scheduled at or past its end.
+    #[inline]
+    pub fn due(&mut self, submitted: usize) -> Option<ReshardPlan> {
+        if self.manual.front()?.at > submitted {
+            return None;
+        }
+        self.manual.pop_front().map(|event| event.plan)
+    }
+
+    /// Counts one routed request. At every `every`-th request the policy
+    /// derives a plan from the window (which then resets); a non-empty plan
+    /// is returned and the caller reshards — an empty plan stays in the
+    /// current epoch.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the element is outside the driver's universe.
+    #[inline]
+    pub fn observe(&mut self, element: ElementId, partition: &Partition) -> Option<ReshardPlan> {
+        let policy = self.policy.as_ref()?;
+        self.window[element.usize()] += 1;
+        self.since += 1;
+        if self.since < policy.every() {
+            return None;
+        }
+        self.since = 0;
+        let plan = policy.plan(partition, &self.window);
+        self.window.fill(0);
+        (!plan.is_empty()).then_some(plan)
+    }
 }
 
 /// The one reshard handover: touched shards carry their exported
@@ -210,38 +293,6 @@ impl ShardedScenario {
         self.epoch_scenarios(0, &partition, split, None)
     }
 
-    /// The reshard events of this scenario's schedule, in stream order —
-    /// derived purely from the scenario value (for
-    /// [`ReshardSchedule::Policy`], by running the policy over the stream).
-    /// A manual event scheduled at or past the stream end fires at the end
-    /// of the run (the engine does the same), so its `at` is clamped to the
-    /// stream length.
-    ///
-    /// # Panics
-    ///
-    /// Panics if a manual schedule's positions are not strictly increasing.
-    pub fn reshard_events(&self) -> Vec<ReshardEvent> {
-        match &self.reshard {
-            ReshardSchedule::Static => Vec::new(),
-            ReshardSchedule::Manual(events) => {
-                assert!(
-                    events.windows(2).all(|pair| pair[0].at < pair[1].at),
-                    "manual reshard positions must be strictly increasing"
-                );
-                events
-                    .iter()
-                    .map(|event| ReshardEvent {
-                        at: event.at.min(self.requests),
-                        plan: event.plan.clone(),
-                    })
-                    .collect()
-            }
-            ReshardSchedule::Policy(policy) => {
-                derive_schedule(policy, self.partition(), self.stream())
-            }
-        }
-    }
-
     /// The standalone per-shard scenarios of one epoch: shard `s` serves its
     /// localized subsequence on a tree sized by the epoch's partition,
     /// seeded with [`ShardedScenario::shard_epoch_seed`]. Epoch 0 starts
@@ -292,17 +343,18 @@ impl ShardedScenario {
     /// The epoch-segmented serial reference replay — the byte-exact oracle
     /// of a resharding engine run.
     ///
-    /// Walks the global stream once, epoch by epoch: each epoch's segment
-    /// is split into per-shard subsequences under that epoch's partition,
-    /// and every epoch's standalone per-shard [`Scenario`]s run through
-    /// `runner` in epoch-major shard order. At each boundary the event's
-    /// plan is applied to the closing partition and the deterministic
-    /// [`handover`] is recomputed from the replayed occupancies — never
-    /// taken from an engine — so the next epoch's `InitialPlacement::Fixed`
-    /// scenarios, the migration costs, and every fingerprint are *derived*,
-    /// not hand-kept. At most two partitions are alive at once. An engine
-    /// run matches this replay at every thread count, drain cadence, and
-    /// ingestion framing, or it has a bug.
+    /// Walks the global stream once, routing each request into the current
+    /// epoch's per-shard subsequences under that epoch's partition and
+    /// asking the schedule's [`ReshardDriver`] at the engine's two firing
+    /// points. When it fires, the epoch closes: its standalone per-shard
+    /// [`Scenario`]s run through `runner` in shard order, the plan is
+    /// applied to the closing partition, and the deterministic [`handover`]
+    /// is recomputed from the replayed occupancies — never taken from an
+    /// engine — so the next epoch's `InitialPlacement::Fixed` scenarios, the
+    /// migration costs, and every fingerprint are *derived*, not hand-kept.
+    /// At most two partitions are alive at once. An engine run matches this
+    /// replay at every thread count, drain cadence, and ingestion framing,
+    /// or it has a bug.
     ///
     /// # Errors
     ///
@@ -311,90 +363,109 @@ impl ShardedScenario {
     ///
     /// # Panics
     ///
-    /// Panics if the scenario reshards with an offline algorithm
-    /// (Static-Opt computes its layout from the whole future subsequence,
-    /// which no online handover can know), or if a manual schedule is
-    /// invalid.
+    /// Panics if the scenario pairs an offline algorithm with any schedule
+    /// but [`ReshardSchedule::Static`] (Static-Opt computes its layout from
+    /// the whole future subsequence, which no online handover can know), if
+    /// [`ReshardSchedule::driver`] rejects the schedule, or if a manual plan
+    /// does not fit its partition.
     pub fn epoch_replay(&self, runner: &SimRunner) -> Result<ShardedReplay, SimError> {
-        let events = self.reshard_events();
         assert!(
-            events.is_empty() || self.algorithm != AlgorithmKind::StaticOpt,
+            self.reshard == ReshardSchedule::Static || self.algorithm != AlgorithmKind::StaticOpt,
             "resharding is not supported for offline algorithms"
         );
-        let epochs = events.len() + 1;
-        let mut accounting = ShardedCostSummary::new(self.shards);
-        let mut scenarios = Vec::with_capacity(epochs);
-        let mut results: Vec<Vec<ScenarioResult>> = Vec::with_capacity(epochs);
-        let mut fingerprints: Vec<Vec<Fingerprint>> = Vec::with_capacity(epochs);
-        let mut occupancies: Vec<Occupancy> = Vec::new();
-        let mut warm_states: Vec<WarmState> = Vec::new();
+        let mut driver = self
+            .reshard
+            .driver(self.universe())
+            .unwrap_or_else(|reason| panic!("{reason}"));
+        let mut replay = ShardedReplay {
+            scenarios: Vec::new(),
+            results: Vec::new(),
+            fingerprints: Vec::new(),
+            accounting: ShardedCostSummary::new(self.shards),
+            boundaries: Vec::new(),
+        };
         let mut partition = self.partition();
+        let mut carried = None;
         let mut stream = self.stream();
-        let mut served = 0;
-        for epoch in 0..epochs as u32 {
-            let carried = epoch.checked_sub(1).map(|previous| {
-                let plan = &events[previous as usize].plan;
-                let next = partition
-                    .apply(plan)
-                    .expect("manual reshard plans must fit the partition");
-                let refs: Vec<&Occupancy> = occupancies.iter().collect();
-                let outcome = handover(&partition, &next, plan, &refs);
-                accounting.begin_epoch(outcome.migration);
-                // An untouched shard keeps its live tree verbatim — including
-                // padding elements wherever push-downs drifted them — because
-                // the engine never rebuilds it. The replay therefore seeds
-                // those shards from the live occupancy.
-                let placements = outcome
-                    .placements
-                    .into_iter()
-                    .zip(&occupancies)
-                    .map(|(placement, live)| {
-                        placement.unwrap_or_else(|| live.placement_in_heap_order())
-                    })
-                    .collect();
-                // Carry every shard's exported state through the handover
-                // remap onto the epoch's (possibly resized) tree; untouched
-                // shards carry under the identity remap, i.e. verbatim.
-                let warm = (0..self.shards)
-                    .map(|shard| {
-                        let remap = carry_remap(&partition, &next, shard);
-                        let tree = CompleteTree::with_levels(next.shard_levels(shard))
-                            .expect("partitions produce valid shard depths");
-                        warm_states[shard as usize].carried_into(tree, &remap)
-                    })
-                    .collect();
-                partition = next;
-                (placements, warm)
-            });
-            // The epoch serves the requests up to the next event's boundary;
-            // the last one serves the rest of the stream.
-            let end = events
-                .get(epoch as usize)
-                .map_or(usize::MAX, |event| event.at);
-            let split = partition.split_stream(stream.by_ref().take(end - served));
-            served = end;
-            let epoch_scenarios = self.epoch_scenarios(epoch, &partition, split, carried);
+        let mut submitted = 0;
+        loop {
+            let epoch = replay.results.len() as u32;
+            // Route requests into the epoch until the driver fires at one of
+            // the engine's two points, or the stream ends.
+            let mut split = vec![Vec::new(); self.shards as usize];
+            let plan = loop {
+                if let Some(plan) = driver.due(submitted) {
+                    break Some(plan);
+                }
+                let Some(element) = stream.next() else {
+                    break driver.due(usize::MAX);
+                };
+                let (shard, local) = partition
+                    .localize(element)
+                    .expect("scenario streams stay inside the universe");
+                split[shard as usize].push(local);
+                submitted += 1;
+                if let Some(plan) = driver.observe(element, &partition) {
+                    break Some(plan);
+                }
+            };
+            let epoch_scenarios = self.epoch_scenarios(epoch, &partition, split, carried.take());
             let mut epoch_results = Vec::with_capacity(epoch_scenarios.len());
-            occupancies.clear();
-            warm_states.clear();
             for (shard, scenario) in epoch_scenarios.iter().enumerate() {
                 let result = runner.run(scenario)?;
-                accounting.merge_into_shard(shard as u32, &result.summary);
-                occupancies.push(result.final_occupancy());
-                warm_states.push(result.final_warm.clone());
+                replay
+                    .accounting
+                    .merge_into_shard(shard as u32, &result.summary);
                 epoch_results.push(result);
             }
-            fingerprints.push(occupancies.iter().map(Occupancy::fingerprint).collect());
-            scenarios.push(epoch_scenarios);
-            results.push(epoch_results);
+            let occupancies: Vec<Occupancy> = epoch_results
+                .iter()
+                .map(ScenarioResult::final_occupancy)
+                .collect();
+            replay
+                .fingerprints
+                .push(occupancies.iter().map(Occupancy::fingerprint).collect());
+            replay.scenarios.push(epoch_scenarios);
+            let Some(plan) = plan else {
+                replay.results.push(epoch_results);
+                return Ok(replay);
+            };
+            replay.boundaries.push(submitted);
+            let next = partition
+                .apply(&plan)
+                .expect("manual reshard plans must fit the partition");
+            let refs: Vec<&Occupancy> = occupancies.iter().collect();
+            let outcome = handover(&partition, &next, &plan, &refs);
+            replay.accounting.begin_epoch(outcome.migration);
+            // An untouched shard keeps its live tree verbatim — including
+            // padding elements wherever push-downs drifted them — because the
+            // engine never rebuilds it. The replay therefore seeds those
+            // shards from the live occupancy.
+            let placements = outcome
+                .placements
+                .into_iter()
+                .zip(&occupancies)
+                .map(|(placement, live)| {
+                    placement.unwrap_or_else(|| live.placement_in_heap_order())
+                })
+                .collect();
+            // Carry every shard's exported state through the handover remap
+            // onto the epoch's (possibly resized) tree; untouched shards
+            // carry under the identity remap, i.e. verbatim.
+            let warm = (0..self.shards)
+                .map(|shard| {
+                    let remap = carry_remap(&partition, &next, shard);
+                    let tree = CompleteTree::with_levels(next.shard_levels(shard))
+                        .expect("partitions produce valid shard depths");
+                    epoch_results[shard as usize]
+                        .final_warm
+                        .carried_into(tree, &remap)
+                })
+                .collect();
+            replay.results.push(epoch_results);
+            carried = Some((placements, warm));
+            partition = next;
         }
-        Ok(ShardedReplay {
-            scenarios,
-            results,
-            fingerprints,
-            accounting,
-            boundaries: events.into_iter().map(|event| event.at).collect(),
-        })
     }
 
     /// The serial per-shard reference fingerprints after the first `prefix`
@@ -790,6 +861,58 @@ mod tests {
             plan: ReshardPlan::new([(ElementId::new(0), 1)]),
         }]);
         let _ = sharded.epoch_replay(&SimRunner::new());
+    }
+
+    #[test]
+    #[should_panic(expected = "offline algorithms")]
+    fn static_opt_replays_reject_schedules_that_never_fire() {
+        let mut sharded = scenario(ShardRouter::Range);
+        sharded.algorithm = AlgorithmKind::StaticOpt;
+        sharded.reshard = ReshardSchedule::Manual(vec![]);
+        let _ = sharded.epoch_replay(&SimRunner::new());
+    }
+
+    #[test]
+    fn reshard_driver_fires_the_policy_at_its_cadence() {
+        let partition = Partition::new(ShardRouter::Range, 8, 2);
+        let policy = ReshardPolicy::MoveHottest {
+            every: 4,
+            max_moves: 2,
+        };
+        // A stream hammering shard 0.
+        let stream: Vec<ElementId> = (0..16).map(|i| ElementId::new(i % 3)).collect();
+
+        let mut driver = ReshardSchedule::Policy(policy.clone()).driver(8).unwrap();
+        let mut current = partition.clone();
+        let mut fired = Vec::new();
+        for (position, &element) in stream.iter().enumerate() {
+            assert_eq!(driver.due(position), None, "a policy has no manual events");
+            if let Some(plan) = driver.observe(element, &current) {
+                current = current.apply(&plan).unwrap();
+                fired.push((position + 1, plan));
+            }
+        }
+        assert!(!fired.is_empty());
+        for (boundary, _) in &fired {
+            assert_eq!(boundary % 4, 0, "fires only at the cadence");
+        }
+
+        // The reference, without the driver: the policy's plan for every
+        // `every`-sized window, counted by hand.
+        let mut reference = Vec::new();
+        let mut current = partition;
+        for (index, chunk) in stream.chunks_exact(policy.every()).enumerate() {
+            let mut window = vec![0u64; 8];
+            for element in chunk {
+                window[element.usize()] += 1;
+            }
+            let plan = policy.plan(&current, &window);
+            if !plan.is_empty() {
+                current = current.apply(&plan).unwrap();
+                reference.push(((index + 1) * policy.every(), plan));
+            }
+        }
+        assert_eq!(fired, reference);
     }
 
     #[test]

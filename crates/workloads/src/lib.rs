@@ -45,8 +45,8 @@ pub mod trace;
 mod workload;
 
 pub use shard::{
-    carry_remap, derive_schedule, handover, shard_epoch_seed, Handover, Partition, PolicyDriver,
-    ReshardError, ReshardEvent, ReshardPlan, ReshardPolicy, ShardRouter,
+    carry_remap, handover, shard_epoch_seed, Handover, Partition, ReshardError, ReshardEvent,
+    ReshardPlan, ReshardPolicy, ShardRouter,
 };
 pub use stream::{
     CombinedStream, HotBlockStream, MarkovBurstyStream, RoundRobinPathStream,

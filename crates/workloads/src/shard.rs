@@ -729,8 +729,8 @@ pub fn handover(
 
 /// A deterministic load-adaptive resharding policy: a pure function from a
 /// window of observed per-shard load to the next [`ReshardPlan`]. The
-/// serving engine applies it online; the reference replay derives the same
-/// schedule from the raw stream ([`derive_schedule`]) — neither side ever
+/// serving engine and the reference replay both run it through one driver
+/// (`satn_sim::ReshardDriver`) fed the same stream, so neither side ever
 /// has to trust the other's epochs.
 #[derive(Debug, Clone, PartialEq)]
 #[non_exhaustive]
@@ -810,81 +810,6 @@ impl ReshardPolicy {
         }
         ReshardPlan::new(moves)
     }
-}
-
-/// Observes a routed request stream and fires the policy at its cadence —
-/// the shared driver of policy-triggered resharding. The serving engine
-/// feeds it each submitted request; [`derive_schedule`] feeds it the raw
-/// stream. Same inputs, same pure policy, same epochs.
-#[derive(Debug, Clone)]
-pub struct PolicyDriver {
-    policy: ReshardPolicy,
-    window: Vec<u64>,
-    since: usize,
-}
-
-impl PolicyDriver {
-    /// Creates a driver for a `universe`-element stream.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the policy's cadence is zero.
-    pub fn new(policy: ReshardPolicy, universe: u32) -> Self {
-        assert!(policy.every() > 0, "the reshard cadence must be positive");
-        PolicyDriver {
-            policy,
-            window: vec![0; universe as usize],
-            since: 0,
-        }
-    }
-
-    /// Counts one request. At every `every`-th request the policy derives a
-    /// plan from the window (which then resets); a non-empty plan is
-    /// returned and the caller reshards — an empty plan stays in the current
-    /// epoch.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the element is outside the driver's universe.
-    pub fn observe(&mut self, element: ElementId, partition: &Partition) -> Option<ReshardPlan> {
-        self.window[element.usize()] += 1;
-        self.since += 1;
-        if self.since < self.policy.every() {
-            return None;
-        }
-        self.since = 0;
-        let plan = self.policy.plan(partition, &self.window);
-        self.window.fill(0);
-        (!plan.is_empty()).then_some(plan)
-    }
-}
-
-/// Derives the reshard events a policy fires over a stream — the pure
-/// offline counterpart of the serving engine's online policy application,
-/// and the schedule of the epoch-segmented reference replay. Each event's
-/// `at` is the number of requests observed when the policy fired. Only the
-/// current partition is kept.
-pub fn derive_schedule<I>(
-    policy: &ReshardPolicy,
-    initial: Partition,
-    stream: I,
-) -> Vec<ReshardEvent>
-where
-    I: Iterator<Item = ElementId>,
-{
-    let mut partition = initial;
-    let mut driver = PolicyDriver::new(policy.clone(), partition.universe());
-    let mut events = Vec::new();
-    for (position, element) in stream.enumerate() {
-        if let Some(plan) = driver.observe(element, &partition) {
-            partition = partition.apply(&plan).expect("policy plans always fit");
-            events.push(ReshardEvent {
-                at: position + 1,
-                plan,
-            });
-        }
-    }
-    events
 }
 
 #[cfg(test)]
@@ -1244,38 +1169,6 @@ mod tests {
         // A balanced window yields an empty plan.
         let balanced = vec![1u64; 8];
         assert!(policy.plan(&partition, &balanced).is_empty());
-    }
-
-    #[test]
-    fn policy_driver_fires_at_its_cadence_and_matches_derive_schedule() {
-        let partition = Partition::new(ShardRouter::Range, 8, 2);
-        let policy = ReshardPolicy::MoveHottest {
-            every: 4,
-            max_moves: 2,
-        };
-        // A stream hammering shard 0.
-        let stream: Vec<ElementId> = (0..16).map(|i| ElementId::new(i % 3)).collect();
-
-        let mut driver = PolicyDriver::new(policy.clone(), 8);
-        let mut current = partition.clone();
-        let mut fired = Vec::new();
-        for (position, &element) in stream.iter().enumerate() {
-            if let Some(plan) = driver.observe(element, &current) {
-                current = current.apply(&plan).unwrap();
-                fired.push((position + 1, plan));
-            }
-        }
-        assert!(!fired.is_empty());
-        for (boundary, _) in &fired {
-            assert_eq!(boundary % 4, 0, "fires only at the cadence");
-        }
-
-        let derived: Vec<(usize, ReshardPlan)> =
-            derive_schedule(&policy, partition, stream.iter().copied())
-                .into_iter()
-                .map(|event| (event.at, event.plan))
-                .collect();
-        assert_eq!(derived, fired);
     }
 
     #[test]
