@@ -76,8 +76,9 @@ impl ShardedEngineConfig {
     /// # Errors
     ///
     /// [`ServeError::InvalidConfig`] for a zero drain threshold, a manual
-    /// reshard schedule whose positions are not strictly increasing, or a
-    /// zero policy cadence;
+    /// reshard schedule whose positions are not strictly increasing or whose
+    /// plan names an element outside the universe or a shard the partition
+    /// lacks, or a zero policy cadence;
     /// [`ServeError::Tree`] if a shard's algorithm cannot be instantiated;
     /// [`ServeError::ReshardUnsupported`] for a scenario pairing a reshard
     /// schedule with an offline algorithm.
@@ -144,6 +145,12 @@ mod tests {
                     .to_vec(),
             )
         };
+        let moving = |element: u32, shard: u32| {
+            ReshardSchedule::Manual(vec![ReshardEvent {
+                at: 300,
+                plan: ReshardPlan::new([(ElementId::new(element), shard)]),
+            }])
+        };
         let zero_cadence = ReshardPolicy::MoveHottest {
             every: 0,
             max_moves: 4,
@@ -151,6 +158,9 @@ mod tests {
         for (schedule, reason) in [
             (manual([300, 300]), "strictly increasing"),
             (manual([300, 200]), "strictly increasing"),
+            // 3 shards of 31 elements: element 93 and shard 3 do not exist.
+            (moving(93, 1), "outside the 93-element universe"),
+            (moving(0, 3), "the partition has 3 shards"),
             (
                 ReshardSchedule::Policy(zero_cadence),
                 "cadence must be positive",

@@ -199,8 +199,8 @@ impl ShardedEngine {
         }
         let schedule = scenario
             .reshard
-            .driver(scenario.universe())
-            .map_err(|reason| ServeError::InvalidConfig(reason.to_owned()))?;
+            .driver(scenario.universe(), scenario.shards)
+            .map_err(ServeError::InvalidConfig)?;
         let partition = scenario.partition();
         let mut trees = Vec::with_capacity(partition.shards() as usize);
         for (shard, shard_scenario) in scenario.shard_scenarios().iter().enumerate() {
@@ -827,7 +827,7 @@ mod tests {
             assert_eq!(got.summary, expected.summary, "shard {shard} costs");
             assert_eq!(
                 got.fingerprint,
-                expected.final_occupancy().fingerprint(),
+                expected.final_occupancy.fingerprint(),
                 "shard {shard} fingerprint"
             );
         }

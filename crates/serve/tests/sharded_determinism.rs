@@ -63,7 +63,7 @@ fn assert_matches_reference(
         );
         assert_eq!(
             got.fingerprint,
-            expected.final_occupancy().fingerprint(),
+            expected.final_occupancy.fingerprint(),
             "{}: shard {shard} fingerprint diverged",
             scenario.name()
         );

@@ -23,9 +23,10 @@
 //! * [`InvariantObserver`] — the built-in model checker: occupancy
 //!   bijection, rotor-state flip-rank permutations, the `access = level + 1`
 //!   cost law, and adjustment-cost accounting,
-//! * [`SnapshotObserver`] / [`ScenarioResult::checkpoints`] — occupancy
-//!   snapshots at every checkpoint, giving every run a replay fingerprint
-//!   ([`SimRunner::replay_matches`] verifies determinism end to end).
+//! * [`ScenarioResult::checkpoints`] — the placement's
+//!   [`Fingerprint`](satn_tree::Fingerprint) at every checkpoint, giving
+//!   every run a replay fingerprint ([`SimRunner::replay_matches`] verifies
+//!   determinism end to end).
 //!
 //! ## Example
 //!
@@ -51,7 +52,7 @@
 //! assert_eq!(result.checkpoints.len(), 4); // 500, 1000, 1500, 2000
 //! // High temporal locality => far cheaper than the worst case.
 //! assert!(result.summary.mean_total() < 12.0);
-//! // The same scenario replays to the identical state, snapshot for snapshot.
+//! // The same scenario replays to the identical state, checkpoint for checkpoint.
 //! assert!(runner.replay_matches(&scenario)?);
 //! # Ok::<(), satn_sim::SimError>(())
 //! ```
@@ -64,7 +65,7 @@ mod runner;
 mod scenario;
 mod sharded;
 
-pub use observer::{InvariantObserver, InvariantViolation, Observer, SnapshotObserver, StepRecord};
+pub use observer::{InvariantObserver, InvariantViolation, Observer, StepRecord};
 pub use runner::{ScenarioResult, SimError, SimRunner, DEFAULT_BATCH_SIZE};
 pub use scenario::{
     Checkpoints, InitialPlacement, ParseWorkloadError, Scenario, ScenarioGrid, WorkloadSpec,
@@ -96,7 +97,6 @@ fn _assert_parallel_safe() {
     assert_send::<SimError>();
     assert_sync::<SimRunner>();
     assert_send::<InvariantObserver>();
-    assert_send::<SnapshotObserver>();
     assert_send::<ShardedScenario>();
     assert_sync::<ShardedScenario>();
 }

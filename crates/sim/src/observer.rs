@@ -225,40 +225,6 @@ impl Observer for InvariantObserver {
     }
 }
 
-/// Records an occupancy snapshot (the text format of
-/// [`satn_tree::snapshot`]) at every checkpoint — the raw material of
-/// deterministic replay verification.
-#[derive(Debug, Clone, Default)]
-pub struct SnapshotObserver {
-    snapshots: Vec<(u64, String)>,
-}
-
-impl SnapshotObserver {
-    /// Creates the recorder.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// The recorded `(step, snapshot)` pairs, in checkpoint order.
-    pub fn snapshots(&self) -> &[(u64, String)] {
-        &self.snapshots
-    }
-}
-
-impl Observer for SnapshotObserver {
-    fn on_checkpoint(
-        &mut self,
-        step: u64,
-        network: &dyn SelfAdjustingTree,
-    ) -> Result<(), InvariantViolation> {
-        self.snapshots.push((
-            step,
-            satn_tree::snapshot::occupancy_to_string(network.occupancy()),
-        ));
-        Ok(())
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -315,20 +281,5 @@ mod tests {
         };
         let violation = observer.on_step(&record, &network).unwrap_err();
         assert!(violation.to_string().contains("static algorithm"));
-    }
-
-    #[test]
-    fn snapshot_observer_records_checkpoints_in_order() {
-        let mut network = RotorPush::new(identity(3));
-        let mut observer = SnapshotObserver::new();
-        observer.on_checkpoint(0, &network).unwrap();
-        network.serve(ElementId::new(6)).unwrap();
-        observer.on_checkpoint(1, &network).unwrap();
-        let snapshots = observer.snapshots();
-        assert_eq!(snapshots.len(), 2);
-        assert_eq!(snapshots[0].0, 0);
-        assert_ne!(snapshots[0].1, snapshots[1].1);
-        // Snapshots parse back into occupancies.
-        satn_tree::snapshot::occupancy_from_str(&snapshots[1].1).unwrap();
     }
 }

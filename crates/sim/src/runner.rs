@@ -6,7 +6,7 @@ use crate::observer::{InvariantViolation, Observer, StepRecord};
 use crate::scenario::{Checkpoints, Scenario, ScenarioGrid};
 use satn_core::{SelfAdjustingTree, WarmState};
 use satn_exec::{ordered_map, Parallelism};
-use satn_tree::{CostSummary, ElementId, Occupancy, TreeError};
+use satn_tree::{CostSummary, ElementId, Fingerprint, Occupancy, TreeError};
 use std::fmt;
 
 /// An error produced while running a scenario.
@@ -55,34 +55,19 @@ impl From<InvariantViolation> for SimError {
 pub struct ScenarioResult {
     /// Aggregated per-request costs.
     pub summary: CostSummary,
-    /// Occupancy snapshots captured at every checkpoint, as
-    /// `(requests served, snapshot text)` pairs — the replay fingerprint of
+    /// The placement's [`Fingerprint`] at every checkpoint, as
+    /// `(requests served, fingerprint)` pairs — the replay fingerprint of
     /// the run.
-    pub checkpoints: Vec<(u64, String)>,
+    pub checkpoints: Vec<(u64, Fingerprint)>,
+    /// The placement at the end of the run — what the sharded replays
+    /// digest and hand over.
+    pub final_occupancy: Occupancy,
     /// The algorithm's exported warm state at the end of the run — rotor
     /// pointers, recency metadata, generator state. A follow-on scenario
     /// carrying this state (see [`Scenario`]'s `warm` field) resumes the
     /// algorithm exactly where this run left it, which is how the warm
     /// reshard-handover oracle chains epochs.
     pub final_warm: WarmState,
-}
-
-impl ScenarioResult {
-    /// The snapshot of the final checkpoint.
-    pub fn final_snapshot(&self) -> &str {
-        &self
-            .checkpoints
-            .last()
-            .expect("every run has a final checkpoint")
-            .1
-    }
-
-    /// The final checkpoint parsed back into an occupancy — the state the
-    /// sharded replays digest ([`Occupancy::fingerprint`]) and hand over.
-    pub fn final_occupancy(&self) -> Occupancy {
-        satn_tree::snapshot::occupancy_from_str(self.final_snapshot())
-            .expect("checkpoints are valid snapshots")
-    }
 }
 
 /// The scenario-simulation engine.
@@ -155,7 +140,8 @@ impl SimRunner {
     }
 
     /// Runs a scenario with no custom observers: serves the whole stream on
-    /// the batched fast path and captures a snapshot at every checkpoint.
+    /// the batched fast path and fingerprints the placement at every
+    /// checkpoint.
     ///
     /// # Errors
     ///
@@ -205,6 +191,7 @@ impl SimRunner {
         Ok(ScenarioResult {
             summary,
             checkpoints,
+            final_occupancy: network.occupancy().clone(),
             final_warm: network.export_state(),
         })
     }
@@ -286,9 +273,9 @@ impl SimRunner {
     }
 
     /// Verifies deterministic replay: runs `scenario` twice and checks that
-    /// every checkpoint snapshot and the cost summary coincide. All
-    /// algorithms are seed-deterministic, so any divergence indicates
-    /// hidden state outside the scenario's control.
+    /// every checkpoint fingerprint, the final placement and the cost
+    /// summary coincide. All algorithms are seed-deterministic, so any
+    /// divergence indicates hidden state outside the scenario's control.
     ///
     /// # Errors
     ///
@@ -306,7 +293,7 @@ impl SimRunner {
         length: usize,
         checkpoints: Checkpoints,
         observers: &mut [&mut dyn Observer],
-        mut snapshots: Option<&mut Vec<(u64, String)>>,
+        mut fingerprints: Option<&mut Vec<(u64, Fingerprint)>>,
     ) -> Result<CostSummary, SimError> {
         let stepwise = observers.iter().any(|observer| observer.wants_steps());
         for observer in observers.iter_mut() {
@@ -356,11 +343,8 @@ impl SimRunner {
             for observer in observers.iter_mut() {
                 observer.on_checkpoint(step, network)?;
             }
-            if let Some(snapshots) = snapshots.as_deref_mut() {
-                snapshots.push((
-                    step,
-                    satn_tree::snapshot::occupancy_to_string(network.occupancy()),
-                ));
+            if let Some(fingerprints) = fingerprints.as_deref_mut() {
+                fingerprints.push((step, network.occupancy().fingerprint()));
             }
             if served >= length {
                 return Ok(summary);
@@ -372,7 +356,7 @@ impl SimRunner {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::observer::{InvariantObserver, SnapshotObserver};
+    use crate::observer::InvariantObserver;
     use crate::scenario::{InitialPlacement, WorkloadSpec};
     use satn_core::AlgorithmKind;
 
@@ -402,15 +386,29 @@ mod tests {
         let steps: Vec<u64> = result.checkpoints.iter().map(|&(step, _)| step).collect();
         assert_eq!(steps, vec![600, 1_200, 1_800, 2_000]);
         assert_eq!(result.summary.requests(), 2_000);
-    }
-
-    #[test]
-    fn snapshot_observer_and_engine_snapshots_agree() {
-        let mut s = scenario(AlgorithmKind::MaxPush);
-        s.checkpoints = Checkpoints::every(500);
-        let mut recorder = SnapshotObserver::new();
-        let result = SimRunner::new().run_with(&s, &mut [&mut recorder]).unwrap();
-        assert_eq!(recorder.snapshots(), result.checkpoints.as_slice());
+        // Each checkpoint digests the placement a run over the same prefix
+        // of the stream ends in.
+        for &(step, fingerprint) in &result.checkpoints {
+            let mut network = s.instantiate().unwrap();
+            SimRunner::new()
+                .run_stream(
+                    network.as_mut(),
+                    s.stream(),
+                    step as usize,
+                    Checkpoints::final_only(),
+                    &mut [],
+                )
+                .unwrap();
+            assert_eq!(
+                network.occupancy().fingerprint(),
+                fingerprint,
+                "step {step}"
+            );
+        }
+        assert_eq!(
+            result.checkpoints.last().unwrap().1,
+            result.final_occupancy.fingerprint()
+        );
     }
 
     #[test]

@@ -12,7 +12,7 @@
 //! placements the engine must reproduce exactly. The replay digests its own
 //! final placements into [`Fingerprint`]s, so the oracle stays derived.
 
-use crate::runner::{ScenarioResult, SimError, SimRunner};
+use crate::runner::{SimError, SimRunner};
 use crate::scenario::{Checkpoints, InitialPlacement, Scenario, WorkloadSpec};
 use satn_core::{AlgorithmKind, WarmState};
 use satn_tree::{CompleteTree, ElementId, Fingerprint, Occupancy, ShardedCostSummary};
@@ -44,26 +44,34 @@ pub enum ReshardSchedule {
 }
 
 impl ReshardSchedule {
-    /// The driver that fires this schedule over a `universe`-element
-    /// stream.
+    /// The driver that fires this schedule over a partition of `universe`
+    /// elements into `shards` shards.
     ///
     /// # Errors
     ///
     /// Describes the fault if a manual schedule's positions are not
-    /// strictly increasing or a policy's cadence is zero.
-    pub fn driver(&self, universe: u32) -> Result<ReshardDriver, &'static str> {
+    /// strictly increasing, a manual plan names an element outside the
+    /// universe or a shard out of range ([`ReshardPlan::check_fits`]), or a
+    /// policy's cadence is zero.
+    pub fn driver(&self, universe: u32, shards: u32) -> Result<ReshardDriver, String> {
         let mut driver = ReshardDriver::default();
         match self {
             ReshardSchedule::Static => {}
             ReshardSchedule::Manual(events) => {
                 if !events.windows(2).all(|pair| pair[0].at < pair[1].at) {
-                    return Err("manual reshard positions must be strictly increasing");
+                    return Err("manual reshard positions must be strictly increasing".to_owned());
+                }
+                for event in events {
+                    event
+                        .plan
+                        .check_fits(universe, shards)
+                        .map_err(|error| error.to_string())?;
                 }
                 driver.manual = events.iter().cloned().collect();
             }
             ReshardSchedule::Policy(policy) => {
                 if policy.every() == 0 {
-                    return Err("the reshard cadence must be positive");
+                    return Err("the reshard cadence must be positive".to_owned());
                 }
                 driver.policy = Some(policy.clone());
                 driver.window = vec![0; universe as usize];
@@ -365,9 +373,8 @@ impl ShardedScenario {
     ///
     /// Panics if the scenario pairs an offline algorithm with any schedule
     /// but [`ReshardSchedule::Static`] (Static-Opt computes its layout from
-    /// the whole future subsequence, which no online handover can know), if
-    /// [`ReshardSchedule::driver`] rejects the schedule, or if a manual plan
-    /// does not fit its partition.
+    /// the whole future subsequence, which no online handover can know), or
+    /// if [`ReshardSchedule::driver`] rejects the schedule.
     pub fn epoch_replay(&self, runner: &SimRunner) -> Result<ShardedReplay, SimError> {
         assert!(
             self.reshard == ReshardSchedule::Static || self.algorithm != AlgorithmKind::StaticOpt,
@@ -375,11 +382,10 @@ impl ShardedScenario {
         );
         let mut driver = self
             .reshard
-            .driver(self.universe())
+            .driver(self.universe(), self.shards)
             .unwrap_or_else(|reason| panic!("{reason}"));
         let mut replay = ShardedReplay {
             scenarios: Vec::new(),
-            results: Vec::new(),
             fingerprints: Vec::new(),
             accounting: ShardedCostSummary::new(self.shards),
             boundaries: Vec::new(),
@@ -389,7 +395,7 @@ impl ShardedScenario {
         let mut stream = self.stream();
         let mut submitted = 0;
         loop {
-            let epoch = replay.results.len() as u32;
+            let epoch = replay.fingerprints.len() as u32;
             // Route requests into the epoch until the driver fires at one of
             // the engine's two points, or the stream ends.
             let mut split = vec![Vec::new(); self.shards as usize];
@@ -410,30 +416,27 @@ impl ShardedScenario {
                 }
             };
             let epoch_scenarios = self.epoch_scenarios(epoch, &partition, split, carried.take());
-            let mut epoch_results = Vec::with_capacity(epoch_scenarios.len());
+            let mut occupancies = Vec::with_capacity(epoch_scenarios.len());
+            let mut states = Vec::with_capacity(epoch_scenarios.len());
             for (shard, scenario) in epoch_scenarios.iter().enumerate() {
                 let result = runner.run(scenario)?;
                 replay
                     .accounting
                     .merge_into_shard(shard as u32, &result.summary);
-                epoch_results.push(result);
+                occupancies.push(result.final_occupancy);
+                states.push(result.final_warm);
             }
-            let occupancies: Vec<Occupancy> = epoch_results
-                .iter()
-                .map(ScenarioResult::final_occupancy)
-                .collect();
             replay
                 .fingerprints
                 .push(occupancies.iter().map(Occupancy::fingerprint).collect());
             replay.scenarios.push(epoch_scenarios);
             let Some(plan) = plan else {
-                replay.results.push(epoch_results);
                 return Ok(replay);
             };
             replay.boundaries.push(submitted);
             let next = partition
                 .apply(&plan)
-                .expect("manual reshard plans must fit the partition");
+                .expect("the driver only fires plans that fit the partition");
             let refs: Vec<&Occupancy> = occupancies.iter().collect();
             let outcome = handover(&partition, &next, &plan, &refs);
             replay.accounting.begin_epoch(outcome.migration);
@@ -457,12 +460,9 @@ impl ShardedScenario {
                     let remap = carry_remap(&partition, &next, shard);
                     let tree = CompleteTree::with_levels(next.shard_levels(shard))
                         .expect("partitions produce valid shard depths");
-                    epoch_results[shard as usize]
-                        .final_warm
-                        .carried_into(tree, &remap)
+                    states[shard as usize].carried_into(tree, &remap)
                 })
                 .collect();
-            replay.results.push(epoch_results);
             carried = Some((placements, warm));
             partition = next;
         }
@@ -524,7 +524,7 @@ impl ShardedScenario {
         let split = partition.split_stream(self.stream().take(prefix));
         self.epoch_scenarios(0, &partition, split, None)
             .iter()
-            .map(|scenario| runner.run(scenario).map(|result| result.final_occupancy()))
+            .map(|scenario| runner.run(scenario).map(|result| result.final_occupancy))
             .collect()
     }
 }
@@ -537,9 +537,7 @@ pub struct ShardedReplay {
     /// is a self-contained [`Scenario`] value that any `SimRunner` run
     /// reproduces exactly.
     pub scenarios: Vec<Vec<Scenario>>,
-    /// The per-shard results, `results[epoch][shard]`.
-    pub results: Vec<Vec<ScenarioResult>>,
-    /// The digest of every result's final placement,
+    /// The digest of every shard's final placement,
     /// `fingerprints[epoch][shard]`.
     pub fingerprints: Vec<Vec<Fingerprint>>,
     /// The full epoch-versioned ledger: per-epoch sub-summaries, migration
@@ -561,7 +559,7 @@ impl ShardedReplay {
 
     /// Number of epochs of the replay (at least one).
     pub fn epochs(&self) -> u32 {
-        self.results.len() as u32
+        self.fingerprints.len() as u32
     }
 }
 
@@ -582,6 +580,25 @@ mod tests {
         );
         s.router = router;
         s
+    }
+
+    /// Asserts that an independent run of the scenario value
+    /// `replay.scenarios[epoch][shard]` reproduces the replay's cost summary
+    /// and final fingerprint for that shard and epoch.
+    fn assert_standalone(replay: &ShardedReplay, runner: &SimRunner, epoch: u32, shard: u32) {
+        let reference = &replay.scenarios[epoch as usize][shard as usize];
+        let rerun = runner.run(reference).unwrap();
+        let label = format!("{} epoch {epoch} shard {shard}", reference.algorithm);
+        assert_eq!(
+            &rerun.summary,
+            replay.accounting.epoch(epoch).shard(shard),
+            "{label} costs"
+        );
+        assert_eq!(
+            rerun.final_occupancy.fingerprint(),
+            replay.fingerprint(epoch, shard),
+            "{label} fingerprint"
+        );
     }
 
     #[test]
@@ -703,12 +720,14 @@ mod tests {
         // scenario (epoch-0 workload names use the epoch-tagged labels).
         for (shard, reference) in sharded.shard_scenarios().iter().enumerate() {
             let expected = runner.run(reference).unwrap();
-            assert_eq!(replay.results[0][shard].summary, expected.summary);
+            let shard = shard as u32;
+            assert_eq!(replay.accounting.epoch(0).shard(shard), &expected.summary);
             assert_eq!(
-                replay.fingerprint(0, shard as u32),
-                expected.final_occupancy().fingerprint()
+                replay.fingerprint(0, shard),
+                expected.final_occupancy.fingerprint()
             );
         }
+        assert_eq!(replay.epochs() as usize, replay.accounting.epochs().len());
     }
 
     #[test]
@@ -740,13 +759,10 @@ mod tests {
 
         // Every per-epoch scenario is standalone: an independent run of the
         // scenario value reproduces the replay byte for byte.
-        for (epoch, scenarios) in replay.scenarios.iter().enumerate() {
-            for (shard, reference) in scenarios.iter().enumerate() {
-                let rerun = runner.run(reference).unwrap();
-                assert_eq!(
-                    &rerun, &replay.results[epoch][shard],
-                    "epoch {epoch} shard {shard} is not standalone"
-                );
+        assert_eq!(replay.epochs() as usize, replay.accounting.epochs().len());
+        for epoch in 0..replay.epochs() {
+            for shard in 0..4 {
+                assert_standalone(&replay, &runner, epoch, shard);
             }
         }
 
@@ -838,13 +854,10 @@ mod tests {
             assert_eq!(replay.epochs(), 2, "{algorithm}");
             // Epoch-1 scenarios carry warm state and stay standalone: an
             // independent run of the scenario value reproduces the replay.
+            assert_eq!(replay.accounting.epochs().len(), 2, "{algorithm}");
             for (shard, reference) in replay.scenarios[1].iter().enumerate() {
                 assert!(reference.warm.is_some(), "{algorithm} shard {shard}");
-                let rerun = runner.run(reference).unwrap();
-                assert_eq!(
-                    &rerun, &replay.results[1][shard],
-                    "{algorithm} epoch 1 shard {shard} is not standalone"
-                );
+                assert_standalone(&replay, &runner, 1, shard as u32);
             }
             // The whole warm derivation is deterministic.
             assert_eq!(replay, sharded.epoch_replay(&runner).unwrap());
@@ -882,7 +895,9 @@ mod tests {
         // A stream hammering shard 0.
         let stream: Vec<ElementId> = (0..16).map(|i| ElementId::new(i % 3)).collect();
 
-        let mut driver = ReshardSchedule::Policy(policy.clone()).driver(8).unwrap();
+        let mut driver = ReshardSchedule::Policy(policy.clone())
+            .driver(8, 2)
+            .unwrap();
         let mut current = partition.clone();
         let mut fired = Vec::new();
         for (position, &element) in stream.iter().enumerate() {

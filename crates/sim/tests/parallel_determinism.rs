@@ -53,8 +53,8 @@ fn grid_fingerprints_are_identical_at_one_two_and_all_threads() {
                 "{parallelism:?}: cost summary diverged for {}",
                 serial_scenario.name()
             );
-            // Checkpoint snapshots are the replay fingerprint of a run:
-            // every (step, snapshot-text) pair must match byte for byte.
+            // Checkpoint fingerprints are the replay fingerprint of a run:
+            // every (step, fingerprint) pair must match exactly.
             assert_eq!(
                 serial_result.checkpoints,
                 parallel_result.checkpoints,

@@ -18,8 +18,8 @@
 //!   algorithms must use, and [`FreeSwapSession`] for offline baselines,
 //! * [`ServeCost`] / [`CostSummary`] — cost accounting,
 //! * [`placement`] — initial placements (random, frequency-BFS),
-//! * [`snapshot`] / [`TreeSnapshot`] — text checkpoints and immutable
-//!   point-in-time views for lock-free concurrent reads,
+//! * [`snapshot`] / [`TreeSnapshot`] — immutable point-in-time views for
+//!   lock-free concurrent reads,
 //! * [`Fingerprint`] — the 128-bit placement digest every replay oracle
 //!   compares.
 //!

@@ -211,18 +211,7 @@ impl Partition {
     /// Returns [`ReshardError`] if a move names an element outside the
     /// universe or a shard out of range; the partition is not changed.
     pub fn apply(&self, plan: &ReshardPlan) -> Result<Partition, ReshardError> {
-        let shards = self.shards();
-        for &(element, to) in plan.moves() {
-            if element.index() >= self.universe {
-                return Err(ReshardError::ElementOutOfUniverse {
-                    element,
-                    universe: self.universe,
-                });
-            }
-            if to >= shards {
-                return Err(ReshardError::ShardOutOfRange { shard: to, shards });
-            }
-        }
+        plan.check_fits(self.universe, self.shards())?;
         let moves = self.effective_moves(plan);
         let mut next = self.clone();
         // Arrivals per destination, each list in increasing id order (the
@@ -515,6 +504,26 @@ impl ReshardPlan {
     /// Whether the plan moves nothing.
     pub fn is_empty(&self) -> bool {
         self.moves.is_empty()
+    }
+
+    /// Checks that every move names an element of a `universe`-element
+    /// partition and one of its `shards` shards — the bounds
+    /// [`Partition::apply`] enforces.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`ReshardError`] for the first move, in canonical order, that
+    /// names an element outside the universe or a shard out of range.
+    pub fn check_fits(&self, universe: u32, shards: u32) -> Result<(), ReshardError> {
+        for &(element, to) in &self.moves {
+            if element.index() >= universe {
+                return Err(ReshardError::ElementOutOfUniverse { element, universe });
+            }
+            if to >= shards {
+                return Err(ReshardError::ShardOutOfRange { shard: to, shards });
+            }
+        }
+        Ok(())
     }
 }
 
