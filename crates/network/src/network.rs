@@ -4,7 +4,7 @@ use crate::egotree::EgoTree;
 use crate::error::NetworkError;
 use crate::host::{Host, HostPair};
 use satn_core::AlgorithmKind;
-use satn_tree::{CostSummary, NodeId, ServeCost};
+use satn_tree::{CostSummary, Fingerprint, NodeId, ServeCost};
 use std::fmt;
 
 /// A reconfigurable network of `n` hosts in which every host maintains its
@@ -170,6 +170,15 @@ impl SelfAdjustingNetwork {
     /// The total cost accumulated since construction.
     pub fn total_cost(&self) -> &CostSummary {
         &self.total
+    }
+
+    /// The placement digest of `source`'s ego-tree.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `source` is outside the network.
+    pub fn fingerprint(&self, source: Host) -> Fingerprint {
+        self.egotrees[source.usize()].occupancy().fingerprint()
     }
 
     /// The current routing distance from `source` to `destination` (depth of
