@@ -1,11 +1,11 @@
 //! Error type of the multi-source network layer.
 
 use crate::host::Host;
-use satn_tree::TreeError;
+use satn_serve::ServeError;
 use std::fmt;
 
-/// Errors reported by [`crate::SelfAdjustingNetwork`] and [`crate::EgoTree`].
-#[derive(Debug, Clone, PartialEq, Eq)]
+/// Errors reported by [`crate::SelfAdjustingNetwork`].
+#[derive(Debug)]
 #[non_exhaustive]
 pub enum NetworkError {
     /// The host index is outside `0..num_hosts`.
@@ -31,8 +31,8 @@ pub enum NetworkError {
         /// The name of the algorithm that needs the trace.
         algorithm: &'static str,
     },
-    /// An error bubbled up from the underlying tree substrate.
-    Tree(TreeError),
+    /// An error from the sharded engine that serves the per-source trees.
+    Serve(ServeError),
 }
 
 impl fmt::Display for NetworkError {
@@ -53,7 +53,7 @@ impl fmt::Display for NetworkError {
                     "algorithm {algorithm} is offline and needs the trace up front; use with_trace"
                 )
             }
-            NetworkError::Tree(err) => write!(f, "tree error: {err}"),
+            NetworkError::Serve(err) => write!(f, "serving error: {err}"),
         }
     }
 }
@@ -61,15 +61,15 @@ impl fmt::Display for NetworkError {
 impl std::error::Error for NetworkError {
     fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
         match self {
-            NetworkError::Tree(err) => Some(err),
+            NetworkError::Serve(err) => Some(err),
             _ => None,
         }
     }
 }
 
-impl From<TreeError> for NetworkError {
-    fn from(err: TreeError) -> Self {
-        NetworkError::Tree(err)
+impl From<ServeError> for NetworkError {
+    fn from(err: ServeError) -> Self {
+        NetworkError::Serve(err)
     }
 }
 
@@ -100,9 +100,14 @@ mod tests {
 
     #[test]
     fn tree_errors_convert_and_expose_their_source() {
-        let tree_err = satn_tree::CompleteTree::with_levels(0).unwrap_err();
-        let err: NetworkError = tree_err.into();
-        assert!(matches!(err, NetworkError::Tree(_)));
+        // A shard tree's error reaches the network wrapped by the engine.
+        let error = satn_tree::CompleteTree::with_levels(0).unwrap_err();
+        let err: NetworkError = ServeError::Tree { shard: 3, error }.into();
+        assert!(matches!(
+            err,
+            NetworkError::Serve(ServeError::Tree { shard: 3, .. })
+        ));
         assert!(std::error::Error::source(&err).is_some());
+        assert!(err.to_string().contains("shard 3"), "{err}");
     }
 }

@@ -12,36 +12,41 @@
 //! that composition:
 //!
 //! * [`Host`] / [`HostPair`] — the network-level request model,
-//! * [`EgoTree`] — one source's self-adjusting tree over all other hosts,
-//!   managed by any of the paper's algorithms ([`satn_core::AlgorithmKind`]),
 //! * [`SelfAdjustingNetwork`] — `n` ego-trees composed into one reconfigurable
-//!   topology, with per-source cost accounting and physical-degree tracking,
+//!   topology, each source's tree over all other hosts managed by any of the
+//!   paper's algorithms ([`satn_core::AlgorithmKind`]), with per-source cost
+//!   accounting and physical-degree tracking. The ego-trees are the shards
+//!   of one [`satn_serve::ShardedEngine`], so a network run is a sharded
+//!   scenario and its serial replay is an oracle for every source,
 //! * [`traffic`] — pair-level workload generators mirroring the locality
 //!   knobs of the paper's evaluation (uniform, Zipf, hotspot, temporal).
 //!
 //! ```
 //! use rand::SeedableRng;
 //! use satn_core::AlgorithmKind;
-//! use satn_network::{traffic, SelfAdjustingNetwork};
+//! use satn_network::{traffic, Host, SelfAdjustingNetwork};
 //!
 //! let mut rng = rand::rngs::StdRng::seed_from_u64(1);
 //! let demand = traffic::hotspot(32, 2_000, 4, 0.9, &mut rng);
 //! let mut network = SelfAdjustingNetwork::new(32, AlgorithmKind::RotorPush, 1)?;
 //! let cost = network.serve_trace(demand.pairs())?;
-//! assert_eq!(cost.requests(), 2_000);
+//! assert_eq!(cost, network.total_cost());
+//! // Every source's tree is one engine shard, accounted on its own.
+//! let per_source: u64 = (0..32)
+//!     .map(|h| network.cost_of_source(Host::new(h)).requests())
+//!     .sum();
+//! assert_eq!(per_source, 2_000);
 //! # Ok::<(), satn_network::NetworkError>(())
 //! ```
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs, missing_debug_implementations)]
 
-mod egotree;
 mod error;
 mod host;
 mod network;
 pub mod traffic;
 
-pub use egotree::EgoTree;
 pub use error::NetworkError;
 pub use host::{Host, HostPair};
 pub use network::SelfAdjustingNetwork;

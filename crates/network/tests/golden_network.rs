@@ -100,7 +100,7 @@ fn golden_text() -> String {
             summary_line(
                 &mut out,
                 &format!("{label} {kind} total"),
-                *network.total_cost(),
+                network.total_cost(),
             );
         }
     }

@@ -48,7 +48,7 @@ use std::sync::Arc;
 use std::time::Instant;
 
 const USAGE: &str = "usage: satnd [--listen ADDR] [--shards N] [--levels N] [--algorithm A] \
-                     [--workload W] [--requests N] [--seed S] [--router hash|range|source] \
+                     [--workload W] [--requests N] [--seed S] [--router hash|range] \
                      [--threads N|auto|serial] [--reshard-every N] [--handover warm] \
                      [--connections N] [--capacity N] [--verify] [--metrics-dump]";
 

@@ -411,6 +411,10 @@ impl ShardedEngine {
     /// would be the identity), so a drain's work grows with the shards it
     /// serves, not with the shard count.
     ///
+    /// Returns the cost of exactly the requests this call served: the
+    /// shard-order merge of the batch summaries, `max_*` fields included
+    /// (empty when nothing was buffered).
+    ///
     /// # Errors
     ///
     /// Returns [`ServeError::Tree`] for the failing shard that comes first
@@ -418,9 +422,9 @@ impl ShardedEngine {
     /// up to its own failure point; the unserved tail of a failing batch is
     /// discarded, so [`EngineReport::requests`] reports what was actually
     /// accounted, not what was submitted.
-    pub fn drain(&mut self) -> Result<(), ServeError> {
+    pub fn drain(&mut self) -> Result<CostSummary, ServeError> {
         if !self.control.begin_drain() {
-            return Ok(());
+            return Ok(CostSummary::new());
         }
         let before = self.accounting.requests();
         let started = Instant::now();
@@ -474,7 +478,7 @@ impl ShardedEngine {
         // The drain boundary is the read side's publication point.
         self.publish_snapshot();
         mirror_drain(&self.metrics, &drained);
-        Ok(())
+        Ok(drained)
     }
 
     /// Reshards the engine with the deterministic handover protocol: drain
@@ -615,9 +619,11 @@ impl ShardedEngine {
             match queue.recv() {
                 Some(IngestMessage::Request(element)) => self.submit(element)?,
                 Some(IngestMessage::Burst(burst)) => self.submit_burst(&burst)?,
-                Some(IngestMessage::Flush) => self.drain()?,
+                Some(IngestMessage::Flush) => {
+                    self.drain()?;
+                }
                 Some(IngestMessage::Reshard(plan)) => self.reshard(plan)?,
-                None => return self.drain(),
+                None => return self.drain().map(|_| ()),
             }
         }
     }
@@ -862,7 +868,7 @@ mod tests {
 
     #[test]
     fn queue_fed_runs_match_direct_submission() {
-        let sharded = scenario(AlgorithmKind::MoveHalf, ShardRouter::SourceAffinity);
+        let sharded = scenario(AlgorithmKind::MoveHalf, ShardRouter::Range);
 
         let mut direct = engine(&sharded, Parallelism::Threads(2));
         for element in sharded.stream() {

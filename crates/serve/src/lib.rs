@@ -7,8 +7,8 @@
 //! ```text
 //!                          ┌──────────────── satn-serve ────────────────┐
 //!  producers               │   ShardRouter        per-shard batches     │
-//!  (workloads,   bounded   │   (hash/range/       ┌─────┐   satn-exec   │
-//!   sockets,  ── MPSC ───▶ │    source-affinity) ─▶ S₀  │── pool ──┐    │
+//!  (workloads,   bounded   │   (hash or           ┌─────┐   satn-exec   │
+//!   sockets,  ── MPSC ───▶ │    range)           ─▶ S₀  │── pool ──┐    │
 //!   tests)       IngestQueue                      ├─────┤  drains  │    │
 //!                 + flush  │                    ─▶ S₁  │  batches  ▼    │
 //!                protocol  │                      ├─────┤   shard-order │

@@ -315,7 +315,7 @@ proptest! {
     /// replay.
     #[test]
     fn resharded_serving_equals_the_epoch_segmented_replay(
-        router_index in 0usize..3,
+        router_index in 0..ShardRouter::ALL.len(),
         algorithm_index in 0usize..AlgorithmKind::ALL.len() - 1,
         shards in 2u32..5,
         shard_levels in 3u32..6,

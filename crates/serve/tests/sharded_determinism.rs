@@ -145,7 +145,7 @@ proptest! {
     /// to serving each shard's subsequence serially on a standalone tree.
     #[test]
     fn sharded_serving_equals_standalone_per_shard_replay(
-        router_index in 0usize..3,
+        router_index in 0..ShardRouter::ALL.len(),
         algorithm_index in 0usize..AlgorithmKind::ALL.len(),
         shards in 1u32..5,
         shard_levels in 3u32..6,

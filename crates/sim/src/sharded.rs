@@ -376,6 +376,17 @@ impl ShardedScenario {
     /// the whole future subsequence, which no online handover can know), or
     /// if [`ReshardSchedule::driver`] rejects the schedule.
     pub fn epoch_replay(&self, runner: &SimRunner) -> Result<ShardedReplay, SimError> {
+        self.replay_observing(runner, |_| {})
+    }
+
+    /// [`ShardedScenario::epoch_replay`], handing `observe` each epoch's
+    /// standalone per-shard scenarios before they run. The replay keeps none
+    /// of them.
+    fn replay_observing(
+        &self,
+        runner: &SimRunner,
+        mut observe: impl FnMut(&[Scenario]),
+    ) -> Result<ShardedReplay, SimError> {
         assert!(
             self.reshard == ReshardSchedule::Static || self.algorithm != AlgorithmKind::StaticOpt,
             "resharding is not supported for offline algorithms"
@@ -385,7 +396,6 @@ impl ShardedScenario {
             .driver(self.universe(), self.shards)
             .unwrap_or_else(|reason| panic!("{reason}"));
         let mut replay = ShardedReplay {
-            scenarios: Vec::new(),
             fingerprints: Vec::new(),
             accounting: ShardedCostSummary::new(self.shards),
             boundaries: Vec::new(),
@@ -416,6 +426,7 @@ impl ShardedScenario {
                 }
             };
             let epoch_scenarios = self.epoch_scenarios(epoch, &partition, split, carried.take());
+            observe(&epoch_scenarios);
             let mut occupancies = Vec::with_capacity(epoch_scenarios.len());
             let mut states = Vec::with_capacity(epoch_scenarios.len());
             for (shard, scenario) in epoch_scenarios.iter().enumerate() {
@@ -429,7 +440,6 @@ impl ShardedScenario {
             replay
                 .fingerprints
                 .push(occupancies.iter().map(Occupancy::fingerprint).collect());
-            replay.scenarios.push(epoch_scenarios);
             let Some(plan) = plan else {
                 return Ok(replay);
             };
@@ -533,10 +543,6 @@ impl ShardedScenario {
 /// ([`ShardedScenario::epoch_replay`]).
 #[derive(Debug, Clone, PartialEq)]
 pub struct ShardedReplay {
-    /// The standalone per-shard scenarios, `scenarios[epoch][shard]` — each
-    /// is a self-contained [`Scenario`] value that any `SimRunner` run
-    /// reproduces exactly.
-    pub scenarios: Vec<Vec<Scenario>>,
     /// The digest of every shard's final placement,
     /// `fingerprints[epoch][shard]`.
     pub fingerprints: Vec<Vec<Fingerprint>>,
@@ -582,11 +588,30 @@ mod tests {
         s
     }
 
+    /// The replay of `sharded`, plus every epoch's standalone per-shard
+    /// scenarios, `scenarios[epoch][shard]`.
+    fn replay_with_scenarios(
+        sharded: &ShardedScenario,
+        runner: &SimRunner,
+    ) -> (ShardedReplay, Vec<Vec<Scenario>>) {
+        let mut scenarios = Vec::new();
+        let replay = sharded
+            .replay_observing(runner, |epoch| scenarios.push(epoch.to_vec()))
+            .unwrap();
+        (replay, scenarios)
+    }
+
     /// Asserts that an independent run of the scenario value
-    /// `replay.scenarios[epoch][shard]` reproduces the replay's cost summary
-    /// and final fingerprint for that shard and epoch.
-    fn assert_standalone(replay: &ShardedReplay, runner: &SimRunner, epoch: u32, shard: u32) {
-        let reference = &replay.scenarios[epoch as usize][shard as usize];
+    /// `scenarios[epoch][shard]` reproduces the replay's cost summary and
+    /// final fingerprint for that shard and epoch.
+    fn assert_standalone(
+        replay: &ShardedReplay,
+        scenarios: &[Vec<Scenario>],
+        runner: &SimRunner,
+        epoch: u32,
+        shard: u32,
+    ) {
+        let reference = &scenarios[epoch as usize][shard as usize];
         let rerun = runner.run(reference).unwrap();
         let label = format!("{} epoch {epoch} shard {shard}", reference.algorithm);
         assert_eq!(
@@ -695,9 +720,9 @@ mod tests {
 
     #[test]
     fn names_identify_the_configuration() {
-        let name = scenario(ShardRouter::SourceAffinity).name();
+        let name = scenario(ShardRouter::Range).name();
         assert!(name.contains("rotor-push"));
-        assert!(name.contains("source-affinity"));
+        assert!(name.contains("range"));
         assert!(name.contains("S4xL5"));
 
         let mut scheduled = scenario(ShardRouter::Hash);
@@ -740,7 +765,8 @@ mod tests {
             plan: ReshardPlan::new([(ElementId::new(0), 3), (ElementId::new(1), 3)]),
         }]);
         let runner = SimRunner::new();
-        let replay = sharded.epoch_replay(&runner).unwrap();
+        let (replay, scenarios) = replay_with_scenarios(&sharded, &runner);
+        assert_eq!(replay, sharded.epoch_replay(&runner).unwrap());
         assert_eq!(replay.epochs(), 2);
         assert_eq!(replay.boundaries, vec![800]);
 
@@ -762,12 +788,12 @@ mod tests {
         assert_eq!(replay.epochs() as usize, replay.accounting.epochs().len());
         for epoch in 0..replay.epochs() {
             for shard in 0..4 {
-                assert_standalone(&replay, &runner, epoch, shard);
+                assert_standalone(&replay, &scenarios, &runner, epoch, shard);
             }
         }
 
         // Epoch 1 scenarios carry explicit fixed placements.
-        for reference in &replay.scenarios[1] {
+        for reference in &scenarios[1] {
             assert!(matches!(reference.initial, InitialPlacement::Fixed(_)));
         }
     }
@@ -790,10 +816,10 @@ mod tests {
             at: 4,
             plan: ReshardPlan::new([(ElementId::new(0), 1)]),
         }]);
-        let replay = sharded.epoch_replay(&SimRunner::new()).unwrap();
+        let (replay, scenarios) = replay_with_scenarios(&sharded, &SimRunner::new());
         assert_eq!(replay.boundaries, vec![4]);
         let locals = |epoch: usize, shard: usize| -> Vec<u32> {
-            match &replay.scenarios[epoch][shard].workload {
+            match &scenarios[epoch][shard].workload {
                 WorkloadSpec::Fixed(workload) => {
                     workload.requests().iter().map(|e| e.index()).collect()
                 }
@@ -850,14 +876,14 @@ mod tests {
                 plan: ReshardPlan::new([(ElementId::new(0), 3), (ElementId::new(1), 3)]),
             }]);
             let runner = SimRunner::new();
-            let replay = sharded.epoch_replay(&runner).unwrap();
+            let (replay, scenarios) = replay_with_scenarios(&sharded, &runner);
             assert_eq!(replay.epochs(), 2, "{algorithm}");
             // Epoch-1 scenarios carry warm state and stay standalone: an
             // independent run of the scenario value reproduces the replay.
             assert_eq!(replay.accounting.epochs().len(), 2, "{algorithm}");
-            for (shard, reference) in replay.scenarios[1].iter().enumerate() {
+            for (shard, reference) in scenarios[1].iter().enumerate() {
                 assert!(reference.warm.is_some(), "{algorithm} shard {shard}");
-                assert_standalone(&replay, &runner, 1, shard as u32);
+                assert_standalone(&replay, &scenarios, &runner, 1, shard as u32);
             }
             // The whole warm derivation is deterministic.
             assert_eq!(replay, sharded.epoch_replay(&runner).unwrap());

@@ -17,14 +17,9 @@ use std::str::FromStr;
 
 /// How requests (and hence elements) are assigned to shards.
 ///
-/// Every policy is a pure function of the request and the shard count, so the
-/// same stream always partitions the same way. `Hash` and `Range` are
-/// *ownership* policies: they fix which shard's tree stores which element.
-/// `SourceAffinity` keys on the request's source instead — the policy of the
-/// ego-tree-per-source serving mode, where each source's requests must land
-/// on the shard holding that source's tree. Applied to a plain element
-/// stream (where the element is its own source) it degenerates to striping
-/// `element mod shards`.
+/// Every policy is a pure function of the element and the shard count, so the
+/// same stream always partitions the same way: each fixes which shard's tree
+/// stores which element.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 #[non_exhaustive]
 pub enum ShardRouter {
@@ -35,9 +30,6 @@ pub enum ShardRouter {
     /// Contiguous balanced ranges: element `e` of a universe of `U` elements
     /// goes to shard `e · S / U`. Preserves key locality within a shard.
     Range,
-    /// Route by the request's source id (`source mod shards`), so all
-    /// requests of one source land on one shard.
-    SourceAffinity,
 }
 
 /// The Fibonacci multiplicative hash (Knuth §6.4): deterministic, fast, and
@@ -52,23 +44,17 @@ fn fibonacci_hash(key: u32) -> u64 {
 
 impl ShardRouter {
     /// Every routing policy, in a stable order (used by sweeps and tests).
-    pub const ALL: [ShardRouter; 3] = [
-        ShardRouter::Hash,
-        ShardRouter::Range,
-        ShardRouter::SourceAffinity,
-    ];
+    pub const ALL: [ShardRouter; 2] = [ShardRouter::Hash, ShardRouter::Range];
 
     /// A short stable label used in reports and scenario names.
     pub fn label(self) -> &'static str {
         match self {
             ShardRouter::Hash => "hash",
             ShardRouter::Range => "range",
-            ShardRouter::SourceAffinity => "source-affinity",
         }
     }
 
-    /// The shard an element of a `universe`-element universe is routed to,
-    /// for a request whose source is the element itself.
+    /// The shard an element of a `universe`-element universe is routed to.
     ///
     /// # Panics
     ///
@@ -84,7 +70,6 @@ impl ShardRouter {
             ShardRouter::Range => {
                 ((u64::from(element.index()) * u64::from(shards)) / u64::from(universe)) as u32
             }
-            ShardRouter::SourceAffinity => element.index() % shards,
         }
     }
 }
@@ -105,7 +90,7 @@ impl fmt::Display for ParseRouterError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(
             f,
-            "unknown shard router {:?} (expected \"hash\", \"range\", or \"source-affinity\")",
+            "unknown shard router {:?} (expected \"hash\" or \"range\")",
             self.input
         )
     }
@@ -120,7 +105,6 @@ impl FromStr for ShardRouter {
         match s.trim().to_ascii_lowercase().as_str() {
             "hash" => Ok(ShardRouter::Hash),
             "range" => Ok(ShardRouter::Range),
-            "source-affinity" | "source" | "affinity" => Ok(ShardRouter::SourceAffinity),
             _ => Err(ParseRouterError {
                 input: s.to_owned(),
             }),
@@ -860,14 +844,6 @@ mod tests {
     }
 
     #[test]
-    fn source_affinity_stripes_elements_and_groups_sources() {
-        let partition = Partition::new(ShardRouter::SourceAffinity, 12, 3);
-        for global in (0..12u32).map(ElementId::new) {
-            assert_eq!(partition.shard_of(global), Some(global.index() % 3));
-        }
-    }
-
-    #[test]
     fn hash_routing_is_reasonably_balanced() {
         let partition = Partition::new(ShardRouter::Hash, 1 << 12, 8);
         for shard in 0..8 {
@@ -933,6 +909,7 @@ mod tests {
             assert_eq!(router.to_string(), router.label());
         }
         assert!("consistent".parse::<ShardRouter>().is_err());
+        assert!("source-affinity".parse::<ShardRouter>().is_err());
         assert_eq!(ShardRouter::default(), ShardRouter::Hash);
     }
 
@@ -1201,7 +1178,7 @@ mod tests {
             /// element's current shard is a no-op `apply` must ignore.
             #[test]
             fn apply_equals_from_assignment_on_the_patched_assignment(
-                router in 0usize..3,
+                router in 0..ShardRouter::ALL.len(),
                 universe in 1u32..300,
                 shards in 1u32..10,
                 raw in proptest::collection::vec((0u32..1_000, 0u32..16), 0..24),

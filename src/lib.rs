@@ -16,7 +16,7 @@
 //! | [`core`] | `satn-core` | Rotor-Push, Random-Push, Move-Half, Max-Push, static baselines, Move-To-Front |
 //! | [`workloads`] | `satn-workloads` | uniform / temporal / Zipf / combined / corpus workload generators |
 //! | [`analysis`] | `satn-analysis` | working-set bounds, credit audits, Lemma 8 adversary, trace complexity map |
-//! | [`network`] | `satn-network` | multi-source datacenter networks composed of per-source ego-trees |
+//! | [`network`] | `satn-network` | multi-source datacenter networks: one ego-tree per source, each a shard of one `ShardedEngine` |
 //! | [`sim`] | `satn-sim` | scenario-simulation engine: declarative grids, batched serving, invariant hooks, replay |
 //! | [`exec`] | `satn-exec` | deterministic parallel execution layer: one scoped fan-out with an order-preserving merge |
 //! | [`serve`] | `satn-serve` | sharded multi-tree serving engine: transport-agnostic ingestion, wire protocol + `satnd` TCP front door, lock-free snapshot reads, replay fingerprints |
