@@ -16,9 +16,11 @@
 //!
 //! The same criterion covers the `satn-obs` instrumentation the serving
 //! engine threads through its drain boundaries: counters, gauges, the
-//! atomic drain-latency histogram, per-tag wire accounting, and the bounded
-//! trace ring must all stay allocation-free in steady state, so turning
-//! metrics on cannot regress the hot path they observe.
+//! atomic drain- and publish-latency histograms, per-tag wire accounting,
+//! and the bounded trace ring must all stay allocation-free in steady
+//! state, so turning metrics on cannot regress the hot path they observe.
+//! So must the recycled snapshot capture a drain worker makes after
+//! serving its shard: a same-geometry `TreeSnapshot::recapture`.
 
 // The counting allocator must implement `GlobalAlloc`, which is an unsafe
 // trait; this is the one place in the workspace that needs it, and it only
@@ -30,7 +32,7 @@ use satn_core::{
     MaxPush, MoveHalf, MoveToFront, RandomPush, RotorPush, SelfAdjustingTree, StaticOblivious,
     StaticOpt,
 };
-use satn_tree::{CompleteTree, CostSummary, ElementId, Occupancy};
+use satn_tree::{CompleteTree, CostSummary, ElementId, Occupancy, TreeSnapshot};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -191,6 +193,9 @@ fn assert_instrumented_serving_alloc_free() {
             metrics
                 .drain_latency
                 .record(Duration::from_nanos(1 + 977 * batch as u64));
+            metrics
+                .publish_latency
+                .record(Duration::from_nanos(1 + 331 * batch as u64));
             metrics.note_wire_frame(0, 9);
             served += delta.requests();
             tracer.record(TraceStamp {
@@ -207,6 +212,34 @@ fn assert_instrumented_serving_alloc_free() {
         instrumented_allocations,
         0,
         "instrumented serving allocated {instrumented_allocations} times over {} requests",
+        requests.len()
+    );
+}
+
+/// Measures a drain worker's recycled capture: serve a batch, then
+/// recapture the tree into the same snapshot buffer. A same-geometry
+/// recapture copies into the buffer's slabs, so the pair allocates nothing.
+fn assert_recapture_alloc_free() {
+    let tree = CompleteTree::with_levels(10).unwrap();
+    let requests = steady_state_requests(tree.num_nodes(), 4_096);
+    let mut network = RotorPush::new(Occupancy::identity(tree));
+    let mut warmup = CostSummary::new();
+    network.serve_batch(&requests[..64], &mut warmup).unwrap();
+    let mut snapshot = TreeSnapshot::capture(network.occupancy());
+
+    let mut summary = CostSummary::new();
+    let recapture_allocations = count_allocations(|| {
+        for chunk in requests.chunks(256) {
+            network.serve_batch(chunk, &mut summary).unwrap();
+            snapshot.recapture(network.occupancy());
+        }
+    });
+    assert_eq!(summary.requests() as usize, requests.len());
+    assert_eq!(snapshot.fingerprint(), network.occupancy().fingerprint());
+    assert_eq!(
+        recapture_allocations,
+        0,
+        "serve_batch + recapture allocated {recapture_allocations} times over {} requests",
         requests.len()
     );
 }
@@ -234,4 +267,6 @@ fn self_adjusting_steady_state_serves_without_allocating() {
     // The same criterion with the metrics registry and tracer engaged: the
     // observability layer adds no allocation to the path it observes.
     assert_instrumented_serving_alloc_free();
+    // A recycled snapshot capture after each batch adds none either.
+    assert_recapture_alloc_free();
 }

@@ -15,8 +15,8 @@
 //! only from the engine thread at drain boundaries, so a snapshot taken at a
 //! drain boundary equals the serial-replay totals exactly — that is the
 //! oracle `satnd --verify` and the serve-side tests assert. Timing data (the
-//! drain- and handover-latency histograms) and transport-side counters are
-//! advisory.
+//! drain-, publish- and handover-latency histograms) and transport-side
+//! counters are advisory.
 
 use crate::histogram::{AtomicHistogram, LatencyHistogram, NUM_BUCKETS};
 use crate::metrics::{Counter, Gauge};
@@ -80,8 +80,14 @@ pub mod names {
     pub const SNAPSHOT_VERSION: &str = "satn_snapshot_version";
     /// Connections currently being served (gauge).
     pub const CONNECTIONS_ACTIVE: &str = "satn_connections_active";
-    /// Drain wall-clock latency in nanoseconds (histogram; advisory).
+    /// Drain wall-clock latency in nanoseconds (histogram; advisory). A
+    /// drain's workers also capture the shards they served while the read
+    /// side is open, so the samples include those captures.
     pub const DRAIN_LATENCY: &str = "satn_drain_latency_nanos";
+    /// Snapshot-publication wall-clock latency in nanoseconds: assembling
+    /// the snapshot plus the hub swap, one sample per publication after the
+    /// one that opens the read side (histogram; advisory).
+    pub const PUBLISH_LATENCY: &str = "satn_publish_latency_nanos";
     /// Reshard-handover wall-clock latency in nanoseconds, one sample per
     /// completed handover, drain fence excluded (histogram; advisory).
     pub const HANDOVER_LATENCY: &str = "satn_handover_latency_nanos";
@@ -150,8 +156,13 @@ pub struct EngineMetrics {
     pub wire_frames: [Counter; WIRE_TAG_COUNT],
     /// Wire bytes seen, by frame tag (length prefix included).
     pub wire_bytes: [Counter; WIRE_TAG_COUNT],
-    /// Wall-clock latency of each drain (advisory: never oracle-checked).
+    /// Wall-clock latency of each drain, the workers' captures of the
+    /// shards they served included (advisory: never oracle-checked).
     pub drain_latency: AtomicHistogram,
+    /// Wall-clock latency of each snapshot publication after the first:
+    /// assembling the snapshot plus the hub swap (advisory: never
+    /// oracle-checked).
+    pub publish_latency: AtomicHistogram,
     /// Wall-clock latency of each reshard handover, drain fence excluded
     /// (advisory: never oracle-checked).
     pub handover_latency: AtomicHistogram,
@@ -181,6 +192,7 @@ impl EngineMetrics {
             wire_frames: std::array::from_fn(|_| Counter::new()),
             wire_bytes: std::array::from_fn(|_| Counter::new()),
             drain_latency: AtomicHistogram::new(),
+            publish_latency: AtomicHistogram::new(),
             handover_latency: AtomicHistogram::new(),
         }
     }
@@ -281,6 +293,10 @@ impl EngineMetrics {
             (
                 names::DRAIN_LATENCY.to_owned(),
                 self.drain_latency.snapshot(),
+            ),
+            (
+                names::PUBLISH_LATENCY.to_owned(),
+                self.publish_latency.snapshot(),
             ),
             (
                 names::HANDOVER_LATENCY.to_owned(),
@@ -584,6 +600,7 @@ mod tests {
         metrics.snapshot_shard_captures.add(9);
         metrics.drain_latency.record(Duration::from_micros(250));
         metrics.drain_latency.record(Duration::from_micros(90));
+        metrics.publish_latency.record(Duration::from_micros(12));
         metrics
     }
 
@@ -605,6 +622,9 @@ mod tests {
         let drain = snapshot.histogram(names::DRAIN_LATENCY).unwrap();
         assert_eq!(drain.samples(), 2);
         assert_eq!(drain.max(), Duration::from_micros(250));
+        let publish = snapshot.histogram(names::PUBLISH_LATENCY).unwrap();
+        assert_eq!(publish.samples(), 1);
+        assert_eq!(publish.max(), Duration::from_micros(12));
     }
 
     #[test]
@@ -728,5 +748,6 @@ mod tests {
         assert!(text.contains("satn_drain_latency_nanos{quantile=\"0.5\"}"));
         assert!(text.contains("satn_drain_latency_nanos_count 2"));
         assert!(text.contains("satn_drain_latency_nanos_max 250000"));
+        assert!(text.contains("satn_publish_latency_nanos_count 1"));
     }
 }

@@ -30,6 +30,24 @@ struct Shard {
     /// Served or rebuilt since the last snapshot publication, so the next
     /// one must recapture this shard's tree instead of sharing its `Arc`.
     changed: bool,
+    /// The snapshot this shard's last publication replaced, kept as the
+    /// buffer of its next capture. Dropped by any publication that does not
+    /// recapture the shard, so it lives for at most one publication.
+    spare: Option<Arc<TreeSnapshot>>,
+}
+
+impl Shard {
+    /// Captures the tree into the spare buffer when nothing else holds it
+    /// (no hub, reader, or snapshot), and into a new allocation otherwise.
+    fn capture(&mut self) -> Arc<TreeSnapshot> {
+        if let Some(mut spare) = self.spare.take() {
+            if let Some(buffer) = Arc::get_mut(&mut spare) {
+                buffer.recapture(self.tree.occupancy());
+                return spare;
+            }
+        }
+        Arc::new(TreeSnapshot::capture(self.tree.occupancy()))
+    }
 }
 
 /// Mirrors one drain's cost ledger delta into the engine's metric registry.
@@ -102,10 +120,15 @@ fn mirror_drain(metrics: &EngineMetrics, drained: &CostSummary) {
 /// requests accounted when it was frozen, tying every answered lookup to
 /// one point on the deterministic write timeline.
 ///
-/// A publication costs O(shards changed): the engine flags each shard a
-/// drain serves or a handover rebuilds, recaptures only the flagged shards,
-/// and shares every other shard's [`TreeSnapshot`] `Arc` with the previous
-/// publication. Only the first publication captures every shard.
+/// A publication only assembles pointers. While the read side is open, the
+/// drain worker that serves a shard's batch also captures the shard, at the
+/// same drain boundary, into the buffer that the shard's previous
+/// publication replaced (when no reader still holds it). The publication
+/// then takes those captures in shard order and shares every unchanged
+/// shard's [`TreeSnapshot`] `Arc` with the previous publication. The engine
+/// thread captures only what no worker did: every shard at the first
+/// publication, the shards a handover rebuilt, and the shards of a failed
+/// drain, whose captures are dropped unpublished.
 pub struct ShardedEngine {
     /// The live epoch's partition, shared with the snapshots published in
     /// that epoch.
@@ -130,8 +153,8 @@ pub struct ShardedEngine {
     /// a reader exists, so write-only runs pay nothing for the feature.
     hub: Option<Arc<SnapshotHub>>,
     /// Every shard's [`TreeSnapshot`] in the latest publication (empty until
-    /// the read side opens). A publication recaptures only the shards
-    /// flagged `changed` and shares the rest of these `Arc`s.
+    /// the read side opens). A publication replaces the shards captured for
+    /// it or flagged `changed` and shares the rest of these `Arc`s.
     published: Vec<Arc<TreeSnapshot>>,
     /// The engine's atomic metric registry — always present (updating an
     /// atomic costs a few nanoseconds; gating it would cost a branch in the
@@ -157,6 +180,7 @@ impl ShardedEngine {
                 tree,
                 pending: Vec::new(),
                 changed: false,
+                spare: None,
             })
             .collect();
         let accounting = ShardedCostSummary::new(partition.shards());
@@ -293,7 +317,7 @@ impl ShardedEngine {
     /// engine to its serving thread; clone the reader per consumer.
     pub fn snapshots(&mut self) -> SnapshotReader {
         if self.hub.is_none() {
-            let initial = self.freeze();
+            let initial = self.freeze(Vec::new());
             self.hub = Some(Arc::new(SnapshotHub::new(
                 initial,
                 Arc::clone(&self.metrics),
@@ -306,27 +330,45 @@ impl ShardedEngine {
 
     /// Freezes the engine's current served state (the most recent drain
     /// boundary: trees only change inside drains and handovers, so capturing
-    /// between them is always consistent with the accounting). The snapshot
-    /// shares the engine's own partition allocation, and every shard that
-    /// was neither served nor rebuilt since the last publication shares that
-    /// publication's [`TreeSnapshot`]: only the changed shards are captured,
-    /// except on the first call, which captures them all.
-    fn freeze(&mut self) -> EngineSnapshot {
-        let capture = |shard: &mut Shard| {
-            shard.changed = false;
-            Arc::new(TreeSnapshot::capture(shard.tree.occupancy()))
-        };
+    /// between them is always consistent with the accounting). `captured`
+    /// holds the drain workers' captures of the shards they just served, in
+    /// ascending shard order. The snapshot shares the engine's own partition
+    /// allocation, and every shard that was neither served nor rebuilt since
+    /// the last publication shares that publication's [`TreeSnapshot`].
+    /// Only changed shards that no worker captured are captured here, except
+    /// on the first call, which captures them all. Each replaced snapshot
+    /// becomes its shard's spare buffer.
+    fn freeze(&mut self, captured: Vec<(u32, Arc<TreeSnapshot>)>) -> EngineSnapshot {
         let captures = if self.published.is_empty() {
-            self.published = self.shards.iter_mut().map(capture).collect();
+            debug_assert!(captured.is_empty(), "workers capture once a hub exists");
+            self.published = self
+                .shards
+                .iter_mut()
+                .map(|shard| {
+                    shard.changed = false;
+                    shard.capture()
+                })
+                .collect();
             self.shards.len()
         } else {
+            let mut captured = captured.into_iter().peekable();
             let mut captures = 0;
-            for (shard, published) in self.shards.iter_mut().zip(&mut self.published) {
-                if shard.changed {
-                    *published = capture(shard);
-                    captures += 1;
-                }
+            for (index, (shard, published)) in
+                self.shards.iter_mut().zip(&mut self.published).enumerate()
+            {
+                let fresh = match captured.next_if(|&(shard, _)| shard as usize == index) {
+                    Some((_, fresh)) => fresh,
+                    None if shard.changed => shard.capture(),
+                    None => {
+                        shard.spare = None;
+                        continue;
+                    }
+                };
+                shard.changed = false;
+                shard.spare = Some(std::mem::replace(published, fresh));
+                captures += 1;
             }
+            debug_assert!(captured.next().is_none(), "captures in shard order");
             captures
         };
         self.metrics.snapshot_shard_captures.add(captures as u64);
@@ -338,16 +380,19 @@ impl ShardedEngine {
         )
     }
 
-    /// Publishes the current state to the read side, if one is open. Called
-    /// at every boundary where the served state advanced: after a drain,
-    /// after a reshard's epoch bump, and at `finish`.
-    fn publish_snapshot(&mut self) {
+    /// Publishes the current state to the read side, if one is open, with
+    /// the drain workers' `captured` shards (see [`ShardedEngine::freeze`]).
+    /// Called at every boundary where the served state advanced: after a
+    /// drain, after a reshard's epoch bump, and at `finish`.
+    fn publish_snapshot(&mut self, captured: Vec<(u32, Arc<TreeSnapshot>)>) {
         if self.hub.is_none() {
             return;
         }
-        let snapshot = self.freeze();
+        let started = Instant::now();
+        let snapshot = self.freeze(captured);
         let served = snapshot.served();
         let version = self.hub.as_ref().expect("checked above").publish(snapshot);
+        self.metrics.publish_latency.record(started.elapsed());
         self.metrics.snapshot_publishes.inc();
         self.metrics.snapshot_version.set(version);
         self.tracer.record(TraceStamp {
@@ -409,7 +454,9 @@ impl ShardedEngine {
     /// batch summaries are merged in ascending shard order. Shards with
     /// nothing buffered are never dispatched (merging their empty summary
     /// would be the identity), so a drain's work grows with the shards it
-    /// serves, not with the shard count.
+    /// serves, not with the shard count. While the read side is open, the
+    /// worker that served a batch without error also captures the shard for
+    /// the drain's publication.
     ///
     /// Returns the cost of exactly the requests this call served: the
     /// shard-order merge of the batch summaries, `max_*` fields included
@@ -442,15 +489,18 @@ impl ShardedEngine {
             .filter(|(_, shard)| !shard.pending.is_empty())
             .map(|(index, shard)| (index as u32, shard))
             .collect();
+        let capturing = self.hub.is_some();
         let outcomes = ordered_map(&mut batches, self.parallelism, |(index, shard)| {
             let mut delta = CostSummary::new();
             let outcome = shard.tree.serve_batch(&shard.pending, &mut delta);
             shard.pending.clear();
             shard.changed = true;
-            (*index, delta, outcome)
+            let capture = (capturing && outcome.is_ok()).then(|| shard.capture());
+            (*index, delta, outcome, capture)
         });
         let mut failure = None;
-        for (index, delta, outcome) in outcomes {
+        let mut captured = Vec::new();
+        for (index, delta, outcome, capture) in outcomes {
             drained.merge(&delta);
             self.accounting.merge_into_shard(index, &delta);
             // The batch was consumed (cleared even on failure).
@@ -458,6 +508,7 @@ impl ShardedEngine {
             if let Err(error) = outcome {
                 failure.get_or_insert((index, error));
             }
+            captured.extend(capture.map(|capture| (index, capture)));
         }
         // A failed drain is still a counted drain — so the registry records
         // the drain before the error propagates, keeping it equal to the
@@ -472,11 +523,14 @@ impl ShardedEngine {
             detail: served - before,
         });
         if let Some((shard, error)) = failure {
+            // Nothing is published, so the captures are dropped: the served
+            // shards stay flagged `changed`, and the next publication
+            // recaptures them at its own boundary.
             mirror_drain(&self.metrics, &drained);
             return Err(ServeError::Tree { shard, error });
         }
         // The drain boundary is the read side's publication point.
-        self.publish_snapshot();
+        self.publish_snapshot(captured);
         mirror_drain(&self.metrics, &drained);
         Ok(drained)
     }
@@ -594,7 +648,7 @@ impl ShardedEngine {
             served,
             detail: outcome.migration.moved,
         });
-        self.publish_snapshot();
+        self.publish_snapshot(Vec::new());
         // Mirrored after the publication, like a drain's counters: a reader
         // that sees the new epoch finds it published.
         self.metrics.reshard_epoch.set(epoch as u64);
@@ -660,7 +714,7 @@ impl ShardedEngine {
             self.reshard(plan)?;
         }
         // Readers outlive the engine: leave them the final state.
-        self.publish_snapshot();
+        self.publish_snapshot(Vec::new());
         self.capture_boundary_fingerprints();
         let per_shard = self
             .shards
@@ -1021,6 +1075,147 @@ mod tests {
             for (shard, gauge) in engine.metrics().shard_buffered.iter().enumerate() {
                 assert_eq!(gauge.get(), 0, "{parallelism:?}: shard {shard} gauge");
             }
+        }
+    }
+
+    #[test]
+    fn a_failed_drain_publishes_nothing_and_the_next_publication_is_current() {
+        let sharded = scenario(AlgorithmKind::RotorPush, ShardRouter::Range);
+        let partition = sharded.partition();
+        let requests: Vec<ElementId> = sharded.stream().collect();
+        let shard_one: Vec<ElementId> = requests
+            .iter()
+            .filter_map(|&element| partition.localize(element))
+            .filter(|&(shard, _)| shard == 1)
+            .map(|(_, local)| local)
+            .collect();
+        let poison = shard_one[shard_one.len() / 2];
+        let moved = partition.owned(1)[0];
+        let shard_two = *requests
+            .iter()
+            .find(|&&element| partition.shard_of(element) == Some(2))
+            .unwrap();
+        for rebuild_after in [false, true] {
+            let trees = sharded
+                .shard_scenarios()
+                .iter()
+                .enumerate()
+                .map(|(shard, reference)| {
+                    let inner = reference.instantiate().unwrap();
+                    if shard != 1 {
+                        return inner;
+                    }
+                    Box::new(Poisoned {
+                        inner,
+                        poison,
+                        gate: None,
+                        signal: None,
+                    }) as Box<dyn SelfAdjustingTree + Send>
+                })
+                .collect();
+            let mut engine =
+                ShardedEngine::assemble(partition.clone(), trees, Parallelism::Threads(2));
+            engine.set_drain_threshold(1_000_000).unwrap();
+            let mut reader = engine.snapshots();
+            engine.submit_burst(&requests).unwrap();
+            let err = engine.drain().unwrap_err();
+            assert!(matches!(err, ServeError::Tree { shard: 1, .. }), "{err}");
+            assert_eq!(reader.version(), 1, "a failed drain publishes nothing");
+            let before = Arc::clone(reader.snapshot());
+            for shard in 0..engine.shards() {
+                assert_ne!(
+                    before.fingerprint(shard),
+                    engine.fingerprint(shard),
+                    "shard {shard} served nothing before the failure"
+                );
+            }
+
+            if rebuild_after {
+                // Rebuilds shards 1 and 2; shards 0 and 3 are untouched but
+                // still unpublished since the failed drain.
+                engine.rebuild = Some((AlgorithmKind::RotorPush, sharded.seed));
+                engine.reshard(ReshardPlan::new([(moved, 2)])).unwrap();
+            } else {
+                // A drain that serves shard 2 alone.
+                engine.submit(shard_two).unwrap();
+                engine.drain().unwrap();
+            }
+            assert_eq!(reader.version(), 2, "rebuild_after = {rebuild_after}");
+            let snapshot = reader.snapshot();
+            for shard in 0..engine.shards() {
+                assert_eq!(
+                    snapshot.shard(shard).fingerprint(),
+                    engine.fingerprint(shard),
+                    "rebuild_after = {rebuild_after}: shard {shard} published stale"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn held_snapshots_keep_their_trees_and_released_buffers_are_recycled() {
+        let sharded = scenario(AlgorithmKind::RotorPush, ShardRouter::Range);
+        let mut engine = ShardedEngineConfig::from_scenario(&sharded)
+            .parallelism(Parallelism::Threads(2))
+            .drain_threshold(1_000_000)
+            .build()
+            .unwrap();
+        let mut reader = engine.snapshots();
+        let universe = sharded.universe();
+        // Each round requests every element once, so every drain serves
+        // (and its workers capture) all four shards.
+        let mut round = 0;
+        let mut drain = |engine: &mut ShardedEngine| {
+            round += 1;
+            for step in 0..universe {
+                let element = (step * 7 + round) % universe;
+                engine.submit(ElementId::new(element)).unwrap();
+            }
+            engine.drain().unwrap();
+        };
+        let fingerprints = |snapshot: &EngineSnapshot| -> Vec<Fingerprint> {
+            (0..snapshot.shards())
+                .map(|shard| snapshot.fingerprint(shard))
+                .collect()
+        };
+        let buffers = |engine: &ShardedEngine| -> Vec<*const TreeSnapshot> {
+            engine.published.iter().map(Arc::as_ptr).collect()
+        };
+
+        // A snapshot held across three further drains keeps the trees it
+        // was published with: no capture ever writes into a shared buffer.
+        drain(&mut engine);
+        let held = Arc::clone(reader.snapshot());
+        let published = fingerprints(&held);
+        let live: Vec<Fingerprint> = (0..4).map(|shard| engine.fingerprint(shard)).collect();
+        assert_eq!(published, live);
+        for _ in 0..3 {
+            drain(&mut engine);
+            reader.snapshot();
+            assert_eq!(fingerprints(&held), published);
+        }
+        for shard in 0..4 {
+            assert_ne!(engine.fingerprint(shard), published[shard as usize]);
+            assert!(!std::ptr::eq(
+                held.shard(shard),
+                &*engine.published[shard as usize]
+            ));
+        }
+        drop(held);
+
+        // Once nobody holds publication k, publication k + 2 captures into
+        // its buffers, and still publishes the live trees.
+        drain(&mut engine);
+        reader.snapshot();
+        let k = buffers(&engine);
+        drain(&mut engine);
+        reader.snapshot();
+        assert!(buffers(&engine).iter().zip(&k).all(|(a, b)| a != b));
+        drain(&mut engine);
+        let snapshot = Arc::clone(reader.snapshot());
+        assert_eq!(buffers(&engine), k, "publication k + 2 reuses k's buffers");
+        for shard in 0..4 {
+            assert_eq!(snapshot.fingerprint(shard), engine.fingerprint(shard));
         }
     }
 

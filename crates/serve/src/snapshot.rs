@@ -30,12 +30,20 @@
 //! touched only when the version has actually moved — at most once per
 //! drain.
 //!
-//! **Publication is O(shards changed).** Each shard's frozen tree sits
-//! behind its own `Arc`. A publication captures only the shards a drain
-//! served or a handover rebuilt since the previous publication, and hands
-//! every other shard on by `Arc::clone`. Successive snapshots therefore
-//! share the trees of unchanged shards, and a held older snapshot keeps
-//! exactly the trees it was published with.
+//! **Publication is O(shards changed), and the captures run in the drain
+//! workers.** Each shard's frozen tree sits behind its own `Arc`. The
+//! worker that serves a shard's batch also captures the shard, so a
+//! publication after a drain mostly assembles pointers; the engine thread
+//! captures only the shards a handover rebuilt (and every shard at the
+//! first publication). Every other shard is handed on by `Arc::clone`.
+//! Successive snapshots therefore share the trees of unchanged shards, and
+//! a held older snapshot keeps exactly the trees it was published with.
+//!
+//! **Buffers are recycled when unshared.** The snapshot a publication
+//! replaces becomes its shard's spare buffer. The next capture of that
+//! shard overwrites the spare in place only when `Arc::get_mut` proves no
+//! hub, reader or snapshot still holds it, and allocates a new one
+//! otherwise; so recycling never changes what any reader sees.
 //!
 //! **Determinism stays derived:** reads never mutate, so the write-side
 //! oracle is untouched; and every snapshot is stamped with the number of
@@ -212,14 +220,20 @@ impl SnapshotHub {
 
     /// Atomically replaces the published snapshot, returning the new
     /// version. Readers never block this: the critical section is one
-    /// pointer store.
+    /// pointer swap. The replaced snapshot is dropped after the lock is
+    /// released, so freeing its trees never stalls a reader's `load`.
     pub(crate) fn publish(&self, snapshot: EngineSnapshot) -> u64 {
-        let mut slot = self.current.lock().unwrap_or_else(PoisonError::into_inner);
-        *slot = Arc::new(snapshot);
-        // Bump while still holding the lock so a reader that observes the
-        // new version and then locks always finds the snapshot that (or a
-        // newer one than) the version promised.
-        self.version.fetch_add(1, Ordering::Release) + 1
+        let snapshot = Arc::new(snapshot);
+        let (replaced, version) = {
+            let mut slot = self.current.lock().unwrap_or_else(PoisonError::into_inner);
+            let replaced = std::mem::replace(&mut *slot, snapshot);
+            // Bump while still holding the lock so a reader that observes
+            // the new version and then locks always finds the snapshot that
+            // (or a newer one than) the version promised.
+            (replaced, self.version.fetch_add(1, Ordering::Release) + 1)
+        };
+        drop(replaced);
+        version
     }
 
     fn load(&self) -> (u64, Arc<EngineSnapshot>) {

@@ -37,8 +37,9 @@ fn reshard_scenario() -> ShardedScenario {
     scenario
 }
 
-/// Drives `scenario` through a metered ingest channel at `parallelism` and
-/// returns the registry, the tracer's deterministic stamps, and the report.
+/// Drives `scenario` through a metered ingest channel at `parallelism`, with
+/// the read side open, and returns the registry, the tracer's deterministic
+/// stamps, and the report.
 fn run_metered(
     scenario: &ShardedScenario,
     parallelism: Parallelism,
@@ -50,6 +51,7 @@ fn run_metered(
         .unwrap();
     let metrics = Arc::clone(engine.metrics());
     let tracer = Arc::clone(engine.tracer());
+    let _reader = engine.snapshots();
     let (sender, queue) = ingest_channel_with_metrics(8, Arc::clone(&metrics));
     let requests: Vec<_> = scenario.stream().collect();
     let producer = std::thread::spawn(move || {
@@ -118,6 +120,19 @@ fn counters_equal_replay_totals_at_every_thread_count() {
             drain.samples(),
             report.drains,
             "one latency sample per drain (advisory values, deterministic count)"
+        );
+        let publishes = snapshot.counter(names::SNAPSHOT_PUBLISHES).unwrap();
+        assert!(
+            publishes > report.drains,
+            "every drain and handover publishes"
+        );
+        assert_eq!(
+            snapshot
+                .histogram(names::PUBLISH_LATENCY)
+                .unwrap()
+                .samples(),
+            publishes - 1,
+            "one latency sample per publication but the one opening the read side"
         );
         match &baseline {
             None => baseline = Some((stamps, report)),

@@ -15,10 +15,11 @@ use crate::topology::CompleteTree;
 /// bijection and the topology, frozen at capture time.
 ///
 /// Snapshots exist so pure lookups can be served concurrently without
-/// synchronizing with writers: a snapshot never changes after
-/// [`TreeSnapshot::capture`], so any number of threads may share one (it is
-/// `Send + Sync`) while the live tree keeps self-adjusting. Both directions
-/// of the bijection are kept, so `nd(e)` and `el(v)` are single array reads.
+/// synchronizing with writers: a shared snapshot never changes (only
+/// [`TreeSnapshot::recapture`] writes one, through `&mut`), so any number of
+/// threads may share one (it is `Send + Sync`) while the live tree keeps
+/// self-adjusting. Both directions of the bijection are kept, so `nd(e)`
+/// and `el(v)` are single array reads.
 ///
 /// [`TreeSnapshot::fingerprint`] is the same digest as
 /// [`Occupancy::fingerprint`] of the captured occupancy, which is what lets
@@ -42,6 +43,20 @@ impl TreeSnapshot {
             element_of: element_of.into(),
             node_of: node_of.into(),
         }
+    }
+
+    /// Overwrites this snapshot with the current state of `occupancy`,
+    /// reusing its slabs: on the same geometry this is two in-place slab
+    /// memcpys and no allocation; on another geometry it falls back to
+    /// [`TreeSnapshot::capture`]. The result equals a fresh capture.
+    pub fn recapture(&mut self, occupancy: &Occupancy) {
+        if self.tree != occupancy.tree() {
+            *self = TreeSnapshot::capture(occupancy);
+            return;
+        }
+        let (element_of, node_of) = occupancy.raw_parts();
+        self.element_of.copy_from_slice(element_of);
+        self.node_of.copy_from_slice(node_of);
     }
 
     /// The tree topology the snapshot was taken on.
@@ -139,5 +154,29 @@ mod tests {
         occupancy.swap_nodes(NodeId::ROOT, NodeId::new(1)).unwrap();
         assert_eq!(snapshot, before);
         assert_ne!(snapshot.fingerprint(), occupancy.fingerprint());
+    }
+
+    #[test]
+    fn recapture_reuses_the_slabs_of_the_same_geometry_only() {
+        let tree = CompleteTree::with_levels(6).unwrap();
+        let mut rng = StdRng::seed_from_u64(5);
+        let mut occupancy = placement::random_occupancy(tree, &mut rng);
+        let mut snapshot = TreeSnapshot::capture(&occupancy);
+        let slabs =
+            |snapshot: &TreeSnapshot| (snapshot.element_of.as_ptr(), snapshot.node_of.as_ptr());
+        let before = slabs(&snapshot);
+
+        occupancy.swap_nodes(NodeId::ROOT, NodeId::new(2)).unwrap();
+        snapshot.recapture(&occupancy);
+        assert_eq!(slabs(&snapshot), before, "same geometry: slabs reused");
+        assert_eq!(snapshot.fingerprint(), occupancy.fingerprint());
+        assert_eq!(snapshot, TreeSnapshot::capture(&occupancy));
+
+        let other = placement::random_occupancy(CompleteTree::with_levels(4).unwrap(), &mut rng);
+        snapshot.recapture(&other);
+        assert_ne!(slabs(&snapshot), before, "new geometry: slabs reallocated");
+        assert_eq!(snapshot.tree(), other.tree());
+        assert_eq!(snapshot.fingerprint(), other.fingerprint());
+        assert_eq!(snapshot, TreeSnapshot::capture(&other));
     }
 }
