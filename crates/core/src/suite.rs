@@ -300,10 +300,30 @@ mod tests {
                     &original.export_state(),
                 )
                 .unwrap();
+            // The round trip a sharded replay applies to a shard that a
+            // reshard leaves untouched: the placement read back in heap
+            // order, the state carried under the identity remap.
+            let identity: Vec<Option<u32>> = (0..tree.num_nodes()).map(Some).collect();
+            let mut rebuilt = kind
+                .instantiate_warm(
+                    Occupancy::from_placement(tree, original.occupancy().placement_in_heap_order())
+                        .unwrap(),
+                    999,
+                    &[],
+                    &original.export_state().carried_into(tree, &identity),
+                )
+                .unwrap();
             let original_costs = original.serve_sequence(&suffix).unwrap();
             let resumed_costs = resumed.serve_sequence(&suffix).unwrap();
             assert_eq!(original_costs, resumed_costs, "{kind}");
             assert_eq!(original.occupancy(), resumed.occupancy(), "{kind}");
+            let rebuilt_costs = rebuilt.serve_sequence(&suffix).unwrap();
+            assert_eq!(original_costs, rebuilt_costs, "{kind} round trip");
+            assert_eq!(
+                original.occupancy(),
+                rebuilt.occupancy(),
+                "{kind} round trip"
+            );
         }
     }
 

@@ -63,6 +63,11 @@ pub mod names {
     /// since the previous one (the first captures every shard), so this
     /// grows with the shards each drain touches, not with the shard count.
     pub const SNAPSHOT_SHARD_CAPTURES: &str = "satn_snapshot_shard_captures_total";
+    /// The shard captures of [`SNAPSHOT_SHARD_CAPTURES`] that could not
+    /// reuse their shard's spare buffer, because a reader still held it or
+    /// the shard had none, and allocated a fresh one (counter; advisory:
+    /// when readers let go of a snapshot is timing).
+    pub const SNAPSHOT_CAPTURE_ALLOCATIONS: &str = "satn_snapshot_capture_allocations_total";
     /// Lookups answered from published snapshots (counter).
     pub const LOOKUPS_ANSWERED: &str = "satn_lookups_answered_total";
     /// Connections accepted since startup (counter).
@@ -136,6 +141,9 @@ pub struct EngineMetrics {
     /// Shard trees captured across all snapshot publications (advisory:
     /// depends on when the read side was opened).
     pub snapshot_shard_captures: Counter,
+    /// Shard captures that allocated a fresh buffer instead of reusing the
+    /// shard's spare (advisory: depends on when readers let go).
+    pub snapshot_capture_allocations: Counter,
     /// Lookups answered from published snapshots (all readers combined).
     pub lookups_answered: Counter,
     /// Connections accepted since startup.
@@ -181,6 +189,7 @@ impl EngineMetrics {
             migration_rebuilt_nodes: Counter::new(),
             snapshot_publishes: Counter::new(),
             snapshot_shard_captures: Counter::new(),
+            snapshot_capture_allocations: Counter::new(),
             lookups_answered: Counter::new(),
             connections_total: Counter::new(),
             wire_reply_writes: Counter::new(),
@@ -251,6 +260,10 @@ impl EngineMetrics {
             (
                 names::SNAPSHOT_SHARD_CAPTURES.to_owned(),
                 self.snapshot_shard_captures.get(),
+            ),
+            (
+                names::SNAPSHOT_CAPTURE_ALLOCATIONS.to_owned(),
+                self.snapshot_capture_allocations.get(),
             ),
             (
                 names::LOOKUPS_ANSWERED.to_owned(),
@@ -598,6 +611,7 @@ mod tests {
         metrics.note_wire_frame(4, 13);
         metrics.wire_reply_writes.inc();
         metrics.snapshot_shard_captures.add(9);
+        metrics.snapshot_capture_allocations.add(4);
         metrics.drain_latency.record(Duration::from_micros(250));
         metrics.drain_latency.record(Duration::from_micros(90));
         metrics.publish_latency.record(Duration::from_micros(12));
@@ -615,6 +629,10 @@ mod tests {
         assert_eq!(snapshot.counter(&names::wire_frames(4)), Some(1));
         assert_eq!(snapshot.counter(names::WIRE_REPLY_WRITES), Some(1));
         assert_eq!(snapshot.counter(names::SNAPSHOT_SHARD_CAPTURES), Some(9));
+        assert_eq!(
+            snapshot.counter(names::SNAPSHOT_CAPTURE_ALLOCATIONS),
+            Some(4)
+        );
         assert_eq!(snapshot.gauge(names::RESHARD_EPOCH), Some(2));
         assert_eq!(snapshot.gauge(&names::shard_buffered(1)), Some(17));
         assert_eq!(snapshot.gauge(&names::shard_buffered(0)), Some(0));

@@ -61,9 +61,10 @@ fn usage() -> ExitCode {
 /// at drain boundaries must equal the corresponding [`EngineReport`] total
 /// exactly — the registry is an `AtomicU64` restatement of the replay
 /// ledger, not an approximation of it. Transport counters such as
-/// `satn_wire_reply_writes_total` depend on timing and are left out, as is
+/// `satn_wire_reply_writes_total` depend on timing and are left out, as are
 /// `satn_snapshot_shard_captures_total`, which depends on when the read
-/// side opened.
+/// side opened, and `satn_snapshot_capture_allocations_total`, which depends
+/// on when readers let go of their snapshots.
 fn verify_metrics(metrics: &EngineMetrics, report: &EngineReport) -> Result<(), String> {
     let serving = report.merged.total();
     let epoch = (report.epoch_fingerprints.len() as u64).saturating_sub(1);

@@ -40,10 +40,10 @@ pub struct ShardedEngineConfig {
 
 impl ShardedEngineConfig {
     /// Configures an engine built from a [`ShardedScenario`]: the
-    /// scenario's epoch-0 partition, per-shard trees instantiated exactly
-    /// as its standalone reference scenarios build theirs (what makes the
-    /// serial replay a byte-exact oracle), and its reshard schedule applied
-    /// online.
+    /// scenario's epoch-0 partition, per-shard trees built by
+    /// [`ShardedScenario::shard_trees`], the construction the serial replay
+    /// starts from (what makes it a byte-exact oracle), and its reshard
+    /// schedule applied online.
     pub fn from_scenario(scenario: &ShardedScenario) -> Self {
         ShardedEngineConfig {
             scenario: scenario.clone(),

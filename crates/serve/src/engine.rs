@@ -6,7 +6,7 @@ use crate::ingest::{IngestMessage, IngestQueue};
 use crate::snapshot::{EngineSnapshot, SnapshotHub, SnapshotReader};
 use satn_core::{AlgorithmKind, SelfAdjustingTree};
 use satn_exec::{ordered_map, Parallelism};
-use satn_obs::{EngineMetrics, TraceKind, TraceRing, TraceStamp};
+use satn_obs::{Counter, EngineMetrics, TraceKind, TraceRing, TraceStamp};
 use satn_sim::{ReshardDriver, ReshardSchedule, ShardedScenario};
 use satn_tree::{
     CompleteTree, CostSummary, ElementId, Fingerprint, MigrationCost, Occupancy,
@@ -38,14 +38,16 @@ struct Shard {
 
 impl Shard {
     /// Captures the tree into the spare buffer when nothing else holds it
-    /// (no hub, reader, or snapshot), and into a new allocation otherwise.
-    fn capture(&mut self) -> Arc<TreeSnapshot> {
+    /// (no hub, reader, or snapshot), and into a new allocation otherwise,
+    /// counting the new allocation in `allocations`.
+    fn capture(&mut self, allocations: &Counter) -> Arc<TreeSnapshot> {
         if let Some(mut spare) = self.spare.take() {
             if let Some(buffer) = Arc::get_mut(&mut spare) {
                 buffer.recapture(self.tree.occupancy());
                 return spare;
             }
         }
+        allocations.inc();
         Arc::new(TreeSnapshot::capture(self.tree.occupancy()))
     }
 }
@@ -205,12 +207,12 @@ impl ShardedEngine {
 
     /// The construction behind
     /// [`ShardedEngineConfig::from_scenario`](crate::ShardedEngineConfig::from_scenario):
-    /// the scenario's epoch-0 partition, with every shard tree instantiated
-    /// exactly as the scenario's standalone per-shard reference scenarios
-    /// build theirs (same levels, same derived seeds, same initial placement
-    /// — that is what makes the serial replay a byte-exact oracle). The
-    /// scenario's [`ReshardSchedule`] runs through its [`ReshardDriver`],
-    /// the same driver [`ShardedScenario::epoch_replay`] walks.
+    /// the scenario's epoch-0 partition, with every shard tree built by
+    /// [`ShardedScenario::shard_trees`], the construction
+    /// [`ShardedScenario::epoch_replay`] starts from (same levels, same
+    /// derived seeds, same initial placement — that is what makes the serial
+    /// replay a byte-exact oracle). The scenario's [`ReshardSchedule`] runs
+    /// through its [`ReshardDriver`], the same driver the replay walks.
     pub(crate) fn build_from_scenario(
         scenario: &ShardedScenario,
         parallelism: Parallelism,
@@ -226,18 +228,9 @@ impl ShardedEngine {
             .driver(scenario.universe(), scenario.shards)
             .map_err(ServeError::InvalidConfig)?;
         let partition = scenario.partition();
-        let mut trees = Vec::with_capacity(partition.shards() as usize);
-        for (shard, shard_scenario) in scenario.shard_scenarios().iter().enumerate() {
-            // `instantiate` hands offline algorithms their per-shard
-            // sequence itself (the scenario's Fixed workload carries it).
-            let tree = shard_scenario
-                .instantiate()
-                .map_err(|error| ServeError::Tree {
-                    shard: shard as u32,
-                    error,
-                })?;
-            trees.push(tree);
-        }
+        let trees = scenario
+            .shard_trees(&partition)
+            .map_err(|(shard, error)| ServeError::Tree { shard, error })?;
         let mut engine = ShardedEngine::assemble(partition, trees, parallelism);
         engine.rebuild = (!offline).then_some((scenario.algorithm, scenario.seed));
         engine.schedule = schedule;
@@ -339,6 +332,7 @@ impl ShardedEngine {
     /// on the first call, which captures them all. Each replaced snapshot
     /// becomes its shard's spare buffer.
     fn freeze(&mut self, captured: Vec<(u32, Arc<TreeSnapshot>)>) -> EngineSnapshot {
+        let allocations = &self.metrics.snapshot_capture_allocations;
         let captures = if self.published.is_empty() {
             debug_assert!(captured.is_empty(), "workers capture once a hub exists");
             self.published = self
@@ -346,7 +340,7 @@ impl ShardedEngine {
                 .iter_mut()
                 .map(|shard| {
                     shard.changed = false;
-                    shard.capture()
+                    shard.capture(allocations)
                 })
                 .collect();
             self.shards.len()
@@ -358,7 +352,7 @@ impl ShardedEngine {
             {
                 let fresh = match captured.next_if(|&(shard, _)| shard as usize == index) {
                     Some((_, fresh)) => fresh,
-                    None if shard.changed => shard.capture(),
+                    None if shard.changed => shard.capture(allocations),
                     None => {
                         shard.spare = None;
                         continue;
@@ -490,12 +484,13 @@ impl ShardedEngine {
             .map(|(index, shard)| (index as u32, shard))
             .collect();
         let capturing = self.hub.is_some();
+        let allocations = &self.metrics.snapshot_capture_allocations;
         let outcomes = ordered_map(&mut batches, self.parallelism, |(index, shard)| {
             let mut delta = CostSummary::new();
             let outcome = shard.tree.serve_batch(&shard.pending, &mut delta);
             shard.pending.clear();
             shard.changed = true;
-            let capture = (capturing && outcome.is_ok()).then(|| shard.capture());
+            let capture = (capturing && outcome.is_ok()).then(|| shard.capture(allocations));
             (*index, delta, outcome, capture)
         });
         let mut failure = None;
@@ -865,31 +860,38 @@ mod tests {
 
     #[test]
     fn engine_matches_the_serial_reference_replay() {
-        let sharded = scenario(AlgorithmKind::RotorPush, ShardRouter::Hash);
-        let mut engine = ShardedEngineConfig::from_scenario(&sharded)
-            .parallelism(Parallelism::Threads(3))
-            .drain_threshold(257)
-            .build()
-            .unwrap();
-        for element in sharded.stream() {
-            engine.submit(element).unwrap();
-        }
-        let report = engine.finish().unwrap();
-        assert_eq!(report.requests, 3_000);
-        assert!(report.drains >= 3_000 / 257);
-        assert_eq!(report.migration, MigrationCost::ZERO);
-        assert_eq!(report.epoch_fingerprints.len(), 1);
+        // Static-Opt is the one algorithm whose engine trees are laid out
+        // from the split stream.
+        for algorithm in [AlgorithmKind::RotorPush, AlgorithmKind::StaticOpt] {
+            let sharded = scenario(algorithm, ShardRouter::Hash);
+            let mut engine = ShardedEngineConfig::from_scenario(&sharded)
+                .parallelism(Parallelism::Threads(3))
+                .drain_threshold(257)
+                .build()
+                .unwrap();
+            for element in sharded.stream() {
+                engine.submit(element).unwrap();
+            }
+            let report = engine.finish().unwrap();
+            assert_eq!(report.requests, 3_000);
+            assert!(report.drains >= 3_000 / 257);
+            assert_eq!(report.migration, MigrationCost::ZERO);
+            assert_eq!(report.epoch_fingerprints.len(), 1);
 
-        let runner = SimRunner::new();
-        for (shard, reference) in sharded.shard_scenarios().iter().enumerate() {
-            let expected = runner.run(reference).unwrap();
-            let got = &report.per_shard[shard];
-            assert_eq!(got.summary, expected.summary, "shard {shard} costs");
-            assert_eq!(
-                got.fingerprint,
-                expected.final_occupancy.fingerprint(),
-                "shard {shard} fingerprint"
-            );
+            let runner = SimRunner::new();
+            for (shard, reference) in sharded.shard_scenarios().iter().enumerate() {
+                let expected = runner.run(reference).unwrap();
+                let got = &report.per_shard[shard];
+                assert_eq!(got.summary, expected.summary, "{algorithm} shard {shard}");
+                assert_eq!(
+                    got.fingerprint,
+                    expected.final_occupancy.fingerprint(),
+                    "{algorithm} shard {shard}"
+                );
+            }
+            report
+                .verify_against(&sharded.epoch_replay(&runner).unwrap())
+                .unwrap_or_else(|divergence| panic!("{algorithm}: {divergence}"));
         }
     }
 

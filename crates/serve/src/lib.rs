@@ -67,12 +67,12 @@
 //! burst shape: per-shard request order is submission order, shards share no
 //! state, results merge in shard order, and the reshard handover is a pure
 //! function of the scenario and the stream position. The serial reference
-//! replay — [`satn_sim::ShardedScenario::epoch_replay`] running *standalone*
-//! per-epoch per-shard scenarios through [`satn_sim::SimRunner`], re-deriving
-//! every handover itself — reproduces the engine's per-epoch cost
-//! sub-summaries, migration costs, and boundary fingerprints byte for byte,
-//! which is exactly what the crate's property tests and `satnd --verify`
-//! assert.
+//! replay — [`satn_sim::ShardedScenario::epoch_replay`] serving each epoch's
+//! per-shard batches on its own trees through [`satn_sim::SimRunner`],
+//! re-deriving every handover and rebuilding every shard itself — reproduces
+//! the engine's per-epoch cost sub-summaries, migration costs, and boundary
+//! fingerprints byte for byte, which is exactly what the crate's property
+//! tests and `satnd --verify` assert.
 //!
 //! ## Example
 //!

@@ -311,7 +311,7 @@ proptest! {
 
     /// The acceptance property: routers × online algorithms × random
     /// reshard cadences, shard counts, drain cadences and thread counts —
-    /// resharded serving is byte-identical to the epoch-segmented standalone
+    /// resharded serving is byte-identical to the epoch-segmented serial
     /// replay.
     #[test]
     fn resharded_serving_equals_the_epoch_segmented_replay(

@@ -142,4 +142,11 @@ fn drains_recapture_into_free_spares_and_allocate_for_held_ones() {
         metrics.snapshot_shard_captures.get(),
         (1 + 7) * SHARDS as u64
     );
+    // The registry counts the captures that allocated: the first
+    // publication's and the first drain's (no spare yet), and the drain
+    // whose spares the held snapshot pinned.
+    assert_eq!(
+        metrics.snapshot_capture_allocations.get(),
+        3 * SHARDS as u64
+    );
 }

@@ -66,7 +66,7 @@ mod scenario;
 mod sharded;
 
 pub use observer::{InvariantObserver, InvariantViolation, Observer, StepRecord};
-pub use runner::{ScenarioResult, SimError, SimRunner, DEFAULT_BATCH_SIZE};
+pub use runner::{ScenarioResult, SimError, SimRunner};
 pub use scenario::{
     Checkpoints, InitialPlacement, ParseWorkloadError, Scenario, ScenarioGrid, WorkloadSpec,
 };

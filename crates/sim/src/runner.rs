@@ -4,7 +4,7 @@
 
 use crate::observer::{InvariantViolation, Observer, StepRecord};
 use crate::scenario::{Checkpoints, Scenario, ScenarioGrid};
-use satn_core::{SelfAdjustingTree, WarmState};
+use satn_core::SelfAdjustingTree;
 use satn_exec::{ordered_map, Parallelism};
 use satn_tree::{CostSummary, ElementId, Fingerprint, Occupancy, TreeError};
 use std::fmt;
@@ -59,15 +59,9 @@ pub struct ScenarioResult {
     /// `(requests served, fingerprint)` pairs — the replay fingerprint of
     /// the run.
     pub checkpoints: Vec<(u64, Fingerprint)>,
-    /// The placement at the end of the run — what the sharded replays
-    /// digest and hand over.
+    /// The placement at the end of the run — what the snapshot-read
+    /// oracle ([`crate::ShardedScenario::prefix_occupancies`]) returns.
     pub final_occupancy: Occupancy,
-    /// The algorithm's exported warm state at the end of the run — rotor
-    /// pointers, recency metadata, generator state. A follow-on scenario
-    /// carrying this state (see [`Scenario`]'s `warm` field) resumes the
-    /// algorithm exactly where this run left it, which is how the warm
-    /// reshard-handover oracle chains epochs.
-    pub final_warm: WarmState,
 }
 
 /// The scenario-simulation engine.
@@ -88,14 +82,12 @@ pub struct ScenarioResult {
 /// scenario, the algorithm instance, and the observers.
 #[derive(Debug, Clone, Copy)]
 pub struct SimRunner {
-    /// Upper bound on the number of requests buffered per serving batch.
-    batch_size: usize,
     /// Worker budget for grid runs (never affects results, only wall-clock).
     parallelism: Parallelism,
 }
 
-/// The default serving batch size (requests buffered per `serve_batch` call).
-pub const DEFAULT_BATCH_SIZE: usize = 1_024;
+/// Requests buffered per `serve_batch` call.
+const BATCH_SIZE: usize = 1_024;
 
 impl Default for SimRunner {
     fn default() -> Self {
@@ -104,24 +96,9 @@ impl Default for SimRunner {
 }
 
 impl SimRunner {
-    /// Creates an engine with the default batch size, using all available
-    /// cores for grid runs.
+    /// Creates an engine that uses all available cores for grid runs.
     pub fn new() -> Self {
         SimRunner {
-            batch_size: DEFAULT_BATCH_SIZE,
-            parallelism: Parallelism::Auto,
-        }
-    }
-
-    /// Overrides the serving batch size.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `batch_size` is zero.
-    pub fn with_batch_size(batch_size: usize) -> Self {
-        assert!(batch_size > 0, "the batch size must be positive");
-        SimRunner {
-            batch_size,
             parallelism: Parallelism::Auto,
         }
     }
@@ -192,7 +169,6 @@ impl SimRunner {
             summary,
             checkpoints,
             final_occupancy: network.occupancy().clone(),
-            final_warm: network.export_state(),
         })
     }
 
@@ -301,14 +277,14 @@ impl SimRunner {
         }
         let mut summary = CostSummary::new();
         let mut served = 0usize;
-        let mut batch: Vec<ElementId> = Vec::with_capacity(self.batch_size.min(length));
+        let mut batch: Vec<ElementId> = Vec::with_capacity(BATCH_SIZE.min(length));
 
         loop {
             let span = checkpoints.next_span(served, length);
             let mut remaining_in_span = span;
             while remaining_in_span > 0 {
                 batch.clear();
-                batch.extend(stream.by_ref().take(remaining_in_span.min(self.batch_size)));
+                batch.extend(stream.by_ref().take(remaining_in_span.min(BATCH_SIZE)));
                 if batch.is_empty() {
                     // The stream ran dry before `length`; close out early.
                     served = length;
@@ -428,7 +404,7 @@ mod tests {
         let s = scenario(AlgorithmKind::RotorPush);
         let mut network = s.instantiate().unwrap();
         let requests: Vec<ElementId> = s.stream().collect();
-        let summary = SimRunner::with_batch_size(64)
+        let summary = SimRunner::new()
             .run_stream(
                 network.as_mut(),
                 requests.iter().copied(),
@@ -488,12 +464,6 @@ mod tests {
             )
             .unwrap_err();
         assert!(matches!(err, SimError::Tree(_)));
-    }
-
-    #[test]
-    #[should_panic(expected = "must be positive")]
-    fn zero_batch_size_is_rejected() {
-        SimRunner::with_batch_size(0);
     }
 
     #[test]

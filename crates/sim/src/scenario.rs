@@ -3,7 +3,7 @@
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use satn_core::{AlgorithmKind, SelfAdjustingTree, WarmState};
+use satn_core::{AlgorithmKind, SelfAdjustingTree};
 use satn_tree::{placement, CompleteTree, ElementId, Occupancy, TreeError};
 use satn_workloads::stream::{
     CombinedStream, HotBlockStream, MarkovBurstyStream, RoundRobinPathStream,
@@ -270,12 +270,6 @@ pub enum InitialPlacement {
     /// A seed-derived uniformly random bijection (the paper's methodology).
     #[default]
     Random,
-    /// An explicit placement: `placement[v]` is the element stored at node
-    /// `v` in heap order. This is how epoch-segmented sharded replays hand a
-    /// deterministic post-handover state to the next epoch's standalone
-    /// scenario — the placement is part of the scenario value, so the
-    /// scenario stays self-contained and reproducible.
-    Fixed(Vec<ElementId>),
 }
 
 /// When the engine pauses serving to run checkpoint observers.
@@ -344,13 +338,6 @@ pub struct Scenario {
     pub checkpoints: Checkpoints,
     /// The initial element placement.
     pub initial: InitialPlacement,
-    /// The imported warm state the algorithm resumes from, or `None` for a
-    /// cold start. This is how warm-handover replays hand a shard's carried
-    /// rotor/recency/generator state to the next epoch's standalone
-    /// scenario: like [`InitialPlacement::Fixed`], the state is part of the
-    /// scenario value, so the scenario stays self-contained and
-    /// reproducible.
-    pub warm: Option<WarmState>,
 }
 
 impl Scenario {
@@ -371,7 +358,6 @@ impl Scenario {
             seed,
             checkpoints: Checkpoints::final_only(),
             initial: InitialPlacement::Random,
-            warm: None,
         }
     }
 
@@ -421,21 +407,12 @@ impl Scenario {
     }
 
     /// Builds the initial occupancy.
-    ///
-    /// # Panics
-    ///
-    /// Panics if an [`InitialPlacement::Fixed`] placement does not form a
-    /// bijection over the scenario's tree.
     pub fn initial_occupancy(&self) -> Occupancy {
         let tree = self.tree();
         match &self.initial {
             InitialPlacement::Identity => Occupancy::identity(tree),
             InitialPlacement::Random => {
                 placement::random_occupancy(tree, &mut StdRng::seed_from_u64(self.placement_seed()))
-            }
-            InitialPlacement::Fixed(placement) => {
-                Occupancy::from_placement(tree, placement.clone())
-                    .expect("a fixed placement must be a bijection over the scenario's tree")
             }
         }
     }
@@ -472,19 +449,8 @@ impl Scenario {
         &self,
         sequence: &[ElementId],
     ) -> Result<Box<dyn SelfAdjustingTree + Send>, TreeError> {
-        match &self.warm {
-            Some(state) => self.algorithm.instantiate_warm(
-                self.initial_occupancy(),
-                self.algorithm_seed(),
-                sequence,
-                state,
-            ),
-            None => self.algorithm.instantiate(
-                self.initial_occupancy(),
-                self.algorithm_seed(),
-                sequence,
-            ),
-        }
+        self.algorithm
+            .instantiate(self.initial_occupancy(), self.algorithm_seed(), sequence)
     }
 
     /// The materialized request sequence, if the scenario's algorithm needs
@@ -559,7 +525,6 @@ impl ScenarioGrid {
                     seed: self.seed,
                     checkpoints: self.checkpoints,
                     initial: self.initial.clone(),
-                    warm: None,
                 })
             })
         })

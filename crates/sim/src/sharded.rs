@@ -4,21 +4,23 @@
 //! A [`ShardedScenario`] describes a sharded serving run the same way a
 //! [`Scenario`] describes a single-tree run: algorithm, workload family,
 //! sizes, seed — plus a shard count and a routing policy. Its key property
-//! is that it *derives the serial reference replay*: every shard maps to a
-//! standalone [`Scenario`] ([`ShardedScenario::shard_scenarios`]) whose tree,
-//! seeds and request subsequence are exactly what the sharded engine
-//! (`satn-serve`) builds for that shard, so the existing [`SimRunner`] /
-//! observer machinery produces the per-shard cost summaries and final
-//! placements the engine must reproduce exactly. The replay digests its own
-//! final placements into [`Fingerprint`]s, so the oracle stays derived.
+//! is that it *derives the serial reference replay*. Every shard's epoch-0
+//! tree comes from one construction, [`ShardedScenario::shard_trees`], which
+//! the sharded engine (`satn-serve`) builds its shards with too.
+//! [`ShardedScenario::epoch_replay`] serves each epoch's localized
+//! subsequences on those live trees through [`SimRunner`], and at every
+//! handover rebuilds each shard from the replay's own occupancies and
+//! exported states. It digests its own placements into [`Fingerprint`]s, so
+//! the oracle stays derived. [`ShardedScenario::shard_scenarios`] states
+//! epoch 0 as standalone per-shard [`Scenario`]s.
 
 use crate::runner::{SimError, SimRunner};
 use crate::scenario::{Checkpoints, InitialPlacement, Scenario, WorkloadSpec};
-use satn_core::{AlgorithmKind, WarmState};
-use satn_tree::{CompleteTree, ElementId, Fingerprint, Occupancy, ShardedCostSummary};
+use satn_core::{AlgorithmKind, SelfAdjustingTree};
+use satn_tree::{CompleteTree, ElementId, Fingerprint, Occupancy, ShardedCostSummary, TreeError};
 use satn_workloads::shard::{
-    carry_remap, handover, shard_epoch_seed, Partition, ReshardEvent, ReshardPlan, ReshardPolicy,
-    ShardRouter,
+    algorithm_seed, carry_remap, handover, shard_epoch_seed, Partition, ReshardEvent, ReshardPlan,
+    ReshardPolicy, ShardRouter,
 };
 use satn_workloads::Workload;
 use std::collections::VecDeque;
@@ -287,8 +289,10 @@ impl ShardedScenario {
     /// tree sized by [`Partition::shard_levels`], seeded with
     /// [`ShardedScenario::shard_epoch_seed`] at epoch 0.
     ///
-    /// Running each of these through [`SimRunner`](crate::SimRunner) serially
-    /// is the *reference replay* of a static (non-resharding) engine run:
+    /// Each scenario instantiates exactly the tree
+    /// [`ShardedScenario::shard_trees`] builds for its shard, so running
+    /// them through [`SimRunner`](crate::SimRunner) serially is the
+    /// *reference replay* of a static (non-resharding) engine run:
     /// per-shard cost summaries and final checkpoint fingerprints must
     /// coincide byte for byte with the engine's concurrent run (the
     /// `satn-serve` property tests assert exactly this). For a scenario with
@@ -298,51 +302,58 @@ impl ShardedScenario {
     pub fn shard_scenarios(&self) -> Vec<Scenario> {
         let partition = self.partition();
         let split = partition.split_stream(self.stream());
-        self.epoch_scenarios(0, &partition, split, None)
+        self.epoch_scenarios(&partition, split)
     }
 
-    /// The standalone per-shard scenarios of one epoch: shard `s` serves its
-    /// localized subsequence on a tree sized by the epoch's partition,
-    /// seeded with [`ShardedScenario::shard_epoch_seed`]. Epoch 0 starts
-    /// from the scenario's initial placement; later epochs start from the
-    /// explicit post-handover placements plus the per-shard warm states
-    /// carried through the handover remap.
-    fn epoch_scenarios(
+    /// Builds every shard's epoch-0 tree under `partition`, which must be
+    /// this scenario's [`ShardedScenario::partition`]: the tree of the
+    /// shard's epoch-0 [`Scenario`], with the same levels, seeds and initial
+    /// placement. Only the offline algorithm (Static-Opt) lays its tree out
+    /// from the shard's subsequence, so only then is the stream generated
+    /// and split; every online tree is built without it.
+    ///
+    /// # Errors
+    ///
+    /// Returns the lowest-indexed shard whose tree cannot be built, with the
+    /// reason.
+    pub fn shard_trees(
         &self,
-        epoch: u32,
         partition: &Partition,
-        split: Vec<Vec<ElementId>>,
-        carried: Option<(Vec<Vec<ElementId>>, Vec<WarmState>)>,
-    ) -> Vec<Scenario> {
-        split
-            .into_iter()
-            .enumerate()
+    ) -> Result<Vec<Box<dyn SelfAdjustingTree + Send>>, (u32, TreeError)> {
+        let split = if self.algorithm == AlgorithmKind::StaticOpt {
+            partition.split_stream(self.stream())
+        } else {
+            vec![Vec::new(); partition.shards() as usize]
+        };
+        (0..)
+            .zip(self.epoch_scenarios(partition, split))
+            .map(|(shard, scenario)| scenario.instantiate().map_err(|error| (shard, error)))
+            .collect()
+    }
+
+    /// The standalone per-shard scenarios of epoch 0: shard `s` serves its
+    /// localized subsequence `split[s]` on a tree sized by the partition,
+    /// seeded with [`ShardedScenario::shard_epoch_seed`], from the
+    /// scenario's initial placement.
+    fn epoch_scenarios(&self, partition: &Partition, split: Vec<Vec<ElementId>>) -> Vec<Scenario> {
+        (0..)
+            .zip(split)
             .map(|(shard, subsequence)| {
-                let shard = shard as u32;
                 let levels = partition.shard_levels(shard);
-                let capacity = (1u32 << levels) - 1;
                 let requests = subsequence.len();
                 let workload = Workload::new(
-                    format!("{}#e{}s{}", self.workload.label(), epoch, shard),
-                    capacity,
+                    format!("{}#s{}", self.workload.label(), shard),
+                    (1u32 << levels) - 1,
                     subsequence,
                 );
-                let (initial, warm) = match &carried {
-                    None => (self.initial.clone(), None),
-                    Some((placements, states)) => (
-                        InitialPlacement::Fixed(placements[shard as usize].clone()),
-                        Some(states[shard as usize].clone()),
-                    ),
-                };
                 Scenario {
                     algorithm: self.algorithm,
                     workload: WorkloadSpec::Fixed(workload),
                     levels,
                     requests,
-                    seed: self.shard_epoch_seed(shard, epoch),
+                    seed: self.shard_epoch_seed(shard, 0),
                     checkpoints: Checkpoints::final_only(),
-                    initial,
-                    warm,
+                    initial: self.initial.clone(),
                 }
             })
             .collect()
@@ -351,23 +362,28 @@ impl ShardedScenario {
     /// The epoch-segmented serial reference replay — the byte-exact oracle
     /// of a resharding engine run.
     ///
-    /// Walks the global stream once, routing each request into the current
-    /// epoch's per-shard subsequences under that epoch's partition and
-    /// asking the schedule's [`ReshardDriver`] at the engine's two firing
-    /// points. When it fires, the epoch closes: its standalone per-shard
-    /// [`Scenario`]s run through `runner` in shard order, the plan is
-    /// applied to the closing partition, and the deterministic [`handover`]
-    /// is recomputed from the replayed occupancies — never taken from an
-    /// engine — so the next epoch's `InitialPlacement::Fixed` scenarios, the
-    /// migration costs, and every fingerprint are *derived*, not hand-kept.
-    /// At most two partitions are alive at once. An engine run matches this
-    /// replay at every thread count, drain cadence, and ingestion framing,
-    /// or it has a bug.
+    /// Builds one live tree per shard ([`ShardedScenario::shard_trees`]) and
+    /// walks the global stream once, routing each request into the current
+    /// epoch's per-shard batches under that epoch's partition and asking the
+    /// schedule's [`ReshardDriver`] at the engine's two firing points. When
+    /// it fires, the epoch closes: each shard's batch is served on its tree
+    /// through [`SimRunner::run_stream`], in shard order, and the trees'
+    /// placements are digested. The plan is then applied to the closing
+    /// partition, and the deterministic [`handover`] is recomputed from the
+    /// replay's own occupancies — never taken from an engine. Finally
+    /// **every** shard is rebuilt: from the handover's placement if the plan
+    /// touches it and from its own live placement otherwise, carrying its
+    /// exported state through [`carry_remap`] into
+    /// [`AlgorithmKind::instantiate_warm`]. The engine keeps untouched trees
+    /// live, so the export → carry → import round trip stays checked against
+    /// it. At most two partitions are alive at once. An engine run matches
+    /// this replay at every thread count, drain cadence, and ingestion
+    /// framing, or it has a bug.
     ///
     /// # Errors
     ///
-    /// Propagates the first failing per-shard run, in epoch-major shard
-    /// order.
+    /// Propagates the first failing tree build or per-shard batch, in
+    /// epoch-major shard order.
     ///
     /// # Panics
     ///
@@ -376,17 +392,6 @@ impl ShardedScenario {
     /// the whole future subsequence, which no online handover can know), or
     /// if [`ReshardSchedule::driver`] rejects the schedule.
     pub fn epoch_replay(&self, runner: &SimRunner) -> Result<ShardedReplay, SimError> {
-        self.replay_observing(runner, |_| {})
-    }
-
-    /// [`ShardedScenario::epoch_replay`], handing `observe` each epoch's
-    /// standalone per-shard scenarios before they run. The replay keeps none
-    /// of them.
-    fn replay_observing(
-        &self,
-        runner: &SimRunner,
-        mut observe: impl FnMut(&[Scenario]),
-    ) -> Result<ShardedReplay, SimError> {
         assert!(
             self.reshard == ReshardSchedule::Static || self.algorithm != AlgorithmKind::StaticOpt,
             "resharding is not supported for offline algorithms"
@@ -401,11 +406,12 @@ impl ShardedScenario {
             boundaries: Vec::new(),
         };
         let mut partition = self.partition();
-        let mut carried = None;
+        let mut trees = self
+            .shard_trees(&partition)
+            .map_err(|(_, error)| SimError::Tree(error))?;
         let mut stream = self.stream();
         let mut submitted = 0;
         loop {
-            let epoch = replay.fingerprints.len() as u32;
             // Route requests into the epoch until the driver fires at one of
             // the engine's two points, or the stream ends.
             let mut split = vec![Vec::new(); self.shards as usize];
@@ -425,55 +431,55 @@ impl ShardedScenario {
                     break Some(plan);
                 }
             };
-            let epoch_scenarios = self.epoch_scenarios(epoch, &partition, split, carried.take());
-            observe(&epoch_scenarios);
-            let mut occupancies = Vec::with_capacity(epoch_scenarios.len());
-            let mut states = Vec::with_capacity(epoch_scenarios.len());
-            for (shard, scenario) in epoch_scenarios.iter().enumerate() {
-                let result = runner.run(scenario)?;
-                replay
-                    .accounting
-                    .merge_into_shard(shard as u32, &result.summary);
-                occupancies.push(result.final_occupancy);
-                states.push(result.final_warm);
+            for (shard, (tree, batch)) in (0..).zip(trees.iter_mut().zip(&split)) {
+                let summary = runner.run_stream(
+                    tree.as_mut(),
+                    batch.iter().copied(),
+                    batch.len(),
+                    Checkpoints::final_only(),
+                    &mut [],
+                )?;
+                replay.accounting.merge_into_shard(shard, &summary);
             }
-            replay
-                .fingerprints
-                .push(occupancies.iter().map(Occupancy::fingerprint).collect());
+            replay.fingerprints.push(
+                trees
+                    .iter()
+                    .map(|tree| tree.occupancy().fingerprint())
+                    .collect(),
+            );
             let Some(plan) = plan else {
                 return Ok(replay);
             };
             replay.boundaries.push(submitted);
+            let epoch = replay.fingerprints.len() as u32;
             let next = partition
                 .apply(&plan)
                 .expect("the driver only fires plans that fit the partition");
-            let refs: Vec<&Occupancy> = occupancies.iter().collect();
-            let outcome = handover(&partition, &next, &plan, &refs);
+            let outcome = {
+                let occupancies: Vec<&Occupancy> =
+                    trees.iter().map(|tree| tree.occupancy()).collect();
+                handover(&partition, &next, &plan, &occupancies)
+            };
             replay.accounting.begin_epoch(outcome.migration);
-            // An untouched shard keeps its live tree verbatim — including
-            // padding elements wherever push-downs drifted them — because the
-            // engine never rebuilds it. The replay therefore seeds those
-            // shards from the live occupancy.
-            let placements = outcome
-                .placements
-                .into_iter()
-                .zip(&occupancies)
-                .map(|(placement, live)| {
-                    placement.unwrap_or_else(|| live.placement_in_heap_order())
-                })
-                .collect();
-            // Carry every shard's exported state through the handover remap
-            // onto the epoch's (possibly resized) tree; untouched shards
-            // carry under the identity remap, i.e. verbatim.
-            let warm = (0..self.shards)
-                .map(|shard| {
-                    let remap = carry_remap(&partition, &next, shard);
-                    let tree = CompleteTree::with_levels(next.shard_levels(shard))
-                        .expect("partitions produce valid shard depths");
-                    states[shard as usize].carried_into(tree, &remap)
-                })
-                .collect();
-            carried = Some((placements, warm));
+            // Rebuild every shard, touched or not. An untouched shard starts
+            // from its live placement verbatim — padding elements included,
+            // wherever push-downs drifted them — and carries its state under
+            // the identity remap.
+            for (shard, (tree, placement)) in (0..).zip(trees.iter_mut().zip(outcome.placements)) {
+                let geometry = CompleteTree::with_levels(next.shard_levels(shard))
+                    .expect("partitions produce valid shard depths");
+                let placement =
+                    placement.unwrap_or_else(|| tree.occupancy().placement_in_heap_order());
+                let state = tree
+                    .export_state()
+                    .carried_into(geometry, &carry_remap(&partition, &next, shard));
+                *tree = self.algorithm.instantiate_warm(
+                    Occupancy::from_placement(geometry, placement)?,
+                    algorithm_seed(self.shard_epoch_seed(shard, epoch)),
+                    &[],
+                    &state,
+                )?;
+            }
             partition = next;
         }
     }
@@ -532,7 +538,7 @@ impl ShardedScenario {
         );
         let partition = self.partition();
         let split = partition.split_stream(self.stream().take(prefix));
-        self.epoch_scenarios(0, &partition, split, None)
+        self.epoch_scenarios(&partition, split)
             .iter()
             .map(|scenario| runner.run(scenario).map(|result| result.final_occupancy))
             .collect()
@@ -573,6 +579,7 @@ impl ShardedReplay {
 mod tests {
     use super::*;
     use crate::SimRunner;
+    use satn_tree::CostSummary;
     use satn_workloads::shard::ReshardPlan;
 
     fn scenario(router: ShardRouter) -> ShardedScenario {
@@ -588,42 +595,20 @@ mod tests {
         s
     }
 
-    /// The replay of `sharded`, plus every epoch's standalone per-shard
-    /// scenarios, `scenarios[epoch][shard]`.
-    fn replay_with_scenarios(
+    /// Serves `batches[s]` on shard `s`'s epoch-0 tree from
+    /// [`ShardedScenario::shard_trees`], returning each shard's costs and
+    /// the trees.
+    fn serve_on_shard_trees(
         sharded: &ShardedScenario,
-        runner: &SimRunner,
-    ) -> (ShardedReplay, Vec<Vec<Scenario>>) {
-        let mut scenarios = Vec::new();
-        let replay = sharded
-            .replay_observing(runner, |epoch| scenarios.push(epoch.to_vec()))
-            .unwrap();
-        (replay, scenarios)
-    }
-
-    /// Asserts that an independent run of the scenario value
-    /// `scenarios[epoch][shard]` reproduces the replay's cost summary and
-    /// final fingerprint for that shard and epoch.
-    fn assert_standalone(
-        replay: &ShardedReplay,
-        scenarios: &[Vec<Scenario>],
-        runner: &SimRunner,
-        epoch: u32,
-        shard: u32,
-    ) {
-        let reference = &scenarios[epoch as usize][shard as usize];
-        let rerun = runner.run(reference).unwrap();
-        let label = format!("{} epoch {epoch} shard {shard}", reference.algorithm);
-        assert_eq!(
-            &rerun.summary,
-            replay.accounting.epoch(epoch).shard(shard),
-            "{label} costs"
-        );
-        assert_eq!(
-            rerun.final_occupancy.fingerprint(),
-            replay.fingerprint(epoch, shard),
-            "{label} fingerprint"
-        );
+        batches: &[Vec<ElementId>],
+    ) -> (Vec<CostSummary>, Vec<Box<dyn SelfAdjustingTree + Send>>) {
+        let mut trees = sharded.shard_trees(&sharded.partition()).unwrap();
+        let costs = trees
+            .iter_mut()
+            .zip(batches)
+            .map(|(tree, batch)| tree.serve_sequence(batch).unwrap())
+            .collect();
+        (costs, trees)
     }
 
     #[test]
@@ -765,15 +750,18 @@ mod tests {
             plan: ReshardPlan::new([(ElementId::new(0), 3), (ElementId::new(1), 3)]),
         }]);
         let runner = SimRunner::new();
-        let (replay, scenarios) = replay_with_scenarios(&sharded, &runner);
+        let replay = sharded.epoch_replay(&runner).unwrap();
         assert_eq!(replay, sharded.epoch_replay(&runner).unwrap());
         assert_eq!(replay.epochs(), 2);
         assert_eq!(replay.boundaries, vec![800]);
 
-        // The stream is fully covered across epochs and shards.
+        // The stream is fully covered across epochs and shards, split at the
+        // boundary.
         let total: u64 = replay.accounting.requests();
         assert_eq!(total, 2_000);
         assert_eq!(replay.accounting.epochs().len(), 2);
+        assert_eq!(replay.accounting.epoch(0).requests(), 800);
+        assert_eq!(replay.accounting.epoch(1).requests(), 1_200);
 
         // The handover moved two elements and was not free.
         let migration = replay.accounting.migration_total();
@@ -782,20 +770,6 @@ mod tests {
             migration.total() >= 4,
             "delete + insert cost at least 2 each"
         );
-
-        // Every per-epoch scenario is standalone: an independent run of the
-        // scenario value reproduces the replay byte for byte.
-        assert_eq!(replay.epochs() as usize, replay.accounting.epochs().len());
-        for epoch in 0..replay.epochs() {
-            for shard in 0..4 {
-                assert_standalone(&replay, &scenarios, &runner, epoch, shard);
-            }
-        }
-
-        // Epoch 1 scenarios carry explicit fixed placements.
-        for reference in &scenarios[1] {
-            assert!(matches!(reference.initial, InitialPlacement::Fixed(_)));
-        }
     }
 
     #[test]
@@ -816,23 +790,29 @@ mod tests {
             at: 4,
             plan: ReshardPlan::new([(ElementId::new(0), 1)]),
         }]);
-        let (replay, scenarios) = replay_with_scenarios(&sharded, &SimRunner::new());
+        let replay = sharded.epoch_replay(&SimRunner::new()).unwrap();
         assert_eq!(replay.boundaries, vec![4]);
-        let locals = |epoch: usize, shard: usize| -> Vec<u32> {
-            match &scenarios[epoch][shard].workload {
-                WorkloadSpec::Fixed(workload) => {
-                    workload.requests().iter().map(|e| e.index()).collect()
-                }
-                other => panic!("epoch scenarios carry fixed workloads, not {other:?}"),
-            }
+        let requests = |epoch: u32| -> Vec<u64> {
+            (0..2)
+                .map(|shard| replay.accounting.epoch(epoch).shard(shard).requests())
+                .collect()
         };
-        // Epoch 0: shard 0 sees globals {0, 0}, shard 1 globals {3, 4}.
-        assert_eq!(locals(0, 0), vec![0, 0]);
-        assert_eq!(locals(0, 1), vec![0, 1]);
-        // Epoch 1: shard 0 owns {1, 2}, so global 1 is local 0; shard 1
-        // owns {0, 3, 4, 5}, so globals 0, 3, 5 are locals 0, 1, 3.
-        assert_eq!(locals(1, 0), vec![0]);
-        assert_eq!(locals(1, 1), vec![0, 1, 3]);
+        // Epoch 0: shard 0 sees globals {0, 0}, shard 1 globals {3, 4}, as
+        // locals [0, 0] and [0, 1] on the epoch-0 trees.
+        assert_eq!(requests(0), vec![2, 2]);
+        let locals = |ids: &[u32]| ids.iter().copied().map(ElementId::new).collect();
+        let (costs, _) = serve_on_shard_trees(&sharded, &[locals(&[0, 0]), locals(&[0, 1])]);
+        for shard in 0..2 {
+            assert_eq!(
+                replay.accounting.epoch(0).shard(shard),
+                &costs[shard as usize],
+                "epoch 0 shard {shard}"
+            );
+        }
+        // Epoch 1: globals 0, 3, 5, 1. Shard 0 now owns {1, 2} and shard 1
+        // owns {0, 3, 4, 5}, so shard 0 serves one request and shard 1
+        // three; under epoch 0's partition it would be two and two.
+        assert_eq!(requests(1), vec![1, 3]);
     }
 
     #[test]
@@ -860,7 +840,7 @@ mod tests {
     }
 
     #[test]
-    fn warm_epoch_replay_carries_state_and_stays_standalone() {
+    fn warm_epoch_replay_continues_untouched_shards_like_live_trees() {
         for algorithm in [
             AlgorithmKind::RotorPush,
             AlgorithmKind::MaxPush,
@@ -876,14 +856,30 @@ mod tests {
                 plan: ReshardPlan::new([(ElementId::new(0), 3), (ElementId::new(1), 3)]),
             }]);
             let runner = SimRunner::new();
-            let (replay, scenarios) = replay_with_scenarios(&sharded, &runner);
+            let replay = sharded.epoch_replay(&runner).unwrap();
             assert_eq!(replay.epochs(), 2, "{algorithm}");
-            // Epoch-1 scenarios carry warm state and stay standalone: an
-            // independent run of the scenario value reproduces the replay.
             assert_eq!(replay.accounting.epochs().len(), 2, "{algorithm}");
-            for (shard, reference) in scenarios[1].iter().enumerate() {
-                assert!(reference.warm.is_some(), "{algorithm} shard {shard}");
-                assert_standalone(&replay, &scenarios, &runner, 1, shard as u32);
+            // The replay rebuilds shards 1 and 2 from their exported states;
+            // their owned sets did not change, so trees that were never
+            // rebuilt must serve both epochs exactly as the replay does.
+            let partition = sharded.partition();
+            let mut epochs = [vec![Vec::new(); 4], vec![Vec::new(); 4]];
+            for (position, element) in sharded.stream().enumerate() {
+                let (shard, local) = partition.localize(element).unwrap();
+                epochs[usize::from(position >= 800)][shard as usize].push(local);
+            }
+            let (first, mut trees) = serve_on_shard_trees(&sharded, &epochs[0]);
+            for shard in [1u32, 2] {
+                let index = shard as usize;
+                let label = format!("{algorithm} shard {shard}");
+                assert_eq!(replay.accounting.epoch(0).shard(shard), &first[index]);
+                let second = trees[index].serve_sequence(&epochs[1][index]).unwrap();
+                assert_eq!(replay.accounting.epoch(1).shard(shard), &second, "{label}");
+                assert_eq!(
+                    replay.fingerprint(1, shard),
+                    trees[index].occupancy().fingerprint(),
+                    "{label}"
+                );
             }
             // The whole warm derivation is deterministic.
             assert_eq!(replay, sharded.epoch_replay(&runner).unwrap());
