@@ -20,8 +20,8 @@
 //!   need no `'static` gymnastics.
 //! * Workers claim `(index, item)` pairs from one mutex-guarded iterator:
 //!   one short lock per claim, so load balancing is dynamic (a slow cell
-//!   never serializes the grid). Items are coarse — a scenario cell, a
-//!   shard batch — so the claim is noise beside the work.
+//!   never serializes the grid). Items are coarse — a scenario cell, an
+//!   experiment repetition — so the claim is noise beside the work.
 //! * Each worker buffers `(index, result)` pairs locally; the caller's
 //!   thread merges them back into input order after the scope joins.
 //!
@@ -134,11 +134,15 @@ impl FromStr for Parallelism {
 ///
 /// `items` is anything whose iterator knows its length: `&[T]` and `&Vec<T>`
 /// hand each worker a shared `&T`, `&mut [T]` hands it exclusive `&mut T`
-/// (so the items themselves can be stateful workers, such as a shard
-/// holding a tree and its pending batch), and owned collections move their
-/// items to the workers. Work is claimed one item at a time, which suits
-/// the coarse work items of this workspace (a scenario cell runs for
-/// milliseconds to seconds, a shard batch for microseconds and up).
+/// (so the items themselves can be stateful, such as an accumulator each
+/// call updates in place), and owned collections move their items to the
+/// workers. Work is claimed one item at a time, which suits the coarse work
+/// items of this workspace (a scenario cell runs for milliseconds to
+/// seconds).
+///
+/// Every call spawns and joins its workers, tens of microseconds per call.
+/// That is noise beside a grid, but not beside a loop of short calls, which
+/// is why `satn-serve`'s engine drains on long-lived workers of its own.
 ///
 /// # Panics
 ///
@@ -266,8 +270,8 @@ mod tests {
         assert!(result.is_err());
     }
 
-    // The next four tests map over exclusive `&mut` items, the shape
-    // `ShardedEngine::drain` hands the pool (one shard per item).
+    // The next four tests map over exclusive `&mut` items, which the
+    // workers mutate in place.
 
     #[test]
     fn for_each_ordered_streams_prefixes_in_input_order() {

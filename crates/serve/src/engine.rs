@@ -1,12 +1,12 @@
 //! The sharded multi-tree serving engine.
 
-use crate::drain::DrainControl;
+use crate::drain::{DrainControl, DrainPool, Shards};
 use crate::error::ServeError;
 use crate::ingest::{IngestMessage, IngestQueue};
 use crate::snapshot::{EngineSnapshot, SnapshotHub, SnapshotReader};
 use satn_core::{AlgorithmKind, SelfAdjustingTree};
-use satn_exec::{ordered_map, Parallelism};
-use satn_obs::{Counter, EngineMetrics, TraceKind, TraceRing, TraceStamp};
+use satn_exec::Parallelism;
+use satn_obs::{EngineMetrics, TraceKind, TraceRing, TraceStamp};
 use satn_sim::{ReshardDriver, ReshardSchedule, ShardedScenario};
 use satn_tree::{
     CompleteTree, CostSummary, ElementId, Fingerprint, MigrationCost, Occupancy,
@@ -22,36 +22,6 @@ use std::time::Instant;
 /// Pending requests buffered across all shards before an automatic drain.
 pub const DEFAULT_DRAIN_THRESHOLD: usize = 4_096;
 
-/// One shard: its tree plus the batch of localized requests accumulated for
-/// the next drain.
-struct Shard {
-    tree: Box<dyn SelfAdjustingTree + Send>,
-    pending: Vec<ElementId>,
-    /// Served or rebuilt since the last snapshot publication, so the next
-    /// one must recapture this shard's tree instead of sharing its `Arc`.
-    changed: bool,
-    /// The snapshot this shard's last publication replaced, kept as the
-    /// buffer of its next capture. Dropped by any publication that does not
-    /// recapture the shard, so it lives for at most one publication.
-    spare: Option<Arc<TreeSnapshot>>,
-}
-
-impl Shard {
-    /// Captures the tree into the spare buffer when nothing else holds it
-    /// (no hub, reader, or snapshot), and into a new allocation otherwise,
-    /// counting the new allocation in `allocations`.
-    fn capture(&mut self, allocations: &Counter) -> Arc<TreeSnapshot> {
-        if let Some(mut spare) = self.spare.take() {
-            if let Some(buffer) = Arc::get_mut(&mut spare) {
-                buffer.recapture(self.tree.occupancy());
-                return spare;
-            }
-        }
-        allocations.inc();
-        Arc::new(TreeSnapshot::capture(self.tree.occupancy()))
-    }
-}
-
 /// Mirrors one drain's cost ledger delta into the engine's metric registry.
 /// Called only after the drain's snapshot is published, so a reader that
 /// sees `requests_served == n` finds a published snapshot stamped with at
@@ -65,7 +35,8 @@ fn mirror_drain(metrics: &EngineMetrics, drained: &CostSummary) {
 
 /// The sharded serving engine: `S` independent per-shard trees partitioning
 /// the element universe, fed through an epoch-versioned [`Partition`]
-/// router, drained concurrently through [`satn_exec::ordered_map`].
+/// router, drained concurrently on a pool of long-lived worker threads
+/// that the engine spawns once and the draining thread serves in.
 ///
 /// Requests enter via [`ShardedEngine::submit`] (or a whole
 /// [`IngestQueue`] via [`ShardedEngine::serve_queue`]), are routed to their
@@ -78,6 +49,16 @@ fn mirror_drain(metrics: &EngineMetrics, drained: &CostSummary) {
 /// shard order**, so per-shard cost totals, the merged summary, and the
 /// per-shard placement [`Fingerprint`]s are identical at every thread count
 /// and every drain cadence.
+///
+/// ## The drain pool
+///
+/// An engine built with [`Parallelism`] `p` over `S` shards spawns
+/// `min(p, S) − 1` worker threads once, when it is built; between drains
+/// they sleep. Each drain moves every non-empty shard by value into one
+/// queue, which the workers and the draining thread empty together, so a
+/// drain is served by `min(p, S)` threads and [`Parallelism::Serial`]
+/// spawns none. Every shard comes back to the engine before `drain`
+/// returns. Dropping the engine wakes the workers and joins them.
 ///
 /// ## Resharding
 ///
@@ -137,9 +118,12 @@ pub struct ShardedEngine {
     partition: Arc<Partition>,
     /// The live epoch index (0 = the initial assignment).
     epoch: u32,
-    shards: Vec<Shard>,
+    shards: Shards,
     accounting: ShardedCostSummary,
     parallelism: Parallelism,
+    /// The drain workers, spawned once here and joined when the engine
+    /// drops.
+    pool: DrainPool,
     control: DrainControl,
     rebuild: Option<(AlgorithmKind, u64)>,
     /// Fires the scenario's reshard schedule; explicit
@@ -176,23 +160,17 @@ impl ShardedEngine {
         trees: Vec<Box<dyn SelfAdjustingTree + Send>>,
         parallelism: Parallelism,
     ) -> Self {
-        let shards: Vec<Shard> = trees
-            .into_iter()
-            .map(|tree| Shard {
-                tree,
-                pending: Vec::new(),
-                changed: false,
-                spare: None,
-            })
-            .collect();
+        let shards = Shards::new(trees);
         let accounting = ShardedCostSummary::new(partition.shards());
         let metrics = Arc::new(EngineMetrics::new(partition.shards()));
+        let pool = DrainPool::new(parallelism, shards.len(), Arc::clone(&metrics));
         ShardedEngine {
             partition: Arc::new(partition),
             epoch: 0,
             shards,
             accounting,
             parallelism,
+            pool,
             control: DrainControl::new(DEFAULT_DRAIN_THRESHOLD),
             rebuild: None,
             schedule: ReshardDriver::default(),
@@ -442,15 +420,16 @@ impl ShardedEngine {
         Ok(())
     }
 
-    /// Serves every pending per-shard batch concurrently through
-    /// [`ordered_map`]: one work item per non-empty shard batch, each
-    /// through [`SelfAdjustingTree::serve_batch`]; once all are served, the
-    /// batch summaries are merged in ascending shard order. Shards with
-    /// nothing buffered are never dispatched (merging their empty summary
-    /// would be the identity), so a drain's work grows with the shards it
-    /// serves, not with the shard count. While the read side is open, the
-    /// worker that served a batch without error also captures the shard for
-    /// the drain's publication.
+    /// Serves every pending per-shard batch concurrently on the engine's
+    /// drain pool: one job per non-empty shard batch, each through
+    /// [`SelfAdjustingTree::serve_batch`], claimed by the pool's long-lived
+    /// workers and by the calling thread, which serves too and then collects
+    /// the rest. Once all are served, the batch summaries are merged in
+    /// ascending shard order. Shards with nothing buffered are never
+    /// dispatched (merging their empty summary would be the identity), so a
+    /// drain's work grows with the shards it serves, not with the shard
+    /// count. While the read side is open, the thread that served a batch
+    /// without error also captures the shard for the drain's publication.
     ///
     /// Returns the cost of exactly the requests this call served: the
     /// shard-order merge of the batch summaries, `max_*` fields included
@@ -463,6 +442,11 @@ impl ShardedEngine {
     /// up to its own failure point; the unserved tail of a failing batch is
     /// discarded, so [`EngineReport::requests`] reports what was actually
     /// accounted, not what was submitted.
+    ///
+    /// # Panics
+    ///
+    /// If a shard's tree panics, the panic is re-raised here, on the
+    /// caller, once every other batch has been served.
     pub fn drain(&mut self) -> Result<CostSummary, ServeError> {
         if !self.control.begin_drain() {
             return Ok(CostSummary::new());
@@ -472,30 +456,14 @@ impl ShardedEngine {
         // The drain's summed delta reaches the registry only after the
         // publication below.
         let mut drained = CostSummary::new();
-        // One work item per non-empty shard batch, listed in ascending shard
-        // order; summaries merge in that order (every shard's served prefix
-        // is accounted, failed or not), and the error reported is the
+        // The pool hands back every served shard's summary in ascending
+        // shard order; summaries merge in that order (every shard's served
+        // prefix is accounted, failed or not), and the error reported is the
         // lowest-indexed failing shard's, independent of completion order.
-        let mut batches: Vec<(u32, &mut Shard)> = self
-            .shards
-            .iter_mut()
-            .enumerate()
-            .filter(|(_, shard)| !shard.pending.is_empty())
-            .map(|(index, shard)| (index as u32, shard))
-            .collect();
         let capturing = self.hub.is_some();
-        let allocations = &self.metrics.snapshot_capture_allocations;
-        let outcomes = ordered_map(&mut batches, self.parallelism, |(index, shard)| {
-            let mut delta = CostSummary::new();
-            let outcome = shard.tree.serve_batch(&shard.pending, &mut delta);
-            shard.pending.clear();
-            shard.changed = true;
-            let capture = (capturing && outcome.is_ok()).then(|| shard.capture(allocations));
-            (*index, delta, outcome, capture)
-        });
         let mut failure = None;
         let mut captured = Vec::new();
-        for (index, delta, outcome, capture) in outcomes {
+        for (index, (delta, outcome, capture)) in self.pool.drain(&mut self.shards, capturing) {
             drained.merge(&delta);
             self.accounting.merge_into_shard(index, &delta);
             // The batch was consumed (cleared even on failure).
@@ -1077,6 +1045,147 @@ mod tests {
             for (shard, gauge) in engine.metrics().shard_buffered.iter().enumerate() {
                 assert_eq!(gauge.get(), 0, "{parallelism:?}: shard {shard} gauge");
             }
+        }
+    }
+
+    /// A real shard tree that panics on one poisoned local element, after
+    /// the same optional `gate`/`signal` handshake as [`Poisoned`].
+    struct Panicking {
+        inner: Box<dyn SelfAdjustingTree + Send>,
+        shard: u32,
+        poison: ElementId,
+        gate: Option<std::sync::mpsc::Receiver<()>>,
+        signal: Option<std::sync::mpsc::Sender<()>>,
+    }
+
+    impl SelfAdjustingTree for Panicking {
+        fn name(&self) -> &'static str {
+            "panicking"
+        }
+
+        fn occupancy(&self) -> &Occupancy {
+            self.inner.occupancy()
+        }
+
+        fn serve(
+            &mut self,
+            element: ElementId,
+        ) -> Result<satn_tree::ServeCost, satn_tree::TreeError> {
+            if element == self.poison {
+                if let Some(gate) = &self.gate {
+                    gate.recv().expect("the signalling shard is still alive");
+                }
+                if let Some(signal) = &self.signal {
+                    signal.send(()).expect("the gated shard is still alive");
+                }
+                panic!("shard {}'s tree panicked", self.shard);
+            }
+            self.inner.serve(element)
+        }
+    }
+
+    /// Runs `f` on a thread of its own and returns its result, failing the
+    /// test if `f` panics or has not returned within a minute, so a drain
+    /// pool that deadlocks fails the suite instead of hanging it.
+    fn within_a_minute<T: Send + 'static>(f: impl FnOnce() -> T + Send + 'static) -> T {
+        let (done, result) = std::sync::mpsc::channel();
+        std::thread::spawn(move || done.send(f()));
+        result
+            .recv_timeout(std::time::Duration::from_secs(60))
+            .expect("the run panicked or hung")
+    }
+
+    #[test]
+    fn a_panicking_tree_panics_the_drain_caller_and_every_shard_comes_back() {
+        let sharded = scenario(AlgorithmKind::RotorPush, ShardRouter::Range);
+        let partition = sharded.partition();
+        let requests: Vec<ElementId> = sharded.stream().collect();
+        let first_local = |shard: u32| {
+            requests
+                .iter()
+                .find_map(|&element| partition.localize(element).filter(|&(s, _)| s == shard))
+                .map(|(_, local)| local)
+                .unwrap()
+        };
+        let poisons = [first_local(0), first_local(3)];
+        let (message, fingerprints, workers, shared) = within_a_minute(move || {
+            // Shards 0 and 3 panic, shard 0 only after shard 3 has: whichever
+            // thread claims shard 0 waits, so the other serves shard 3, and
+            // at least one of the two panics is a worker's. The panic
+            // re-raised must still be shard 0's, the lowest.
+            let (signal, gate) = std::sync::mpsc::channel();
+            let (mut signal, mut gate) = (Some(signal), Some(gate));
+            let trees = sharded
+                .shard_scenarios()
+                .iter()
+                .zip(0u32..)
+                .map(|(reference, shard)| {
+                    let inner = reference.instantiate().unwrap();
+                    match shard {
+                        0 | 3 => Box::new(Panicking {
+                            inner,
+                            shard,
+                            poison: poisons[(shard / 3) as usize],
+                            gate: if shard == 0 { gate.take() } else { None },
+                            signal: if shard == 3 { signal.take() } else { None },
+                        }),
+                        _ => inner,
+                    }
+                })
+                .collect();
+            let mut engine = ShardedEngine::assemble(partition, trees, Parallelism::Threads(2));
+            engine.set_drain_threshold(1_000_000).unwrap();
+            let _reader = engine.snapshots();
+            engine.submit_burst(&requests).unwrap();
+            let panic = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                engine.drain().map(|_| ())
+            }))
+            .expect_err("a panicking tree must panic the drain caller");
+            let message = panic.downcast_ref::<String>().cloned().unwrap_or_default();
+            // Every shard is back home: each answers for its tree.
+            let fingerprints: Vec<Fingerprint> = (0..engine.shards())
+                .map(|shard| engine.fingerprint(shard))
+                .collect();
+            assert_eq!(engine.accounting().requests(), 0, "a panic merges nothing");
+            let (workers, shared) = engine.pool.watch();
+            drop(engine);
+            (message, fingerprints, workers, shared.strong_count())
+        });
+        assert_eq!(message, "shard 0's tree panicked");
+        assert_eq!(fingerprints.len(), 4);
+        assert_eq!(workers, 1);
+        assert_eq!(shared, 0, "the dropped engine joined its worker");
+    }
+
+    #[test]
+    fn dropping_an_engine_with_buffered_requests_joins_its_workers() {
+        let sharded = scenario(AlgorithmKind::RotorPush, ShardRouter::Hash);
+        for parallelism in [Parallelism::Threads(2), Parallelism::Threads(7)] {
+            let sharded = sharded.clone();
+            let (workers, shared, mut reader) = within_a_minute(move || {
+                let mut engine = ShardedEngineConfig::from_scenario(&sharded)
+                    .parallelism(parallelism)
+                    .drain_threshold(1_000)
+                    .build()
+                    .unwrap();
+                let reader = engine.snapshots();
+                // Three drains, then requests still buffered at the drop.
+                let requests: Vec<ElementId> = sharded.stream().collect();
+                engine.submit_burst(&requests).unwrap();
+                engine.submit_burst(&requests[..500]).unwrap();
+                assert_eq!(engine.drains(), 3);
+                let (workers, shared) = engine.pool.watch();
+                drop(engine);
+                (workers, shared.strong_count(), reader)
+            });
+            // Four shards: more threads than that would never get a job.
+            assert_eq!(workers, parallelism.threads().min(4) - 1, "{parallelism:?}");
+            assert_eq!(shared, 0, "{parallelism:?}: a worker outlived the drop");
+            // The read side outlives the engine.
+            assert!(
+                reader.lookup(ElementId::new(0)).is_some(),
+                "{parallelism:?}"
+            );
         }
     }
 

@@ -7,7 +7,7 @@
 //! ```text
 //!                          ┌──────────────── satn-serve ────────────────┐
 //!  producers               │   ShardRouter        per-shard batches     │
-//!  (workloads,   bounded   │   (hash or           ┌─────┐   satn-exec   │
+//!  (workloads,   bounded   │   (hash or           ┌─────┐   drain       │
 //!   sockets,  ── MPSC ───▶ │    range)           ─▶ S₀  │── pool ──┐    │
 //!   tests)       IngestQueue                      ├─────┤  drains  │    │
 //!                 + flush  │                    ─▶ S₁  │  batches  ▼    │
@@ -23,8 +23,9 @@
 //!   universe via an **epoch-versioned** [`Partition`] built from a
 //!   pluggable [`ShardRouter`] policy (the engine keeps only the live
 //!   epoch's partition); requests buffer per shard and drain concurrently through the
-//!   allocation-free `serve_batch` fast path, one `satn-exec` work item
-//!   per shard batch,
+//!   allocation-free `serve_batch` fast path, one job per shard batch on
+//!   the engine's long-lived drain pool, which the draining thread serves
+//!   in too,
 //! * [`ShardedEngine::reshard`] — the deterministic handover: **drain
 //!   fence** (buffered batches served under the closing epoch, boundary
 //!   fingerprints recorded) → **migrate** (moved elements deleted from

@@ -357,6 +357,10 @@ fn lookups_never_trail_the_served_counter() {
     let metrics = Arc::clone(engine.metrics());
     let mut reader = engine.snapshots();
     let stop = Arc::new(AtomicBool::new(false));
+    // The engine starts only once the racer has checked once, so the two
+    // overlap even when a drain takes a few microseconds and the racer's
+    // thread is scheduled late.
+    let (started, racing) = std::sync::mpsc::channel();
     let racer = {
         let stop = Arc::clone(&stop);
         let universe = scenario.universe();
@@ -373,10 +377,14 @@ fn lookups_never_trail_the_served_counter() {
                     answer.served
                 );
                 checks += 1;
+                if checks == 1 {
+                    started.send(()).unwrap();
+                }
             }
             checks
         })
     };
+    racing.recv().unwrap();
     for request in scenario.stream() {
         engine.submit(request).unwrap();
     }

@@ -310,7 +310,8 @@ impl ShardedScenario {
     /// shard's epoch-0 [`Scenario`], with the same levels, seeds and initial
     /// placement. Only the offline algorithm (Static-Opt) lays its tree out
     /// from the shard's subsequence, so only then is the stream generated
-    /// and split; every online tree is built without it.
+    /// and split, once, and each tree is laid out from its split slice;
+    /// every online tree is built without it.
     ///
     /// # Errors
     ///
@@ -320,14 +321,21 @@ impl ShardedScenario {
         &self,
         partition: &Partition,
     ) -> Result<Vec<Box<dyn SelfAdjustingTree + Send>>, (u32, TreeError)> {
-        let split = if self.algorithm == AlgorithmKind::StaticOpt {
-            partition.split_stream(self.stream())
-        } else {
-            vec![Vec::new(); partition.shards() as usize]
-        };
+        let split = (self.algorithm == AlgorithmKind::StaticOpt)
+            .then(|| partition.split_stream(self.stream()));
+        // The scenarios carry no requests: a tree is built from the levels,
+        // seeds and initial placement, plus the slice an offline layout needs.
+        let empty = vec![Vec::new(); partition.shards() as usize];
         (0..)
-            .zip(self.epoch_scenarios(partition, split))
-            .map(|(shard, scenario)| scenario.instantiate().map_err(|error| (shard, error)))
+            .zip(self.epoch_scenarios(partition, empty))
+            .map(|(shard, scenario)| {
+                let sequence = split
+                    .as_ref()
+                    .map_or(&[][..], |split| &split[shard as usize]);
+                scenario
+                    .instantiate_with(sequence)
+                    .map_err(|error| (shard, error))
+            })
             .collect()
     }
 
