@@ -24,8 +24,10 @@ use std::fmt;
 use std::fmt::Write as _;
 
 /// Number of distinct wire-frame tags the per-tag counters cover (tags
-/// `0..=8`: request, burst, flush, reshard, ack, lookup, found, stats,
-/// stats-reply).
+/// `0..=8`: retired, burst, flush, reshard, ack, lookup, found, stats,
+/// stats-reply). Tag 0 was the single-request frame; it no longer decodes,
+/// so its counters stay at zero, and it keeps its slot so that tags 1–8
+/// keep their numbers.
 pub const WIRE_TAG_COUNT: usize = 9;
 
 /// The canonical metric names, shared by the registry, the tests, and every

@@ -244,7 +244,7 @@ fn main() -> ExitCode {
     });
 
     let started = Instant::now();
-    let reports = serve_connections(&listener, &sender, Some(&reader), connections);
+    let reports = serve_connections(&listener, &sender, &reader, connections);
     drop(sender); // Close the channel so the engine drains and finishes.
     let elapsed = started.elapsed().as_secs_f64();
 

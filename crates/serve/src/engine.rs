@@ -634,7 +634,6 @@ impl ShardedEngine {
     pub fn serve_queue(&mut self, queue: &IngestQueue) -> Result<(), ServeError> {
         loop {
             match queue.recv() {
-                Some(IngestMessage::Request(element)) => self.submit(element)?,
                 Some(IngestMessage::Burst(burst)) => self.submit_burst(&burst)?,
                 Some(IngestMessage::Flush) => {
                     self.drain()?;
@@ -802,7 +801,7 @@ impl EngineReport {
 mod tests {
     use super::*;
     use crate::config::ShardedEngineConfig;
-    use crate::ingest::ingest_channel;
+    use crate::ingest::ingest_channel_with_metrics;
     use satn_sim::{AlgorithmKind, ShardRouter, SimRunner, WorkloadSpec};
     use satn_workloads::shard::{ReshardEvent, ReshardPolicy};
 
@@ -901,7 +900,7 @@ mod tests {
         let direct_report = direct.finish().unwrap();
 
         let mut queued = engine(&sharded, Parallelism::Threads(2));
-        let (sender, queue) = ingest_channel(8);
+        let (sender, queue) = ingest_channel_with_metrics(8, Arc::clone(queued.metrics()));
         let requests: Vec<ElementId> = sharded.stream().collect();
         let producer = std::thread::spawn(move || {
             for chunk in requests.chunks(97) {

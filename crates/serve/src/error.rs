@@ -12,7 +12,8 @@ use std::fmt;
 #[derive(Debug)]
 #[non_exhaustive]
 pub enum ServeError {
-    /// A submitted request names an element outside the engine's universe.
+    /// A submitted request or a lookup names an element outside the engine's
+    /// universe.
     OutOfUniverse {
         /// The offending element.
         element: ElementId,
@@ -47,12 +48,6 @@ pub enum ServeError {
         /// Why resharding is unavailable.
         reason: &'static str,
     },
-    /// A lookup was issued on an ingest handle that has no snapshot reader
-    /// attached — the transport can carry writes but not reads.
-    LookupUnsupported,
-    /// A stats poll was issued on an ingest handle that has no metrics
-    /// registry attached.
-    StatsUnsupported,
     /// The ingestion peer is gone: the queue consumer was dropped (channel
     /// transport) or the connection was shut down (network transport).
     Closed,
@@ -116,12 +111,6 @@ impl fmt::Display for ServeError {
             ServeError::ReshardUnsupported { reason } => {
                 write!(f, "the engine cannot reshard: {reason}")
             }
-            ServeError::LookupUnsupported => {
-                f.write_str("this ingest handle has no snapshot reader to serve lookups")
-            }
-            ServeError::StatsUnsupported => {
-                f.write_str("this ingest handle has no metrics registry to serve stats")
-            }
             ServeError::Closed => f.write_str("the ingest peer is gone"),
             ServeError::Io(error) => write!(f, "transport: {error}"),
             ServeError::Protocol(error) => write!(f, "protocol: {error}"),
@@ -140,8 +129,6 @@ impl std::error::Error for ServeError {
             ServeError::Reshard(error) => Some(error),
             ServeError::Handover { .. } => None,
             ServeError::ReshardUnsupported { .. } => None,
-            ServeError::LookupUnsupported => None,
-            ServeError::StatsUnsupported => None,
             ServeError::Closed => None,
             ServeError::Io(error) => Some(error),
             ServeError::Protocol(error) => Some(error),

@@ -35,21 +35,24 @@
 //!   keep their live trees) → **epoch bump** (partition + ledger). Also
 //!   reachable as a [`ReshardPlan`] control frame through the ingest
 //!   queue, or automatically via a load-adaptive [`ReshardPolicy`],
-//! * [`Ingest`] — the transport-agnostic ingestion trait (`send`,
-//!   `send_burst`, `flush`, `reshard`, `lookup`), implemented by both the
-//!   in-process [`IngestSender`] and the TCP client [`TcpIngest`]; code
-//!   written against it runs identically over either transport,
+//! * [`Ingest`] — the transport-agnostic write verbs (`send_burst`,
+//!   `flush`, `reshard`), implemented by both the in-process
+//!   [`IngestSender`] and the TCP client [`TcpIngest`]; code written
+//!   against it runs identically over either transport. A single request
+//!   is a one-element burst,
 //! * [`ShardedEngine::snapshots`] / [`SnapshotReader`] — the lock-free
 //!   **read phase**: every drain boundary atomically publishes an immutable
 //!   [`EngineSnapshot`] (epoch partition + one frozen
 //!   [`TreeSnapshot`](satn_tree::TreeSnapshot) per shard) that any number
 //!   of reader handles serve lookups from without touching the write path,
-//! * [`ingest_channel`] / [`IngestQueue`] — the bounded channel-based
-//!   ingestion layer with backpressure and a drain/flush/reshard protocol,
+//! * [`ingest_channel_with_metrics`] / [`IngestQueue`] — the bounded,
+//!   metered channel-based ingestion layer with backpressure and a
+//!   drain/flush/reshard protocol,
 //! * [`wire`](crate::Frame) / [`serve_connections`] — the length-prefixed
 //!   binary wire protocol and the server-side accept loop behind the
 //!   `satnd` binary, carrying the same protocol over TCP with per-frame
-//!   acknowledgements and end-to-end backpressure,
+//!   acknowledgements and end-to-end backpressure; every connection also
+//!   answers the lookups and stats polls of a [`TcpIngest`] client,
 //! * [`EngineMetrics`] / [`TraceRing`] — the `satn-obs` observability
 //!   layer threaded through the engine: lock-free counters and gauges
 //!   updated at drain boundaries (so every counter in a
@@ -118,8 +121,7 @@ pub use config::ShardedEngineConfig;
 pub use engine::{EngineReport, ShardReport, ShardedEngine, DEFAULT_DRAIN_THRESHOLD};
 pub use error::ServeError;
 pub use ingest::{
-    ingest_channel, ingest_channel_with_metrics, replay, Ingest, IngestMessage, IngestQueue,
-    IngestSender,
+    ingest_channel_with_metrics, replay, Ingest, IngestMessage, IngestQueue, IngestSender,
 };
 pub use net::{serve_connections, ConnectionReport, TcpIngest, DEFAULT_WINDOW};
 pub use snapshot::{EngineSnapshot, LookupAnswer, SnapshotReader};

@@ -1,6 +1,6 @@
 //! The TCP transport of the ingestion protocol: the client-side
-//! [`TcpIngest`] implementor of [`Ingest`] and the server-side accept loop
-//! feeding an [`IngestSender`].
+//! [`TcpIngest`] implementor of [`Ingest`], which also reads, and the
+//! server-side accept loop feeding an [`IngestSender`].
 //!
 //! ```text
 //!  client                         server (satnd)
@@ -46,9 +46,10 @@
 //! connections carry on.
 //!
 //! **The read path:** a `Lookup` frame never enters the channel above.
-//! When the accept loop is given a [`SnapshotReader`], each connection
-//! thread answers lookups directly from the engine's published snapshot —
-//! lock-free, off the write path — and replies with a `Found` frame.
+//! Each connection thread holds its own clone of the accept loop's
+//! [`SnapshotReader`] and answers lookups directly from the engine's
+//! published snapshot — lock-free, off the write path — with a `Found`
+//! frame; a `Stats` frame is answered from the sender's registry.
 //! Lookups carry no sequence number and consume no window slot; the
 //! `Found` reply is their acknowledgement. The engine adds to its served
 //! counter only after publishing the snapshot that covers those requests,
@@ -72,7 +73,9 @@ pub const DEFAULT_WINDOW: usize = 32;
 
 /// The TCP implementor of [`Ingest`]: encodes protocol messages as wire
 /// frames on a connection to a `satnd` server, pipelining up to `window`
-/// frames ahead of the server's cumulative acknowledgements.
+/// frames ahead of the server's cumulative acknowledgements. It also reads:
+/// [`lookup`](Self::lookup) and [`stats`](Self::stats) are one round trip
+/// each.
 pub struct TcpIngest {
     reader: BufReader<TcpStream>,
     writer: TcpStream,
@@ -199,13 +202,62 @@ impl TcpIngest {
             .into()),
         }
     }
+
+    /// Writes a read frame and blocks for the server's reply to it. Reads
+    /// take no window slot and no acknowledgement — but acknowledgements
+    /// for previously pipelined write frames may arrive first (the server
+    /// replies strictly in request order), so they are absorbed here.
+    fn read_reply(&mut self, request: &Frame) -> Result<Frame, ServeError> {
+        write_frame(&mut self.writer, request, &mut self.write_scratch)?;
+        loop {
+            match read_frame(&mut self.reader, &mut self.read_scratch)? {
+                Some(Frame::Ack { seq }) => self.note_ack(seq)?,
+                Some(reply) => return Ok(reply),
+                None => return Err(ServeError::Closed),
+            }
+        }
+    }
+
+    /// Sends a `Lookup` frame and blocks for its `Found` reply — the **read
+    /// phase** of the protocol, answered from the engine's most recently
+    /// published snapshot without entering the write path.
+    ///
+    /// # Errors
+    ///
+    /// An element outside the engine's universe is a protocol violation:
+    /// the server records [`ServeError::OutOfUniverse`] in the
+    /// connection's [`ConnectionReport`] and closes the connection, so the
+    /// client sees [`ServeError::Closed`]. Transport failures surface as
+    /// [`ServeError::Io`] / [`ServeError::Protocol`].
+    pub fn lookup(&mut self, element: ElementId) -> Result<LookupAnswer, ServeError> {
+        let reason = match self.read_reply(&Frame::Lookup { element })? {
+            Frame::Found(answer) if answer.element == element => return Ok(answer),
+            Frame::Found(_) => "found frame answers a different element",
+            _ => "expected a found or acknowledgement frame",
+        };
+        Err(WireError::Malformed { reason }.into())
+    }
+
+    /// Sends a `Stats` frame and blocks for its `StatsReply`: the engine's
+    /// registry, frozen by the server. Like [`lookup`](Self::lookup), a stats
+    /// poll never enters the write path.
+    ///
+    /// # Errors
+    ///
+    /// [`ServeError::Closed`] if the server closed the connection, plus
+    /// [`ServeError::Io`] / [`ServeError::Protocol`].
+    pub fn stats(&mut self) -> Result<MetricsSnapshot, ServeError> {
+        match self.read_reply(&Frame::Stats)? {
+            Frame::StatsReply(snapshot) => Ok(snapshot),
+            _ => Err(WireError::Malformed {
+                reason: "expected a stats reply or acknowledgement frame",
+            }
+            .into()),
+        }
+    }
 }
 
 impl Ingest for TcpIngest {
-    fn send(&mut self, element: ElementId) -> Result<(), ServeError> {
-        self.send_frame(IngestMessage::Request(element))
-    }
-
     /// A burst longer than [`MAX_BURST_ELEMENTS`] is split into cap-sized
     /// frames client-side — the elements still arrive in burst order, one
     /// frame after another on the same ordered connection, so the engine
@@ -229,60 +281,6 @@ impl Ingest for TcpIngest {
 
     fn reshard(&mut self, plan: &ReshardPlan) -> Result<(), ServeError> {
         self.send_frame(IngestMessage::Reshard(plan.clone()))
-    }
-
-    /// Sends a `Lookup` frame and blocks for its `Found` reply. Lookups
-    /// take no window slot and no acknowledgement — but acknowledgements
-    /// for previously pipelined write frames may arrive first (the server
-    /// replies strictly in request order), so they are absorbed here.
-    fn lookup(&mut self, element: ElementId) -> Result<LookupAnswer, ServeError> {
-        write_frame(
-            &mut self.writer,
-            &Frame::Lookup { element },
-            &mut self.write_scratch,
-        )?;
-        loop {
-            match read_frame(&mut self.reader, &mut self.read_scratch)? {
-                Some(Frame::Found(answer)) => {
-                    if answer.element != element {
-                        return Err(WireError::Malformed {
-                            reason: "found frame answers a different element",
-                        }
-                        .into());
-                    }
-                    return Ok(answer);
-                }
-                Some(Frame::Ack { seq }) => self.note_ack(seq)?,
-                Some(_) => {
-                    return Err(WireError::Malformed {
-                        reason: "expected a found or acknowledgement frame",
-                    }
-                    .into())
-                }
-                None => return Err(ServeError::Closed),
-            }
-        }
-    }
-
-    /// Sends a `Stats` frame and blocks for its `StatsReply`. Like
-    /// [`lookup`](Ingest::lookup), a stats poll takes no window slot and
-    /// absorbs any acknowledgements for pipelined write frames that arrive
-    /// ahead of the reply.
-    fn stats(&mut self) -> Result<MetricsSnapshot, ServeError> {
-        write_frame(&mut self.writer, &Frame::Stats, &mut self.write_scratch)?;
-        loop {
-            match read_frame(&mut self.reader, &mut self.read_scratch)? {
-                Some(Frame::StatsReply(snapshot)) => return Ok(snapshot),
-                Some(Frame::Ack { seq }) => self.note_ack(seq)?,
-                Some(_) => {
-                    return Err(WireError::Malformed {
-                        reason: "expected a stats reply or acknowledgement frame",
-                    }
-                    .into())
-                }
-                None => return Err(ServeError::Closed),
-            }
-        }
     }
 }
 
@@ -324,15 +322,16 @@ impl ConnectionReport {
 /// Serves one established connection: ingest frames are forwarded into the
 /// engine's bounded channel (blocking there is what propagates engine
 /// backpressure onto the socket) and acknowledged once enqueued; lookup
-/// frames are answered on the spot from `reads`' published snapshot,
-/// without ever touching the channel. Returns the accepted-frame and
-/// answered-lookup counts and the error that ended the connection, if any.
+/// frames are answered on the spot from `reads`' published snapshot and
+/// stats frames from the sender's registry, without ever touching the
+/// channel. Returns the accepted-frame and answered-lookup counts and the
+/// error that ended the connection, if any.
 fn serve_connection(
     stream: &TcpStream,
     sender: &IngestSender,
-    mut reads: Option<SnapshotReader>,
+    mut reads: SnapshotReader,
 ) -> (u64, u64, Option<ServeError>) {
-    let metrics = sender.metrics().cloned();
+    let metrics: &EngineMetrics = sender.metrics();
     let mut frames = 0u64;
     let mut lookups = 0u64;
     let mut error = None;
@@ -346,36 +345,30 @@ fn serve_connection(
             // Reading past the buffered bytes may block on the client, which
             // may itself be waiting for the replies queued so far.
             if !holds_complete_frame(reader.buffer()) {
-                write_replies(stream, &mut replies, metrics.as_deref())?;
+                write_replies(stream, &mut replies, metrics)?;
             }
             let Some(frame) = read_frame(&mut reader, &mut read_scratch)? else {
                 return Ok(());
             };
-            if let Some(metrics) = &metrics {
-                // The body sits in `read_scratch`; the length prefix adds 4.
-                metrics.note_wire_frame(frame.tag(), read_scratch.len() + 4);
-            }
+            // The body sits in `read_scratch`; the length prefix adds 4.
+            metrics.note_wire_frame(frame.tag(), read_scratch.len() + 4);
             let reply = match frame {
                 Frame::Ingest(message) => {
                     // A full channel blocks here, so nothing may wait behind it.
-                    write_replies(stream, &mut replies, metrics.as_deref())?;
+                    write_replies(stream, &mut replies, metrics)?;
                     sender.send_message(message)?;
                     frames += 1;
                     Frame::Ack { seq: frames }
                 }
                 Frame::Lookup { element } => {
-                    let reader = reads.as_mut().ok_or(ServeError::LookupUnsupported)?;
-                    let answer = reader.lookup(element).ok_or_else(|| {
-                        let universe = reader.snapshot().partition().universe();
+                    let answer = reads.lookup(element).ok_or_else(|| {
+                        let universe = reads.snapshot().partition().universe();
                         ServeError::OutOfUniverse { element, universe }
                     })?;
                     lookups += 1;
                     Frame::Found(answer)
                 }
-                Frame::Stats => {
-                    let metrics = metrics.as_ref().ok_or(ServeError::StatsUnsupported)?;
-                    Frame::StatsReply(metrics.snapshot())
-                }
+                Frame::Stats => Frame::StatsReply(metrics.snapshot()),
                 Frame::Ack { .. } | Frame::Found(_) | Frame::StatsReply(_) => {
                     return Err(WireError::Malformed {
                         reason: "clients may not send server reply frames",
@@ -385,18 +378,16 @@ fn serve_connection(
             };
             let start = replies.len();
             encode_frame(&reply, &mut replies)?;
-            if let Some(metrics) = &metrics {
-                metrics.note_wire_frame(reply.tag(), replies.len() - start);
-            }
+            metrics.note_wire_frame(reply.tag(), replies.len() - start);
             // An ack leaves at once, exactly when the frame was enqueued.
             if matches!(reply, Frame::Ack { .. }) {
-                write_replies(stream, &mut replies, metrics.as_deref())?;
+                write_replies(stream, &mut replies, metrics)?;
             }
         }
     })();
     if let Err(cause) = outcome {
         // Replies to frames served before the failure still go out.
-        let _ = write_replies(stream, &mut replies, metrics.as_deref());
+        let _ = write_replies(stream, &mut replies, metrics);
         // Closing the read side unblocks a client still writing frames.
         let _ = stream.shutdown(Shutdown::Both);
         error = Some(cause);
@@ -419,14 +410,12 @@ fn holds_complete_frame(buffered: &[u8]) -> bool {
 fn write_replies(
     mut writer: &TcpStream,
     replies: &mut Vec<u8>,
-    metrics: Option<&EngineMetrics>,
+    metrics: &EngineMetrics,
 ) -> Result<(), ServeError> {
     if replies.is_empty() {
         return Ok(());
     }
-    if let Some(metrics) = metrics {
-        metrics.wire_reply_writes.inc();
-    }
+    metrics.wire_reply_writes.inc();
     let written = writer.write_all(replies);
     replies.clear();
     Ok(written?)
@@ -447,12 +436,12 @@ fn record_report(reports: &Mutex<Vec<ConnectionReport>>, report: ConnectionRepor
 /// from `listener` and serves each on its own scoped thread, spawned as the
 /// connection is accepted, forwarding every decoded ingest frame into
 /// `sender`'s bounded channel. Every accepted connection is served at once,
-/// so an idle client never stalls another. When `reads` is given, each
-/// connection gets its own clone of the [`SnapshotReader`] and answers
-/// `Lookup` frames lock-free from the engine's published snapshot; without
-/// it, a lookup closes its connection with
-/// [`ServeError::LookupUnsupported`]. Returns one [`ConnectionReport`] per
-/// connection, in accept order, once every connection has closed.
+/// so an idle client never stalls another. Each connection gets its own
+/// clone of `reads` and answers `Lookup` frames lock-free from the engine's
+/// published snapshot, and answers `Stats` frames from `sender`'s registry,
+/// which also counts the connections and their per-tag wire traffic.
+/// Returns one [`ConnectionReport`] per connection, in accept order, once
+/// every connection has closed.
 ///
 /// Per-connection failures (malformed frames, vanished clients) are
 /// **contained**: they appear in that connection's report while every
@@ -469,7 +458,7 @@ fn record_report(reports: &Mutex<Vec<ConnectionReport>>, report: ConnectionRepor
 pub fn serve_connections(
     listener: &TcpListener,
     sender: &IngestSender,
-    reads: Option<&SnapshotReader>,
+    reads: &SnapshotReader,
     connections: usize,
 ) -> Result<Vec<ConnectionReport>, ServeError> {
     let reports: Mutex<Vec<ConnectionReport>> = Mutex::new(Vec::with_capacity(connections));
@@ -477,21 +466,15 @@ pub fn serve_connections(
     std::thread::scope(|scope| -> Result<(), ServeError> {
         for connection in 0..connections as u64 {
             let (stream, _peer) = listener.accept()?;
-            if let Some(metrics) = metrics {
-                metrics.connections_total.inc();
-            }
+            metrics.connections_total.inc();
             // Each connection reads through its own independently cached
             // handle.
-            let reads = reads.cloned();
+            let reads = reads.clone();
             let reports = &reports;
             scope.spawn(move || {
-                if let Some(metrics) = metrics {
-                    metrics.connections_active.inc();
-                }
+                metrics.connections_active.inc();
                 let (frames, lookups, error) = serve_connection(&stream, sender, reads);
-                if let Some(metrics) = metrics {
-                    metrics.connections_active.dec();
-                }
+                metrics.connections_active.dec();
                 record_report(
                     reports,
                     ConnectionReport {
@@ -513,8 +496,11 @@ pub fn serve_connections(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::ingest::ingest_channel;
+    use crate::config::ShardedEngineConfig;
+    use crate::ingest::{ingest_channel_with_metrics, IngestQueue};
+    use satn_sim::{AlgorithmKind, ShardedScenario, WorkloadSpec};
     use std::net::{Ipv4Addr, SocketAddr};
+    use std::sync::Arc;
 
     fn loopback_listener() -> (TcpListener, SocketAddr) {
         let listener = TcpListener::bind((Ipv4Addr::LOCALHOST, 0)).unwrap();
@@ -522,14 +508,41 @@ mod tests {
         (listener, addr)
     }
 
+    /// A channel reporting into a registry of its own.
+    fn channel(capacity: usize) -> (IngestSender, IngestQueue) {
+        ingest_channel_with_metrics(capacity, Arc::new(EngineMetrics::new(1)))
+    }
+
+    /// The read side for servers whose tests exercise only the write path:
+    /// a one-shard stand-in engine's reader.
+    fn stand_in_reader() -> SnapshotReader {
+        let scenario =
+            ShardedScenario::new(AlgorithmKind::RotorPush, WorkloadSpec::Uniform, 1, 1, 0, 0);
+        ShardedEngineConfig::from_scenario(&scenario)
+            .build()
+            .unwrap()
+            .snapshots()
+    }
+
+    /// Serves `connections` connections from `listener` on a helper thread.
+    fn serve(
+        listener: TcpListener,
+        sender: IngestSender,
+        connections: usize,
+    ) -> std::thread::JoinHandle<Vec<ConnectionReport>> {
+        let reads = stand_in_reader();
+        std::thread::spawn(move || {
+            serve_connections(&listener, &sender, &reads, connections).unwrap()
+        })
+    }
+
     #[test]
     fn frames_cross_the_wire_in_order() {
         let (listener, addr) = loopback_listener();
-        let (sender, queue) = ingest_channel(64);
-        let server =
-            std::thread::spawn(move || serve_connections(&listener, &sender, None, 1).unwrap());
+        let (sender, queue) = channel(64);
+        let server = serve(listener, sender, 1);
         let mut client = TcpIngest::connect(addr).unwrap();
-        client.send(ElementId::new(5)).unwrap();
+        client.send_burst(&[ElementId::new(5)]).unwrap();
         client
             .send_burst(&[ElementId::new(6), ElementId::new(7)])
             .unwrap();
@@ -545,7 +558,7 @@ mod tests {
 
         assert_eq!(
             queue.recv(),
-            Some(IngestMessage::Request(ElementId::new(5)))
+            Some(IngestMessage::Burst(vec![ElementId::new(5)]))
         );
         assert_eq!(
             queue.recv(),
@@ -571,15 +584,14 @@ mod tests {
         // already sitting in the queue when the ack arrives, so a recv right
         // after `drain_acks` returns it without any waiting.
         let (listener, addr) = loopback_listener();
-        let (sender, queue) = ingest_channel(1);
-        let server =
-            std::thread::spawn(move || serve_connections(&listener, &sender, None, 1).unwrap());
+        let (sender, queue) = channel(1);
+        let server = serve(listener, sender, 1);
         let mut client = TcpIngest::connect(addr).unwrap().with_window(1);
-        client.send(ElementId::new(0)).unwrap();
+        client.send_burst(&[ElementId::new(0)]).unwrap();
         assert_eq!(client.drain_acks().unwrap(), 1);
         assert_eq!(
             queue.recv(),
-            Some(IngestMessage::Request(ElementId::new(0)))
+            Some(IngestMessage::Burst(vec![ElementId::new(0)]))
         );
         // Further frames need the drainer: the full channel stalls the
         // server's ack, which stalls the window-1 client — backpressure
@@ -591,8 +603,8 @@ mod tests {
             }
             received
         });
-        client.send(ElementId::new(1)).unwrap();
-        client.send(ElementId::new(2)).unwrap();
+        client.send_burst(&[ElementId::new(1)]).unwrap();
+        client.send_burst(&[ElementId::new(2)]).unwrap();
         assert!(client.acked() >= 1);
         assert_eq!(client.finish().unwrap(), 3);
         let reports = server.join().unwrap();
@@ -601,38 +613,13 @@ mod tests {
     }
 
     #[test]
-    fn lookups_without_a_server_side_reader_close_only_that_connection() {
-        let (listener, addr) = loopback_listener();
-        let (sender, queue) = ingest_channel(16);
-        let server =
-            std::thread::spawn(move || serve_connections(&listener, &sender, None, 2).unwrap());
-        // Connection 0 issues a lookup the server cannot serve: the server
-        // closes it, surfacing the failure client-side too.
-        let mut reading = TcpIngest::connect(addr).unwrap();
-        assert!(Ingest::lookup(&mut reading, ElementId::new(0)).is_err());
-        drop(reading);
-        // Connection 1 still writes normally: failure isolation held.
-        let mut writing = TcpIngest::connect(addr).unwrap();
-        writing.send(ElementId::new(3)).unwrap();
-        assert_eq!(writing.finish().unwrap(), 1);
-        let reports = server.join().unwrap();
-        assert!(matches!(
-            reports[0].error,
-            Some(ServeError::LookupUnsupported)
-        ));
-        assert!(reports[1].is_clean(), "{:?}", reports[1].error);
-        drop(queue);
-    }
-
-    #[test]
     fn an_idle_connection_never_stalls_another() {
         use std::sync::mpsc;
         use std::time::Duration;
 
         let (listener, addr) = loopback_listener();
-        let (sender, queue) = ingest_channel(16);
-        let server =
-            std::thread::spawn(move || serve_connections(&listener, &sender, None, 2).unwrap());
+        let (sender, queue) = channel(16);
+        let server = serve(listener, sender, 2);
         let drainer = std::thread::spawn(move || while queue.recv().is_some() {});
         // Connection 0 connects and sends nothing.
         let idle = TcpIngest::connect(addr).unwrap();
@@ -700,26 +687,25 @@ mod tests {
 
     #[test]
     fn stats_polls_cross_the_wire_and_count_traffic() {
-        use crate::ingest::ingest_channel_with_metrics;
-        use satn_obs::{names, EngineMetrics};
-        use std::sync::Arc;
+        use satn_obs::names;
 
         let (listener, addr) = loopback_listener();
         let metrics = Arc::new(EngineMetrics::new(2));
         let (sender, queue) = ingest_channel_with_metrics(16, Arc::clone(&metrics));
-        let server =
-            std::thread::spawn(move || serve_connections(&listener, &sender, None, 1).unwrap());
+        let server = serve(listener, sender, 1);
         let drainer = std::thread::spawn(move || while queue.recv().is_some() {});
         let mut client = TcpIngest::connect(addr).unwrap();
-        client.send(ElementId::new(5)).unwrap();
-        let snapshot = Ingest::stats(&mut client).unwrap();
+        client.send_burst(&[ElementId::new(5)]).unwrap();
+        let snapshot = client.stats().unwrap();
         assert_eq!(snapshot.counter(names::CONNECTIONS_TOTAL), Some(1));
         assert_eq!(snapshot.gauge(names::CONNECTIONS_ACTIVE), Some(1));
-        // One Request frame (tag 0) and one Stats frame (tag 7) arrived
+        // One Burst frame (tag 1) and one Stats frame (tag 7) arrived
         // before the snapshot froze; the reply itself is not yet counted.
-        assert_eq!(snapshot.counter(&names::wire_frames(0)), Some(1));
+        assert_eq!(snapshot.counter(&names::wire_frames(1)), Some(1));
         assert_eq!(snapshot.counter(&names::wire_frames(7)), Some(1));
-        assert!(snapshot.counter(&names::wire_bytes(0)).unwrap() >= 9);
+        assert_eq!(snapshot.counter(&names::wire_bytes(1)), Some(13));
+        // Tag 0 is retired: its counters stay at zero.
+        assert_eq!(snapshot.counter(&names::wire_frames(0)), Some(0));
         assert_eq!(client.finish().unwrap(), 1);
         let reports = server.join().unwrap();
         assert!(reports[0].is_clean(), "{:?}", reports[0].error);
@@ -736,9 +722,8 @@ mod tests {
         // A tiny window forces the split frames to interleave with acks,
         // exercising the windowed path as well as the chunking itself.
         let (listener, addr) = loopback_listener();
-        let (sender, queue) = ingest_channel(64);
-        let server =
-            std::thread::spawn(move || serve_connections(&listener, &sender, None, 1).unwrap());
+        let (sender, queue) = channel(64);
+        let server = serve(listener, sender, 1);
         let burst: Vec<ElementId> = (0..2 * MAX_BURST_ELEMENTS as u32 + 3)
             .map(ElementId::new)
             .collect();

@@ -6,7 +6,7 @@
 //!
 //! | tag | frame        | payload                                        |
 //! |-----|--------------|------------------------------------------------|
-//! | `0` | `Request`    | element id (`u32`)                             |
+//! | `0` | —            | retired (once a single request); decodes as [`WireError::Malformed`] |
 //! | `1` | `Burst`      | count (`u32`), then count element ids (`u32`)  |
 //! | `2` | `Flush`      | empty                                          |
 //! | `3` | `Reshard`    | count (`u32`), then count moves (`u32` element, `u32` destination shard) |
@@ -64,7 +64,10 @@ pub const MAX_BURST_ELEMENTS: usize = (MAX_FRAME_BODY as usize - 5) / 4;
 /// atomic unit — it cannot be split — so a longer plan is an encode error.
 pub const MAX_PLAN_MOVES: usize = (MAX_FRAME_BODY as usize - 5) / 8;
 
-const TAG_REQUEST: u8 = 0;
+/// Once the single-request frame; a single request is now a one-element
+/// burst. The number stays reserved so that tags 1–8, and the per-tag
+/// traffic counters indexed by them, keep their positions.
+const TAG_RETIRED: u8 = 0;
 const TAG_BURST: u8 = 1;
 const TAG_FLUSH: u8 = 2;
 const TAG_RESHARD: u8 = 3;
@@ -116,7 +119,6 @@ impl Frame {
     /// The frame's wire tag, for per-tag traffic accounting.
     pub fn tag(&self) -> u8 {
         match self {
-            Frame::Ingest(IngestMessage::Request(_)) => TAG_REQUEST,
             Frame::Ingest(IngestMessage::Burst(_)) => TAG_BURST,
             Frame::Ingest(IngestMessage::Flush) => TAG_FLUSH,
             Frame::Ingest(IngestMessage::Reshard(..)) => TAG_RESHARD,
@@ -224,10 +226,6 @@ pub fn encode_frame(frame: &Frame, buf: &mut Vec<u8>) -> Result<(), WireError> {
     push_u32(buf, 0); // Length prefix, patched below.
     let result = (|| {
         match frame {
-            Frame::Ingest(IngestMessage::Request(element)) => {
-                buf.push(TAG_REQUEST);
-                push_u32(buf, element.index());
-            }
             Frame::Ingest(IngestMessage::Burst(burst)) => {
                 let count = check_body_fits(burst.len(), 4, 5)?;
                 buf.push(TAG_BURST);
@@ -302,9 +300,10 @@ pub fn decode_body(body: &[u8]) -> Result<Frame, WireError> {
         });
     };
     let frame = match tag {
-        TAG_REQUEST => {
-            let element = take_u32(&mut payload)?;
-            Frame::Ingest(IngestMessage::Request(ElementId::new(element)))
+        TAG_RETIRED => {
+            return Err(WireError::Malformed {
+                reason: "tag 0 is retired: a single request is a one-element burst",
+            })
         }
         TAG_BURST => {
             let count = take_u32(&mut payload)? as usize;
@@ -459,7 +458,6 @@ mod tests {
 
     #[test]
     fn every_frame_kind_round_trips() {
-        roundtrip(Frame::Ingest(IngestMessage::Request(ElementId::new(42))));
         roundtrip(Frame::Ingest(IngestMessage::Burst(vec![])));
         roundtrip(Frame::Ingest(IngestMessage::Burst(
             (0..100).map(ElementId::new).collect(),
@@ -597,6 +595,11 @@ mod tests {
     #[test]
     fn unknown_tags_and_garbage_are_rejected() {
         assert!(matches!(decode_body(&[99]), Err(WireError::UnknownTag(99))));
+        // The retired single-request frame: tag 0 and one element id.
+        assert!(matches!(
+            decode_body(&[0, 9, 0, 0, 0]),
+            Err(WireError::Malformed { .. })
+        ));
         assert!(matches!(decode_body(&[]), Err(WireError::Malformed { .. })));
         // A flush with trailing garbage.
         assert!(matches!(

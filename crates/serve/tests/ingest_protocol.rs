@@ -7,11 +7,12 @@
 
 use satn_core::AlgorithmKind;
 use satn_serve::{
-    ingest_channel, Ingest, Parallelism, ReshardPlan, ServeError, ShardedEngine,
-    ShardedEngineConfig, ShardedScenario,
+    ingest_channel_with_metrics, EngineMetrics, Ingest, IngestQueue, IngestSender, Parallelism,
+    ReshardPlan, ServeError, ShardedEngine, ShardedEngineConfig, ShardedScenario,
 };
 use satn_sim::WorkloadSpec;
 use satn_tree::ElementId;
+use std::sync::Arc;
 
 fn scenario(requests: usize) -> ShardedScenario {
     ShardedScenario::new(
@@ -31,6 +32,11 @@ fn engine(scenario: &ShardedScenario, parallelism: Parallelism) -> ShardedEngine
         .unwrap()
 }
 
+/// A channel reporting into `engine`'s registry, as `satnd` wires it.
+fn channel(engine: &ShardedEngine, capacity: usize) -> (IngestSender, IngestQueue) {
+    ingest_channel_with_metrics(capacity, Arc::clone(engine.metrics()))
+}
+
 /// Flushing mid-stream and then continuing to send is fully transparent:
 /// the run is byte-identical to one with no flushes at all.
 #[test]
@@ -43,7 +49,7 @@ fn flush_then_send_changes_nothing_but_the_drain_count() {
     let unflushed = unflushed.finish().unwrap();
 
     let mut queued = engine(&scenario, Parallelism::Threads(2));
-    let (mut sender, queue) = ingest_channel(2);
+    let (mut sender, queue) = channel(&queued, 2);
     let producer = std::thread::spawn({
         let requests = requests.clone();
         move || {
@@ -74,7 +80,7 @@ fn sender_dropped_mid_burst_serves_the_delivered_prefix() {
     let scenario = scenario(2_000);
     let requests: Vec<ElementId> = scenario.stream().collect();
     let mut queued = engine(&scenario, Parallelism::Serial);
-    let (mut sender, queue) = ingest_channel(4);
+    let (mut sender, queue) = channel(&queued, 4);
     let delivered: Vec<ElementId> = requests[..700].to_vec();
     let producer = std::thread::spawn({
         let delivered = delivered.clone();
@@ -106,7 +112,7 @@ fn surviving_senders_keep_the_queue_open() {
     let scenario = scenario(600);
     let requests: Vec<ElementId> = scenario.stream().collect();
     let mut queued = engine(&scenario, Parallelism::Serial);
-    let (sender, queue) = ingest_channel(4);
+    let (sender, queue) = channel(&queued, 4);
     let mut clone = sender.clone();
     drop(sender); // The original goes away mid-setup.
     let producer = std::thread::spawn({
@@ -120,14 +126,14 @@ fn surviving_senders_keep_the_queue_open() {
     queued.serve_queue(&queue).unwrap();
     producer.join().unwrap();
     assert_eq!(queued.submitted(), 600);
-    drop(queued);
 
     // With the consumer gone, every protocol message errors — through the
     // trait and the inherent methods alike.
-    let (mut sender, queue) = ingest_channel(1);
+    let (mut sender, queue) = channel(&queued, 1);
+    drop(queued);
     drop(queue);
     assert!(matches!(
-        Ingest::send(&mut sender, ElementId::new(0)),
+        sender.send_burst(vec![ElementId::new(0)]),
         Err(ServeError::Closed)
     ));
     assert!(matches!(
@@ -150,7 +156,7 @@ fn surviving_senders_keep_the_queue_open() {
 #[test]
 #[should_panic(expected = "must be positive")]
 fn zero_capacity_channels_are_rejected() {
-    let _ = ingest_channel(0);
+    let _ = ingest_channel_with_metrics(0, Arc::new(EngineMetrics::new(1)));
 }
 
 /// `Reshard` frames interleaved with bursts: every request sent before the
@@ -163,16 +169,16 @@ fn reshard_frames_interleave_cleanly_with_bursts() {
     let plan = ReshardPlan::new([(ElementId::new(0), 1), (ElementId::new(3), 2)]);
 
     let mut queued = engine(&scenario, Parallelism::Threads(2));
-    let (mut sender, queue) = ingest_channel(1); // Minimal capacity: full backpressure.
+    let (mut sender, queue) = channel(&queued, 1); // Minimal capacity: full backpressure.
     let producer = std::thread::spawn({
         let requests = requests.clone();
         let plan = plan.clone();
         move || {
             Ingest::send_burst(&mut sender, &requests[..900]).unwrap();
             Ingest::reshard(&mut sender, &plan).unwrap();
-            // Continue in single sends and bursts after the handover.
-            for &request in &requests[900..950] {
-                Ingest::send(&mut sender, request).unwrap();
+            // Continue in one-element and longer bursts after the handover.
+            for request in requests[900..950].chunks(1) {
+                Ingest::send_burst(&mut sender, request).unwrap();
             }
             Ingest::send_burst(&mut sender, &requests[950..]).unwrap();
         }

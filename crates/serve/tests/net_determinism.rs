@@ -9,12 +9,14 @@
 
 use satn_core::AlgorithmKind;
 use satn_serve::{
-    ingest_channel, replay, serve_connections, EngineReport, Parallelism, ReshardPolicy,
-    ReshardSchedule, ShardedEngineConfig, ShardedScenario, TcpIngest,
+    ingest_channel_with_metrics, replay, serve_connections, EngineReport, Parallelism,
+    ReshardPolicy, ReshardSchedule, ShardedEngineConfig, ShardedScenario, SnapshotReader,
+    TcpIngest,
 };
 use satn_sim::{ShardRouter, SimRunner, WorkloadSpec};
 use satn_tree::ElementId;
 use std::net::{Ipv4Addr, TcpListener};
+use std::sync::Arc;
 
 fn resharding_scenario() -> ShardedScenario {
     let mut scenario = ShardedScenario::new(
@@ -33,6 +35,18 @@ fn resharding_scenario() -> ShardedScenario {
     scenario
 }
 
+/// The read side for the accept loop, whose clients here only write: a
+/// one-shard stand-in engine's reader, so the engine under test stays
+/// write-only exactly like the in-process run.
+fn stand_in_reader() -> SnapshotReader {
+    let scenario =
+        ShardedScenario::new(AlgorithmKind::RotorPush, WorkloadSpec::Uniform, 1, 1, 0, 0);
+    ShardedEngineConfig::from_scenario(&scenario)
+        .build()
+        .unwrap()
+        .snapshots()
+}
+
 /// Drives `scenario` through the engine via the in-process channel
 /// transport.
 fn run_in_process(scenario: &ShardedScenario, parallelism: Parallelism) -> EngineReport {
@@ -41,7 +55,7 @@ fn run_in_process(scenario: &ShardedScenario, parallelism: Parallelism) -> Engin
         .drain_threshold(512)
         .build()
         .unwrap();
-    let (mut sender, queue) = ingest_channel(16);
+    let (mut sender, queue) = ingest_channel_with_metrics(16, Arc::clone(engine.metrics()));
     let requests: Vec<ElementId> = scenario.stream().collect();
     let producer = std::thread::spawn(move || {
         replay(&mut sender, requests, 256).unwrap();
@@ -61,9 +75,10 @@ fn run_over_tcp(scenario: &ShardedScenario, parallelism: Parallelism) -> EngineR
         .unwrap();
     let listener = TcpListener::bind((Ipv4Addr::LOCALHOST, 0)).unwrap();
     let addr = listener.local_addr().unwrap();
-    let (sender, queue) = ingest_channel(16);
+    let (sender, queue) = ingest_channel_with_metrics(16, Arc::clone(engine.metrics()));
+    let reads = stand_in_reader();
     let server =
-        std::thread::spawn(move || serve_connections(&listener, &sender, None, 1).unwrap());
+        std::thread::spawn(move || serve_connections(&listener, &sender, &reads, 1).unwrap());
     let requests: Vec<ElementId> = scenario.stream().collect();
     let client = std::thread::spawn(move || {
         let mut client = TcpIngest::connect(addr).unwrap();

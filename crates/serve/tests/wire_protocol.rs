@@ -8,10 +8,10 @@
 use satn_core::AlgorithmKind;
 use satn_obs::WIRE_TAG_COUNT;
 use satn_serve::{
-    encode_frame, ingest_channel, ingest_channel_with_metrics, read_frame, serve_connections,
-    EngineMetrics, EngineReport, Frame, Ingest, IngestMessage, IngestQueue, IngestSender,
-    Parallelism, ReshardPlan, ServeError, ShardedEngine, ShardedEngineConfig, ShardedScenario,
-    TcpIngest, WireError, MAX_FRAME_BODY,
+    encode_frame, ingest_channel_with_metrics, read_frame, serve_connections, EngineMetrics,
+    EngineReport, Frame, Ingest, IngestMessage, IngestQueue, IngestSender, Parallelism,
+    ReshardPlan, ServeError, ShardedEngine, ShardedEngineConfig, ShardedScenario, TcpIngest,
+    WireError, MAX_FRAME_BODY,
 };
 use satn_sim::WorkloadSpec;
 use satn_tree::ElementId;
@@ -44,6 +44,25 @@ fn loopback() -> (TcpListener, SocketAddr) {
     (listener, addr)
 }
 
+/// A channel reporting into a registry of its own.
+fn channel(capacity: usize) -> (IngestSender, IngestQueue) {
+    ingest_channel_with_metrics(capacity, Arc::new(EngineMetrics::new(1)))
+}
+
+/// Serves `connections` connections from `listener` on a helper thread. The
+/// tests that use it exercise only the write path, so the read side is a
+/// one-shard stand-in engine's reader.
+fn write_path_server(
+    listener: TcpListener,
+    sender: IngestSender,
+    connections: usize,
+) -> std::thread::JoinHandle<Vec<satn_serve::ConnectionReport>> {
+    let scenario =
+        ShardedScenario::new(AlgorithmKind::RotorPush, WorkloadSpec::Uniform, 1, 1, 0, 0);
+    let reads = engine(&scenario, Parallelism::Serial).snapshots();
+    std::thread::spawn(move || serve_connections(&listener, &sender, &reads, connections).unwrap())
+}
+
 /// Spawns a single-connection server over a fresh channel and hands back the
 /// queue plus the server's join handle.
 fn single_connection_server(
@@ -53,10 +72,8 @@ fn single_connection_server(
     IngestQueue,
     std::thread::JoinHandle<Vec<satn_serve::ConnectionReport>>,
 ) {
-    let (sender, queue) = ingest_channel(capacity);
-    let server =
-        std::thread::spawn(move || serve_connections(&listener, &sender, None, 1).unwrap());
-    (queue, server)
+    let (sender, queue) = channel(capacity);
+    (queue, write_path_server(listener, sender, 1))
 }
 
 /// Drains a queue on a helper thread so servers never block on a full
@@ -81,14 +98,16 @@ fn connections_dropped_mid_frame_are_contained_disconnects() {
     let drainer = drain_in_background(queue);
 
     let mut raw = TcpStream::connect(addr).unwrap();
-    // One complete Request frame: length=5, tag=0, element=9.
+    // One complete one-element Burst frame: length=9, tag=1, count=1,
+    // element=9.
     let mut bytes = Vec::new();
-    bytes.extend_from_slice(&5u32.to_le_bytes());
-    bytes.push(0);
     bytes.extend_from_slice(&9u32.to_le_bytes());
-    // Then a truncated one: a full header promising 5 bytes, but only 2 sent.
-    bytes.extend_from_slice(&5u32.to_le_bytes());
-    bytes.extend_from_slice(&[0, 9]);
+    bytes.push(1);
+    bytes.extend_from_slice(&1u32.to_le_bytes());
+    bytes.extend_from_slice(&9u32.to_le_bytes());
+    // Then a truncated one: a full header promising 9 bytes, but only 2 sent.
+    bytes.extend_from_slice(&9u32.to_le_bytes());
+    bytes.extend_from_slice(&[1, 1]);
     raw.write_all(&bytes).unwrap();
     drop(raw); // Vanish mid-body.
 
@@ -98,7 +117,7 @@ fn connections_dropped_mid_frame_are_contained_disconnects() {
     assert!(error.is_disconnect(), "unexpected error: {error}");
     assert_eq!(
         drainer.join().unwrap(),
-        vec![IngestMessage::Request(ElementId::new(9))]
+        vec![IngestMessage::Burst(vec![ElementId::new(9)])]
     );
 }
 
@@ -168,9 +187,8 @@ fn zero_length_bursts_are_acknowledged_noops() {
     let scenario = scenario(600);
     let requests: Vec<ElementId> = scenario.stream().collect();
     let (listener, addr) = loopback();
-    let (sender, queue) = ingest_channel(8);
-    let server =
-        std::thread::spawn(move || serve_connections(&listener, &sender, None, 1).unwrap());
+    let (sender, queue) = channel(8);
+    let server = write_path_server(listener, sender, 1);
     let mut engine = engine(&scenario, Parallelism::Serial);
     let engine_thread = std::thread::spawn(move || {
         engine.serve_queue(&queue).unwrap();
@@ -201,9 +219,8 @@ fn reshard_frames_interleave_with_flushes_over_the_wire() {
     let plan = ReshardPlan::new([(ElementId::new(0), 1), (ElementId::new(3), 2)]);
 
     let (listener, addr) = loopback();
-    let (sender, queue) = ingest_channel(4);
-    let server =
-        std::thread::spawn(move || serve_connections(&listener, &sender, None, 1).unwrap());
+    let (sender, queue) = channel(4);
+    let server = write_path_server(listener, sender, 1);
     let mut engine = engine(&scenario, Parallelism::Threads(2));
     let engine_thread = std::thread::spawn(move || {
         engine.serve_queue(&queue).unwrap();
@@ -268,14 +285,14 @@ fn byte_at_a_time_clients_are_served_normally() {
 }
 
 /// One misbehaving connection never poisons its neighbours: with several
-/// concurrent connections, the garbage one dies alone and the clean ones run
+/// concurrent connections, each garbage one — an unknown tag, and the
+/// retired tag-0 single-request frame — dies alone and the clean ones run
 /// the full protocol.
 #[test]
 fn failures_are_isolated_per_connection() {
     let (listener, addr) = loopback();
-    let (sender, queue) = ingest_channel(64);
-    let server =
-        std::thread::spawn(move || serve_connections(&listener, &sender, None, 3).unwrap());
+    let (sender, queue) = channel(64);
+    let server = write_path_server(listener, sender, 4);
     let drainer = drain_in_background(queue);
 
     let clean = |offset: u32| {
@@ -289,14 +306,26 @@ fn failures_are_isolated_per_connection() {
     garbage.write_all(&2u32.to_le_bytes()).unwrap();
     garbage.write_all(&[99, 99]).unwrap(); // unknown tag
     garbage.shutdown(std::net::Shutdown::Write).unwrap();
+    let mut retired = TcpStream::connect(addr).unwrap();
+    retired.write_all(&5u32.to_le_bytes()).unwrap();
+    retired.write_all(&[0, 9, 0, 0, 0]).unwrap(); // tag 0, element 9
+    retired.shutdown(std::net::Shutdown::Write).unwrap();
     assert_eq!(clean(100), 1);
 
     let reports = server.join().unwrap();
     let clean_count = reports.iter().filter(|r| r.is_clean()).count();
     assert_eq!(clean_count, 2);
     let failed: Vec<_> = reports.iter().filter(|r| !r.is_clean()).collect();
-    assert_eq!(failed.len(), 1);
-    assert_eq!(failed[0].frames, 0);
+    assert_eq!(failed.len(), 2);
+    assert!(failed.iter().all(|r| r.frames == 0));
+    assert!(failed.iter().any(|r| matches!(
+        r.error,
+        Some(ServeError::Protocol(WireError::UnknownTag(99)))
+    )));
+    assert!(failed.iter().any(|r| matches!(
+        r.error,
+        Some(ServeError::Protocol(WireError::Malformed { .. }))
+    )));
     assert_eq!(drainer.join().unwrap().len(), 2);
 }
 
@@ -307,7 +336,7 @@ fn failures_are_isolated_per_connection() {
 fn both_transports_feed_the_queue_identically() {
     let elements: Vec<ElementId> = (0..100).map(ElementId::new).collect();
 
-    let (mut sender, queue) = ingest_channel(64);
+    let (mut sender, queue) = channel(64);
     satn_serve::replay(&mut sender, elements.iter().copied(), 7).unwrap();
     drop(sender);
     let mut in_process = Vec::new();
@@ -339,16 +368,15 @@ fn lookups_are_served_end_to_end_from_published_snapshots() {
     let scenario = scenario(1_200);
     let requests: Vec<ElementId> = scenario.stream().collect();
     let (listener, addr) = loopback();
-    let (sender, queue) = ingest_channel(8);
     let mut engine = ShardedEngineConfig::from_scenario(&scenario)
         .parallelism(Parallelism::Threads(2))
         .drain_threshold(300)
         .build()
         .unwrap();
+    let (sender, queue) = ingest_channel_with_metrics(8, Arc::clone(engine.metrics()));
     let reader = engine.snapshots();
-    let server = std::thread::spawn(move || {
-        serve_connections(&listener, &sender, Some(&reader), 1).unwrap()
-    });
+    let server =
+        std::thread::spawn(move || serve_connections(&listener, &sender, &reader, 1).unwrap());
     let engine_thread = std::thread::spawn(move || {
         engine.serve_queue(&queue).unwrap();
         engine.finish().unwrap()
@@ -390,13 +418,13 @@ fn lookups_are_served_end_to_end_from_published_snapshots() {
 /// trait did not change the in-process API surface.
 #[test]
 fn the_channel_sender_still_works_through_the_trait_object() {
-    let (mut sender, queue) = ingest_channel(4);
+    let (mut sender, queue) = channel(4);
     let ingest: &mut dyn Ingest = &mut sender;
-    ingest.send(ElementId::new(1)).unwrap();
+    ingest.send_burst(&[ElementId::new(1)]).unwrap();
     drop(sender);
     assert_eq!(
         queue.recv(),
-        Some(IngestMessage::Request(ElementId::new(1)))
+        Some(IngestMessage::Burst(vec![ElementId::new(1)]))
     );
     let _: Option<IngestSender> = None; // the type stays nameable
 }
@@ -410,13 +438,14 @@ fn encode_all(frames: &[Frame]) -> Vec<u8> {
     bytes
 }
 
-/// A lookup-serving, metered server over one connection whose engine
-/// drains every `threshold` requests on its own thread. Returns the
+/// A lookup-serving, metered server over `connections` connections whose
+/// engine drains every `threshold` requests on its own thread. Returns the
 /// client-facing address, the scenario, the shared registry, and the join
 /// handles of the server and the engine.
 #[allow(clippy::type_complexity)]
 fn metered_lookup_server(
     threshold: usize,
+    connections: usize,
 ) -> (
     SocketAddr,
     ShardedScenario,
@@ -435,7 +464,7 @@ fn metered_lookup_server(
     let (sender, queue) = ingest_channel_with_metrics(8, Arc::clone(&metrics));
     let reader = engine.snapshots();
     let server = std::thread::spawn(move || {
-        serve_connections(&listener, &sender, Some(&reader), 1).unwrap()
+        serve_connections(&listener, &sender, &reader, connections).unwrap()
     });
     let engine_thread = std::thread::spawn(move || {
         engine.serve_queue(&queue).unwrap();
@@ -452,7 +481,7 @@ fn metered_lookup_server(
 #[test]
 fn pipelined_replies_are_coalesced_in_order() {
     const LOOKUPS: u32 = 1_000;
-    let (addr, scenario, metrics, server, engine_thread) = metered_lookup_server(100);
+    let (addr, scenario, metrics, server, engine_thread) = metered_lookup_server(100, 1);
     let requests: Vec<ElementId> = scenario.stream().collect();
     let universe = scenario.universe();
     let mut sent = vec![Frame::Ingest(IngestMessage::Burst(
@@ -531,7 +560,7 @@ fn pipelined_replies_are_coalesced_in_order() {
 /// rest.
 #[test]
 fn queued_replies_are_written_before_waiting_on_a_partial_frame() {
-    let (addr, _scenario, _metrics, server, engine_thread) = metered_lookup_server(100);
+    let (addr, _scenario, _metrics, server, engine_thread) = metered_lookup_server(100, 1);
     let next = encode_all(&[Frame::Lookup {
         element: ElementId::new(4),
     }]);
@@ -566,7 +595,7 @@ fn queued_replies_are_written_before_waiting_on_a_partial_frame() {
 /// before the server closes the connection.
 #[test]
 fn replies_queued_before_a_garbage_frame_are_delivered() {
-    let (addr, _scenario, _metrics, server, engine_thread) = metered_lookup_server(100);
+    let (addr, _scenario, _metrics, server, engine_thread) = metered_lookup_server(100, 1);
     let mut bytes = encode_all(&[
         Frame::Lookup {
             element: ElementId::new(1),
@@ -599,4 +628,37 @@ fn replies_queued_before_a_garbage_frame_are_delivered() {
         Some(ServeError::Protocol(WireError::UnknownTag(42)))
     ));
     assert_eq!(engine_thread.join().unwrap().requests, 0);
+}
+
+/// A lookup outside the universe closes only its own connection: the
+/// server reports `OutOfUniverse` for it, its client sees the connection
+/// close, and a second connection still writes and reads normally.
+#[test]
+fn out_of_universe_lookups_close_only_that_connection() {
+    let (addr, scenario, _metrics, server, engine_thread) = metered_lookup_server(100, 2);
+    let universe = scenario.universe();
+    let mut outside = TcpIngest::connect(addr).unwrap();
+    assert!(matches!(
+        outside.lookup(ElementId::new(universe)),
+        Err(ServeError::Closed)
+    ));
+
+    let requests: Vec<ElementId> = scenario.stream().take(300).collect();
+    let mut client = TcpIngest::connect(addr).unwrap();
+    client.send_burst(&requests).unwrap();
+    client.flush().unwrap();
+    let answer = client.lookup(ElementId::new(5)).unwrap();
+    assert_eq!(answer.element, ElementId::new(5));
+    assert_eq!(client.finish().unwrap(), 2);
+
+    let reports = server.join().unwrap();
+    assert!(matches!(
+        reports[0].error,
+        Some(ServeError::OutOfUniverse { element, universe: u })
+            if element == ElementId::new(universe) && u == universe
+    ));
+    assert_eq!((reports[0].frames, reports[0].lookups), (0, 0));
+    assert!(reports[1].is_clean(), "{:?}", reports[1].error);
+    assert_eq!((reports[1].frames, reports[1].lookups), (2, 1));
+    assert_eq!(engine_thread.join().unwrap().requests, 300);
 }

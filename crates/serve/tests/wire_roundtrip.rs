@@ -44,9 +44,10 @@ fn reshard_frame(moves: &[(u32, u32)]) -> Frame {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
 
+    /// A single request travels as a one-element burst.
     #[test]
     fn request_frames_roundtrip(element in 0u32..2_000_000) {
-        let frame = Frame::Ingest(IngestMessage::Request(ElementId::new(element)));
+        let frame = Frame::Ingest(IngestMessage::Burst(vec![ElementId::new(element)]));
         prop_assert_eq!(roundtrip(&frame), frame);
     }
 

@@ -71,8 +71,8 @@ pub use satn_network::{Host, HostPair, SelfAdjustingNetwork};
 pub use satn_obs::{EngineMetrics, LatencyHistogram, MetricsSnapshot, TraceRing};
 pub use satn_rotor::{RotorState, RotorWalk};
 pub use satn_serve::{
-    ingest_channel, replay, serve_connections, EngineReport, EngineSnapshot, Frame, Ingest,
-    IngestMessage, IngestQueue, IngestSender, LookupAnswer, ServeError, ShardedEngine,
+    ingest_channel_with_metrics, replay, serve_connections, EngineReport, EngineSnapshot, Frame,
+    Ingest, IngestMessage, IngestQueue, IngestSender, LookupAnswer, ServeError, ShardedEngine,
     ShardedEngineConfig, SnapshotReader, TcpIngest, WireError,
 };
 pub use satn_sim::{
